@@ -13,7 +13,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import comb
 
-from .core import BudgetExceeded, PairedWord, classify_position
+from .core import BudgetExceeded, PairedWord, _check_lambda, classify_position
 
 __all__ = ["sphere_size", "ball_size", "enumerate_ball"]
 
@@ -25,8 +25,7 @@ def _check_args(n: int, w: int, lam: int, r: int) -> None:
         raise ValueError("length must be at least 1")
     if w > n:
         raise ValueError("weight exceeds length")
-    if not isinstance(lam, int) or isinstance(lam, bool) or lam < 1:
-        raise ValueError(f"lam must be a positive integer, got {lam!r}")
+    _check_lambda(lam)
     if r < 0:
         raise ValueError("radius must be nonnegative")
 

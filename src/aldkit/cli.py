@@ -13,10 +13,10 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from importlib import resources
 
 from .balls import ball_size, enumerate_ball
@@ -37,7 +37,7 @@ from .codes import (
     greedy_manhattan_code,
 )
 from .core import BudgetExceeded, PairedWord, ald_distance, canonical_weight_word
-from .delsarte import BUDGET_ENV, delsarte_bound
+from .delsarte import BUDGET_ENV, delsarte_bound, env_budget
 from .hyperbound import (
     lp_hypergraph_bound,
     naive_weight_bound,
@@ -136,16 +136,6 @@ def read_codebook(path: str) -> Codebook:
 # ------------------------------------------------------------------ utilities
 
 
-def _env_budget():
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {BUDGET_ENV} must be a number")
-
-
 def _parse_word(text: str, dna: bool) -> PairedWord:
     return PairedWord.from_dna(text) if dna else PairedWord.from_digits(text)
 
@@ -205,7 +195,7 @@ def cmd_bound(args) -> int:
     elif method == "delsarte":
         if d is None:
             raise ValueError("delsarte requires --d")
-        budget = args.budget if args.budget is not None else _env_budget()
+        budget = args.budget if args.budget is not None else env_budget()
         report = delsarte_bound(n, d, lam, budget_secs=budget)
         if args.exact_rational:
             if report.exact is not None:
@@ -350,8 +340,9 @@ def _row(n, d, lam, method, report=None, value=None, expected=None, refused=Fals
     }
 
 
-def _table1_rows(max_n, _budget):
-    ref = _load_reference(1)
+def _lp_table_rows(idx, max_n, _budget):
+    """Tables 1 and 4: the covering LP at lambda = 1 on every cell."""
+    ref = _load_reference(idx)
     rows = []
     for cell in ref["cells"]:
         if cell["n"] > max_n:
@@ -405,18 +396,6 @@ def _table3_rows(max_n, budget):
     return rows, refused_any
 
 
-def _table4_rows(max_n, _budget):
-    ref = _load_reference(4)
-    rows = []
-    for cell in ref["cells"]:
-        if cell["n"] > max_n:
-            continue
-        report = lp_hypergraph_bound(cell["n"], cell["d"], 1)
-        rows.append(_row(cell["n"], cell["d"], 1, "lp",
-                         report=report, expected=cell["value"]))
-    return rows, False
-
-
 def _table5_rows(max_n, _budget):
     ref = _load_reference(5)
     rows = []
@@ -434,15 +413,15 @@ def _table5_rows(max_n, _budget):
 
 
 _TABLE_BUILDERS = {
-    1: _table1_rows, 2: _table2_rows, 3: _table3_rows,
-    4: _table4_rows, 5: _table5_rows,
+    1: partial(_lp_table_rows, 1), 2: _table2_rows, 3: _table3_rows,
+    4: partial(_lp_table_rows, 4), 5: _table5_rows,
 }
 
 
 def cmd_table(args) -> int:
     idx = args.table
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULT_MAX_N[idx]
-    budget = args.budget if args.budget is not None else _env_budget()
+    budget = args.budget if args.budget is not None else env_budget()
     if idx == 3 and budget is None:
         budget = 600.0
     rows, refused = _TABLE_BUILDERS[idx](max_n, budget)

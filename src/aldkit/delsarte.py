@@ -8,11 +8,13 @@ Maximizing the enumerator mass subject to that cone (plus the kill rules
 for digits no difference can produce and for profiles cheaper than the
 design distance) yields an upper bound on the largest code size.
 
-Characters take values in the degree-4 cyclotomic field of tenth roots
-of unity.  After the variable symmetrization m ~ reverse(m) every
-constraint coefficient lands in the real quadratic subfield Q(sqrt 5),
-so the LP is solved exactly over that ordered field - no floating point,
-no dropped constraints.
+Characters are powers of zeta = exp(2 pi i / 10).  Every column
+coefficient is a sum of such powers, kept as ten integer counts (how many
+terms equal zeta^k), so multiplying by a character shifts the counts
+cyclically.  After the variable symmetrization m ~ reverse(m) every
+constraint coefficient is real: a sum of 2cos(2 pi k / 10), each of which
+lies in the quadratic field Q(sqrt 5).  The LP is solved exactly over
+that ordered field - no floating point, no dropped constraints.
 """
 
 from __future__ import annotations
@@ -22,124 +24,38 @@ import os
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from operator import add, mul
 
-from .core import BudgetExceeded
+from .core import BudgetExceeded, _check_lambda
 from .lp import LinearProgram, LPStatus, solve_lp
 
 BUDGET_ENV = "ALDKIT_BUDGET_SECS"
 
-# zeta^k for k = 4..6 rewritten in the 1, zeta, zeta^2, zeta^3 basis
-# (minimal polynomial zeta^4 - zeta^3 + zeta^2 - zeta + 1 and zeta^5 = -1).
-_REDUCE = {
-    4: (-1, 1, -1, 1),
-    5: (-1, 0, 0, 0),
-    6: (0, -1, 0, 0),
-}
+
+def env_budget() -> float | None:
+    """Seconds given by the budget environment variable, None if unset."""
+    raw = os.environ.get(BUDGET_ENV)
+    if raw is None:
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"environment variable {BUDGET_ENV} must be a number")
 
 
-@dataclass(frozen=True)
-class Cyclotomic10:
-    """Element c0 + c1*zeta + c2*zeta^2 + c3*zeta^3, zeta a primitive
-    tenth root of unity.  Coefficients are exact rationals."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        if len(self.coeffs) != 4:
-            raise ValueError("need exactly four coefficients")
-        object.__setattr__(
-            self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
-        )
-
-    @classmethod
-    def zero(cls) -> "Cyclotomic10":
-        return cls((0, 0, 0, 0))
-
-    @classmethod
-    def one(cls) -> "Cyclotomic10":
-        return cls((1, 0, 0, 0))
-
-    @classmethod
-    def zeta_pow(cls, k: int) -> "Cyclotomic10":
-        k %= 10
-        if k < 4:
-            coeffs = [0, 0, 0, 0]
-            coeffs[k] = 1
-            return cls(tuple(coeffs))
-        if k < 7:
-            return cls(_REDUCE[k])
-        # zeta^k = -zeta^(k-5) for k in 7..9
-        return -cls.zeta_pow(k - 5)
-
-    def __add__(self, other: "Cyclotomic10") -> "Cyclotomic10":
-        return Cyclotomic10(
-            tuple(a + b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __sub__(self, other: "Cyclotomic10") -> "Cyclotomic10":
-        return Cyclotomic10(
-            tuple(a - b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __neg__(self) -> "Cyclotomic10":
-        return Cyclotomic10(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "Cyclotomic10") -> "Cyclotomic10":
-        raw = [Fraction(0)] * 7
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                raw[i + j] += a * b
-        out = list(raw[:4])
-        for k in (4, 5, 6):
-            if raw[k] == 0:
-                continue
-            for idx, red in enumerate(_REDUCE[k]):
-                out[idx] += raw[k] * red
-        return Cyclotomic10(tuple(out))
-
-    def conjugate(self) -> "Cyclotomic10":
-        """Complex conjugation, zeta -> zeta^(-1)."""
-        c0, c1, c2, c3 = self.coeffs
-        total = Cyclotomic10((c0, 0, 0, 0))
-        for k, c in ((9, c1), (8, c2), (7, c3)):
-            if c != 0:
-                total = total + Cyclotomic10(
-                    tuple(c * v for v in Cyclotomic10.zeta_pow(k).coeffs)
-                )
-        return total
-
-    def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
-
-    def is_real(self) -> bool:
-        c = self.coeffs
-        return c[1] == 0 and c[2] == -c[3]
-
-    def real_parts(self) -> tuple:
-        """Decompose a real element as (a, b) with value a + b*sqrt(5).
-
-        Real elements of the field satisfy c1 = 0 and c2 = -c3 and equal
-        (c0 - c2/2) + (c2/2) * sqrt(5) because sqrt(5) = 1 + 2 zeta^2
-        - 2 zeta^3 ... rearranged: sqrt5 has coordinates (1, 0, 2, -2).
-        """
-        if not self.is_real():
-            raise ValueError(f"not a real element: {self.coeffs}")
-        c0, _, c2, _ = self.coeffs
-        b = c2 / 2
-        return (c0 - b, b)
+# 2cos(2 pi k / 10) = (_COS_A[k] + _COS_B[k] * sqrt 5) / 2.
+_COS_A = (4, 1, -1, 1, -1, -4, -1, 1, -1, 1)
+_COS_B = (0, 1, 1, -1, -1, 0, -1, -1, 1, 1)
+# Coefficients of Phi_10 = 1 - x + x^2 - x^3 + x^4, the minimal
+# polynomial of zeta.
+_PHI10 = (1, -1, 1, -1, 1)
 
 
-SQRT5 = Cyclotomic10((1, 0, 2, -2))
-
-
-def chi(i: int, j: int) -> Cyclotomic10:
-    """Character value zeta^(-i*j mod 10)."""
+def chi(i: int, j: int) -> int:
+    """Character value zeta^(-i*j), given as its exponent in 0..9."""
     if not (0 <= i <= 9 and 0 <= j <= 9):
         raise ValueError("digits must lie in 0..9")
-    return Cyclotomic10.zeta_pow((-i * j) % 10)
+    return (-i * j) % 10
 
 
 @dataclass(frozen=True)
@@ -157,11 +73,6 @@ class Q5:
         if isinstance(v, Q5):
             return v
         return cls(Fraction(v), Fraction(0))
-
-    @classmethod
-    def from_cyclotomic(cls, x: Cyclotomic10) -> "Q5":
-        a, b = x.real_parts()
-        return cls(a, b)
 
     def _sign(self) -> int:
         a, b = self.a, self.b
@@ -301,27 +212,54 @@ class _Deadline:
 def coefficient_column(m: tuple, deadline: _Deadline | None = None) -> dict:
     """Monomial-profile coefficients of prod_j (sum_i z_i chi(i,j))^m_j.
 
-    Returns {p: coefficient} where p records the multidegree of the
-    z-monomial as a profile.  Cross-checkable against the direct sum of
-    chi over words with a fixed difference profile.
+    Returns {p: counts} where p records the multidegree of the
+    z-monomial as a profile and counts[k] is how many of its terms equal
+    zeta^k, so the coefficient is sum_k counts[k] zeta^k.  Multiplying
+    by chi(i,j) shifts the counts cyclically.  Cross-checkable against
+    the direct sum of chi over words with a fixed difference profile.
     """
-    n = sum(m)
-    if n == 0:
-        return {(): Cyclotomic10.one()}
-    state = {(0,) * 10: Cyclotomic10.one()}
+    one = (1,) + (0,) * 9
+    if sum(m) == 0:
+        return {(): one}
+    state = {(0,) * 10: one}
     for j in range(10):
+        shifts = [10 - chi(i, j) for i in range(10)]
         for _ in range(m[j]):
             if deadline is not None:
                 deadline.check("coefficient assembly")
             nxt = {}
-            for p, coeff in state.items():
-                for i in range(10):
-                    c = chi(i, j)
+            for p, v in state.items():
+                for i, s in enumerate(shifts):
+                    w = v[s:] + v[:s]  # w[k] = v[k - chi(i, j)]
                     key = p[:i] + (p[i] + 1,) + p[i + 1:]
                     cur = nxt.get(key)
-                    nxt[key] = coeff * c if cur is None else cur + coeff * c
+                    nxt[key] = w if cur is None else tuple(map(add, cur, w))
             state = nxt
     return state
+
+
+def _vanishes(v) -> bool:
+    """Whether sum_k v[k] zeta^k is 0.  Folding with zeta^5 = -1 leaves
+    a polynomial of degree <= 4, which vanishes at zeta exactly when it
+    is a multiple of Phi_10."""
+    e = [v[k] - v[k + 5] for k in range(5)]
+    return all(x == c * e[0] for x, c in zip(e, _PHI10))
+
+
+def column_entry(v, orbit: int) -> Q5:
+    """LP coefficient of the column entry with zeta-power counts v.
+
+    A paired column (orbit 2) carries c + conj(c) = sum_k v[k] 2cos(2 pi
+    k/10); a self-reverse column (orbit 1) carries c, which is real,
+    and so half of that.
+    """
+    if orbit == 1 and not _vanishes([v[k] - v[-k] for k in range(10)]):
+        raise ValueError(f"not a real element: {v}")
+    den = 4 // orbit
+    return Q5(
+        Fraction(sum(map(mul, v, _COS_A)), den),
+        Fraction(sum(map(mul, v, _COS_B)), den),
+    )
 
 
 @dataclass(frozen=True)
@@ -347,12 +285,12 @@ def _budget_seconds(n: int, budget_secs) -> float | None:
         return float(budget_secs)
     if n <= 3:
         return None  # core cells run unconditionally
-    env = os.environ.get(BUDGET_ENV)
+    env = env_budget()
     if env is None:
         raise BudgetExceeded(
             f"n={n} needs a time budget: pass budget_secs or set {BUDGET_ENV}"
         )
-    return float(env)
+    return env
 
 
 def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport:
@@ -367,8 +305,9 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     print no value; the number there is still a valid upper bound (the
     LP relaxes a true-code constraint system), just not a tabulated one.
     """
-    if n < 1 or d < 1 or lam < 1:
-        raise ValueError("need n >= 1, d >= 1, lambda >= 1")
+    _check_lambda(lam)
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1, d >= 1")
     deadline = _Deadline(_budget_seconds(n, budget_secs))
 
     ident = identity_profile(n)
@@ -391,20 +330,13 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     columns = []
     for m, orbit in survivors:
         deadline.check("column assembly")
-        col = coefficient_column(m, deadline)
-        if orbit == 2:
-            paired = {p: c + c.conjugate() for p, c in col.items()}
-        else:
-            paired = col
-        columns.append(paired)
+        columns.append((coefficient_column(m, deadline), orbit))
 
+    absent = (0,) * 10
     rows = {}
     for p in profiles(n):
         deadline.check("row assembly")
-        entries = []
-        for paired in columns:
-            c = paired.get(p, Cyclotomic10.zero())
-            entries.append(Q5.from_cyclotomic(c))
+        entries = [column_entry(col.get(p, absent), orbit) for col, orbit in columns]
         rhs = Q5.lift(-_multinomial(p))
         if all(e == Q5.lift(0) for e in entries):
             continue  # 0 >= -multinomial holds vacuously

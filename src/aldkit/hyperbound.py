@@ -21,6 +21,7 @@ from fractions import Fraction
 from math import comb
 
 from .balls import ball_size
+from .core import _check_lambda
 from .lp import LinearProgram, LPStatus, solve_linear_system, solve_lp
 
 __all__ = [
@@ -34,11 +35,6 @@ __all__ = [
     "weights1_bound",
     "packing_comparison",
 ]
-
-
-def _check_lambda(lam) -> None:
-    if not isinstance(lam, int) or isinstance(lam, bool) or lam < 1:
-        raise ValueError(f"lam must be a positive integer, got {lam!r}")
 
 
 @dataclass(frozen=True)

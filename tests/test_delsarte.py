@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,11 +8,10 @@ from hypothesis import given, settings, strategies as st
 from aldkit.core import BudgetExceeded
 from aldkit.delsarte import (
     BUDGET_ENV,
-    SQRT5,
-    Cyclotomic10,
     Q5,
     chi,
     coefficient_column,
+    column_entry,
     delsarte_bound,
     identity_profile,
     profile_cost,
@@ -20,79 +20,95 @@ from aldkit.delsarte import (
 )
 from aldkit.lp import LPStatus
 
-ZETA = Cyclotomic10.zeta_pow(1)
-ONE = Cyclotomic10.one()
-ZERO = Cyclotomic10.zero()
-
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=8
 )
-cyclo_elements = st.tuples(
-    small_fractions, small_fractions, small_fractions, small_fractions
-).map(Cyclotomic10)
+count_vectors = st.tuples(*[st.integers(-6, 6)] * 10)
 
 
-# ------------------------------------------------------------ ring axioms
+def unit(k):
+    """Counts of the single power zeta^k."""
+    return tuple(1 if i == k else 0 for i in range(10))
 
 
-def test_zeta_is_a_primitive_tenth_root():
-    powers = [Cyclotomic10.zeta_pow(k) for k in range(10)]
-    acc = ONE
-    for k in range(1, 10):
-        acc = acc * ZETA
-        assert acc == powers[k]
-        assert acc != ONE  # primitive: no earlier power hits 1
-    assert acc * ZETA == ONE  # zeta^10 = 1
+ONE = unit(0)
+
+
+def conj(v):
+    """Counts of the complex conjugate, zeta^k -> zeta^(-k)."""
+    return tuple(v[-k % 10] for k in range(10))
+
+
+def plus(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def times(u, v):
+    """Counts of the product: the cyclic convolution of u and v."""
+    return tuple(
+        sum(u[i] * v[(k - i) % 10] for i in range(10)) for k in range(10)
+    )
+
+
+def value(v):
+    """Floating-point value of sum_k v[k] zeta^k, an independent check."""
+    return sum(c * cmath.exp(2j * math.pi * k / 10) for k, c in enumerate(v))
+
+
+# ---------------------------------------------- counts to Q(sqrt5) entries
+
+
+def test_two_cos_table():
+    for k in range(10):
+        q = column_entry(unit(k), 2)
+        want = 2 * math.cos(2 * math.pi * k / 10)
+        assert abs(float(q.a) + float(q.b) * math.sqrt(5) - want) < 1e-12, k
+    # 2 cos(2 pi / 10) = (1 + sqrt5) / 2
+    assert column_entry(unit(1), 2) == Q5(Fraction(1, 2), Fraction(1, 2))
 
 
 def test_zeta_fifth_power_is_minus_one():
-    assert Cyclotomic10.zeta_pow(5) == -ONE
-
-
-def test_power_inverses_exhaustive():
-    for k in range(10):
-        assert Cyclotomic10.zeta_pow(k) * Cyclotomic10.zeta_pow(10 - k) == ONE
-
-
-@given(cyclo_elements, cyclo_elements, cyclo_elements)
-@settings(max_examples=80)
-def test_ring_axioms_on_random_elements(x, y, z):
-    assert (x * y) * z == x * (y * z)
-    assert x * (y + z) == x * y + x * z
-    assert x * y == y * x
-    assert x + y == y + x
-    assert x - x == ZERO
-    assert x * ONE == x
-
-
-@given(cyclo_elements, cyclo_elements)
-@settings(max_examples=80)
-def test_conjugation_is_a_ring_involution(x, y):
-    assert x.conjugate().conjugate() == x
-    assert (x * y).conjugate() == x.conjugate() * y.conjugate()
-    assert (x + y).conjugate() == x.conjugate() + y.conjugate()
-
-
-@given(cyclo_elements)
-@settings(max_examples=80)
-def test_norm_is_real_and_nonnegative(x):
-    norm = x * x.conjugate()
-    assert norm.is_real()
-    assert Q5.from_cyclotomic(norm) >= 0
+    assert column_entry(unit(5), 1) == Q5.lift(-1)
+    # 1 + zeta^5 = 0 although its counts are not zero
+    assert column_entry(plus(ONE, unit(5)), 1) == Q5.lift(0)
 
 
 def test_sqrt5_squares_to_five():
-    assert SQRT5 * SQRT5 == Cyclotomic10((5, 0, 0, 0))
-    assert Q5.from_cyclotomic(SQRT5) == Q5(Fraction(0), Fraction(1))
+    # sqrt5 = 1 + 2 zeta^2 - 2 zeta^3 is real although its counts are
+    # not conjugation-symmetric
+    sqrt5 = (1, 0, 2, -2, 0, 0, 0, 0, 0, 0)
+    assert column_entry(sqrt5, 1) == Q5(Fraction(0), Fraction(1))
+    assert column_entry(times(sqrt5, sqrt5), 1) == Q5.lift(5)
 
 
 def test_real_parts_round_trip():
-    assert ONE.real_parts() == (1, 0)
-    with pytest.raises(ValueError):
-        ZETA.real_parts()
+    assert column_entry(ONE, 1) == Q5.lift(1)
+    for k in (1, 2, 3, 4, 6, 7, 8, 9):
+        with pytest.raises(ValueError):
+            column_entry(unit(k), 1)
     # 2 cos(2 pi / 10) = (1 + sqrt5) / 2
-    golden = ZETA + ZETA.conjugate()
-    assert golden.real_parts() == (Fraction(1, 2), Fraction(1, 2))
+    golden = plus(unit(1), unit(9))
+    assert column_entry(golden, 1) == Q5(Fraction(1, 2), Fraction(1, 2))
+
+
+@given(count_vectors)
+@settings(max_examples=80)
+def test_norm_is_real_and_nonnegative(v):
+    assert column_entry(times(v, conj(v)), 1) >= 0
+
+
+@given(count_vectors)
+@settings(max_examples=150)
+def test_realness_check_matches_the_complex_value(v):
+    if abs(value(v).imag) < 1e-9:
+        q = column_entry(v, 1)
+        assert abs(float(q.a) + float(q.b) * math.sqrt(5) - value(v).real) < 1e-9
+    else:
+        with pytest.raises(ValueError):
+            column_entry(v, 1)
+    # c + conj(c) is real; as a self-reverse entry it equals the paired
+    # entry of c
+    assert column_entry(plus(v, conj(v)), 1) == column_entry(v, 2)
 
 
 # ------------------------------------------------------------- characters
@@ -100,20 +116,21 @@ def test_real_parts_round_trip():
 
 def test_chi_at_zero_is_one():
     for j in range(10):
-        assert chi(0, j) == ONE
-        assert chi(j, 0) == ONE
+        assert chi(0, j) == 0
+        assert chi(j, 0) == 0
 
 
 def test_chi_half_turn():
     # exp(-pi i) = -1
-    assert chi(1, 5) == -ONE
+    assert chi(1, 5) == 5
+    assert abs(value(unit(chi(1, 5))) + 1) < 1e-12
 
 
 def test_chi_product_law_exhaustive():
     for i in range(10):
         for j in range(10):
             for k in range(10):
-                assert chi(i, j) * chi(i, k) == chi(i, (j + k) % 10)
+                assert (chi(i, j) + chi(i, k)) % 10 == chi(i, (j + k) % 10)
 
 
 def test_chi_rejects_out_of_range_digits():
@@ -203,7 +220,7 @@ def test_profile_cost_of_the_edge_classes():
 def character_sum_oracle(n, m):
     """Direct evaluation of the column: fix a word with digit profile m,
     sum chi against every word of Z_10^n, grouped by the profile of the
-    second word."""
+    second word, counting the terms that equal each zeta^k."""
     x = []
     for digit, count in enumerate(m):
         x.extend([digit] * count)
@@ -213,20 +230,16 @@ def character_sum_oracle(n, m):
         words = [w + (digit,) for w in words for digit in range(10)]
     for y in words:
         p = tuple(sum(1 for v in y if v == digit) for digit in range(10))
-        val = ONE
-        for xi, yi in zip(x, y):
-            val = val * chi(xi, yi)
-        out[p] = out.get(p, ZERO) + val
-    return {p: v for p, v in out.items() if v != ZERO}
+        k = sum(chi(xi, yi) for xi, yi in zip(x, y)) % 10
+        counts = out.setdefault(p, [0] * 10)
+        counts[k] += 1
+    return {p: tuple(v) for p, v in out.items()}
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_coefficient_column_matches_character_sums(n):
     for m in profiles(n):
-        column = coefficient_column(m)
-        oracle = character_sum_oracle(n, m)
-        column = {p: v for p, v in column.items() if v != ZERO}
-        assert column == oracle, m
+        assert coefficient_column(m) == character_sum_oracle(n, m), m
 
 
 def test_unit_profile_columns_are_single_characters():
@@ -235,7 +248,7 @@ def test_unit_profile_columns_are_single_characters():
         column = coefficient_column(m)
         for i in range(10):
             p = tuple(1 if k == i else 0 for k in range(10))
-            assert column[p] == chi(i, j)
+            assert column[p] == unit(chi(i, j))
 
 
 def test_all_z0_coefficient_is_always_one():
@@ -251,13 +264,11 @@ def test_column_mass_vanishes_except_at_identity():
     for n in (1, 2):
         for m in profiles(n):
             column = coefficient_column(m)
-            total = ZERO
-            for v in column.values():
-                total = total + v
+            total = tuple(map(sum, zip(*column.values())))
             if m == identity_profile(n):
-                assert total == Cyclotomic10((10**n, 0, 0, 0))
+                assert total == (10**n,) + (0,) * 9
             else:
-                assert total == ZERO
+                assert abs(value(total)) < 1e-9, m
 
 
 def test_paired_columns_are_real():
@@ -268,8 +279,10 @@ def test_paired_columns_are_real():
         rev = reverse_profile(m)
         rev_column = coefficient_column(rev)
         for p, c in column.items():
-            assert rev_column[p] == c.conjugate()
-            assert (c + c.conjugate()).is_real()
+            assert rev_column[p] == conj(c)
+            assert column_entry(plus(c, conj(c)), 1) == column_entry(c, 2)
+            if rev == m:
+                assert column_entry(c, 1) * 2 == column_entry(c, 2)
 
 
 # ------------------------------------------------------------- the LP bound
@@ -337,7 +350,7 @@ def test_report_flags_unbounded_status():
 
 
 def test_argument_validation():
-    for bad in ((0, 3, 1), (1, 0, 1), (1, 3, 0)):
+    for bad in ((0, 3, 1), (1, 0, 1), (1, 3, 0), (1, 3, True), (1, 3, 1.5)):
         with pytest.raises(ValueError):
             delsarte_bound(*bad)
 
@@ -358,3 +371,9 @@ def test_env_budget_is_honoured(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "-1")
     with pytest.raises(BudgetExceeded):
         delsarte_bound(4, 9, 1)
+
+
+def test_malformed_env_budget_names_the_variable(monkeypatch):
+    monkeypatch.setenv(BUDGET_ENV, "abc")
+    with pytest.raises(ValueError, match=BUDGET_ENV):
+        delsarte_bound(4, 16, 1)
