@@ -14,7 +14,6 @@ import io
 import json
 import math
 import sys
-import time
 from fractions import Fraction
 from functools import partial
 from importlib import resources
@@ -36,8 +35,9 @@ from .codes import (
     decode_cl,
     greedy_manhattan_code,
 )
-from .core import BudgetExceeded, PairedWord, ald_distance, canonical_weight_word
-from .delsarte import BUDGET_ENV, delsarte_bound, env_budget
+from .core import (BUDGET_ENV, Budget, BudgetExceeded, PairedWord, ald_distance,
+                   canonical_weight_word)
+from .delsarte import delsarte_bound
 from .hyperbound import (
     lp_hypergraph_bound,
     naive_weight_bound,
@@ -195,8 +195,7 @@ def cmd_bound(args) -> int:
     elif method == "delsarte":
         if d is None:
             raise ValueError("delsarte requires --d")
-        budget = args.budget if args.budget is not None else env_budget()
-        report = delsarte_bound(n, d, lam, budget_secs=budget)
+        report = delsarte_bound(n, d, lam, budget_secs=args.budget)
         if args.exact_rational:
             if report.exact is not None:
                 print(f"{report.exact.numerator}/{report.exact.denominator}")
@@ -316,17 +315,19 @@ def cmd_exact(args) -> int:
 # -------------------------------------------------------------------- tables
 
 
-def _row(n, d, lam, method, report=None, value=None, expected=None, refused=False):
+def _row(n, d, lam, method, result, expected):
+    """One table row; ``result`` is a report, an exact int, or None when
+    the cell was refused."""
     floor = num = den = None
-    if report is not None:
-        floor = report.floored
-        exact = getattr(report, "exact", None)
+    if isinstance(result, int):
+        floor, num, den = result, result, 1
+    elif result is not None:
+        floor = result.floored
+        exact = getattr(result, "exact", None)
         if exact is not None:
             frac = Fraction(exact)
             num, den = frac.numerator, frac.denominator
-    elif value is not None:
-        floor, num, den = value, value, 1
-    if refused:
+    if result is None:
         match = "refused"
     elif expected is None or expected == "--":
         match = "no"  # the reference prints no number here; ours is finite
@@ -340,20 +341,31 @@ def _row(n, d, lam, method, report=None, value=None, expected=None, refused=Fals
     }
 
 
-def _lp_table_rows(idx, max_n, _budget):
-    """Tables 1 and 4: the covering LP at lambda = 1 on every cell."""
-    ref = _load_reference(idx)
+# Rows per reference cell of tables 1, 4 and 5, at lambda = 1:
+# (method, reference key, bound(n, d)).  The lambdas look the bound
+# functions up when called, so a wrapper set on this module is used.
+_LP_ROW = ("lp", "value", lambda n, d: lp_hypergraph_bound(n, d, 1))
+_CELL_ROWS = {
+    1: [_LP_ROW],
+    4: [_LP_ROW],
+    5: [("averaging", "lower", lambda n, d: averaging_lower_bound(n, d)),
+        ("lp", "upper", lambda n, d: lp_hypergraph_bound(n, d, 1))],
+}
+
+
+def _lp_table_rows(idx, max_n, _budget_secs):
+    """Tables 1, 4 and 5: the listed bounds on every reference cell."""
     rows = []
-    for cell in ref["cells"]:
+    for cell in _load_reference(idx)["cells"]:
         if cell["n"] > max_n:
             continue
-        report = lp_hypergraph_bound(cell["n"], cell["d"], 1)
-        rows.append(_row(cell["n"], cell["d"], 1, "lp",
-                         report=report, expected=cell["value"]))
-    return rows, False
+        n, d = cell["n"], cell["d"]
+        for method, key, bound in _CELL_ROWS[idx]:
+            rows.append(_row(n, d, 1, method, bound(n, d), cell[key]))
+    return rows
 
 
-def _table2_rows(max_n, _budget):
+def _table2_rows(max_n, _budget_secs):
     ref = _load_reference(2)
     rows = []
     for entry in ref["rows"]:
@@ -367,64 +379,38 @@ def _table2_rows(max_n, _budget):
             "weights1": weights1_bound(n, 2),
         }
         for method in ref["methods"]:
-            rows.append(_row(n, 5, 1, method,
-                             report=reports[method], expected=entry[method]))
-    return rows, False
+            rows.append(_row(n, 5, 1, method, reports[method], entry[method]))
+    return rows
 
 
-def _table3_rows(max_n, budget):
+def _table3_rows(max_n, budget_secs):
+    """Table 3: the character LP on every cell, under one shared budget."""
     ref = _load_reference(3)
     cells = [c for c in ref["cells"] if c["n"] <= max_n]
-    deadline = None if budget is None else time.monotonic() + budget
+    budget = Budget(budget_secs, default=600.0)
     results = {}
-    refused_any = False
     # cheap cells first: low n, then high d (few LP survivors)
     for cell in sorted(cells, key=lambda c: (c["n"], -c["d"])):
-        key = (cell["n"], cell["d"])
-        remaining = None if deadline is None else deadline - time.monotonic()
-        try:
-            if remaining is not None and remaining <= 0:
-                raise BudgetExceeded("table budget exhausted")
-            report = delsarte_bound(cell["n"], cell["d"], 1, budget_secs=remaining)
-            results[key] = _row(cell["n"], cell["d"], 1, "delsarte",
-                                report=report, expected=cell["value"])
-        except BudgetExceeded:
-            refused_any = True
-            results[key] = _row(cell["n"], cell["d"], 1, "delsarte",
-                                expected=cell["value"], refused=True)
-    rows = [results[(c["n"], c["d"])] for c in cells]
-    return rows, refused_any
-
-
-def _table5_rows(max_n, _budget):
-    ref = _load_reference(5)
-    rows = []
-    for cell in ref["cells"]:
-        if cell["n"] > max_n:
-            continue
         n, d = cell["n"], cell["d"]
-        rows.append(_row(n, d, 1, "averaging",
-                         value=averaging_lower_bound(n, d),
-                         expected=cell["lower"]))
-        rows.append(_row(n, d, 1, "lp",
-                         report=lp_hypergraph_bound(n, d, 1),
-                         expected=cell["upper"]))
-    return rows, False
+        try:
+            # a spent budget makes delsarte_bound refuse at its first check
+            report = delsarte_bound(n, d, 1, budget_secs=budget.remaining())
+        except BudgetExceeded:
+            report = None
+        results[n, d] = _row(n, d, 1, "delsarte", report, cell["value"])
+    return [results[c["n"], c["d"]] for c in cells]
 
 
 _TABLE_BUILDERS = {
     1: partial(_lp_table_rows, 1), 2: _table2_rows, 3: _table3_rows,
-    4: partial(_lp_table_rows, 4), 5: _table5_rows,
+    4: partial(_lp_table_rows, 4), 5: partial(_lp_table_rows, 5),
 }
 
 
 def cmd_table(args) -> int:
     idx = args.table
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULT_MAX_N[idx]
-    budget = args.budget if args.budget is not None else env_budget()
-    if idx == 3 and budget is None:
-        budget = 600.0
-    rows, refused = _TABLE_BUILDERS[idx](max_n, budget)
+    rows = _TABLE_BUILDERS[idx](max_n, args.budget)
     if args.format == "json":
         print(json.dumps({"table": idx, "rows": rows}, indent=1))
     else:
@@ -436,7 +422,7 @@ def cmd_table(args) -> int:
                 ["" if row[key] is None else row[key] for key in CSV_HEADER]
             )
         sys.stdout.write(buf.getvalue())
-    return 3 if refused else 0
+    return 3 if any(row["match"] == "refused" for row in rows) else 0
 
 
 # ------------------------------------------------------------------ argparse
@@ -539,8 +525,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", type=int, choices=[1, 2, 3, 4, 5])
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--budget", type=float,
-                   help=f"total time budget in seconds (default ${BUDGET_ENV}; "
-                        "table 3 falls back to 600)")
+                   help=f"table 3's total time budget in seconds "
+                        f"(default ${BUDGET_ENV}, else 600)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_table)
 

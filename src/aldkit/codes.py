@@ -35,6 +35,12 @@ from .core import (
 
 ENUM_LIMIT_N = 8  # explicit enumeration cap: 4**8 words
 
+
+def _check_enumerable(n: int):
+    if n > ENUM_LIMIT_N:
+        raise BudgetExceeded(f"4^{n} words exceed the enumeration cap")
+
+
 # Primitive polynomials over F2, degree v, as bitmask ints (LSB = x^0).
 _PRIMITIVE_POLY = {
     2: 0b111,
@@ -448,8 +454,7 @@ def build_cp(n: int) -> Codebook:
     2^(2n-1) + 2^(n-1) words, minimum distance 2 at unit weighting."""
     if n < 1:
         raise ValueError("need n >= 1")
-    if n > ENUM_LIMIT_N:
-        raise BudgetExceeded(f"4^{n} words exceed the enumeration cap")
+    _check_enumerable(n)
     words = tuple(
         w
         for w in all_words(n)
@@ -713,8 +718,7 @@ def build_cn(field: OddPrimeField, d: int, u: int, z: tuple) -> Codebook:
     if any(not (0 <= zk < field.size) for zk in z):
         raise ValueError("power-sum target out of field range")
     n = field.size - 1
-    if n > ENUM_LIMIT_N:
-        raise BudgetExceeded(f"4^{n} words exceed the enumeration cap")
+    _check_enumerable(n)
     words = tuple(
         w for w in all_words(n) if _cn_signature(field, d, w) == (u, z)
     )
@@ -730,8 +734,7 @@ def best_cn_coset(field: OddPrimeField, d: int):
     for the winner.  Ties break toward the smallest (u, z)."""
     _check_cn_params(field, d)
     n = field.size - 1
-    if n > ENUM_LIMIT_N:
-        raise BudgetExceeded(f"4^{n} words exceed the enumeration cap")
+    _check_enumerable(n)
     buckets: dict = {}
     for w in all_words(n):
         buckets.setdefault(_cn_signature(field, d, w), []).append(w)
@@ -858,8 +861,7 @@ def build_clambda(n: int, d: int, lam: int, cm, ch_family) -> Codebook:
     ch_family contribute no words."""
     if n < 1 or d < 1 or lam < 1:
         raise ValueError("need n >= 1, d >= 1, lam >= 1")
-    if n > ENUM_LIMIT_N:
-        raise BudgetExceeded(f"4^{n} words exceed the enumeration cap")
+    _check_enumerable(n)
     need_m = -(-d // (1 + lam))
     need_h = -(-d // lam)
     cm_set = set()

@@ -16,10 +16,15 @@ per-symbol heap objects.
 
 from __future__ import annotations
 
+import math
+import os
+import time
 from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
+    "BUDGET_ENV",
+    "Budget",
     "BudgetExceeded",
     "ErrorClass",
     "PairedWord",
@@ -37,6 +42,40 @@ __all__ = [
 
 class BudgetExceeded(RuntimeError):
     """An enumeration or solve was refused or cut short by its budget."""
+
+
+BUDGET_ENV = "ALDKIT_BUDGET_SECS"
+
+
+class Budget:
+    """A time budget: ``seconds`` if given, else ``ALDKIT_BUDGET_SECS``,
+    else ``default``.  ``self.seconds`` is None when none of them sets a
+    limit; the budget then never runs out, as with ``inf``.  NaN is
+    rejected, since no clock reading would ever pass it.
+    """
+
+    def __init__(self, seconds=None, default=None):
+        source = "budget"
+        if seconds is None:
+            seconds = os.environ.get(BUDGET_ENV, default)
+            source = f"environment variable {BUDGET_ENV}"
+        if seconds is not None:
+            try:
+                seconds = float(seconds)
+            except ValueError:
+                seconds = math.nan
+            if math.isnan(seconds):
+                raise ValueError(f"{source} must be a number of seconds")
+        self.seconds = seconds
+        self.expiry = time.monotonic() + (math.inf if seconds is None else seconds)
+
+    def remaining(self) -> float:
+        """Seconds left; negative once the budget has run out."""
+        return self.expiry - time.monotonic()
+
+    def check(self, stage: str):
+        if time.monotonic() > self.expiry:
+            raise BudgetExceeded(f"time budget exhausted during {stage}")
 
 
 _DIGIT_TO_SYMBOL = {"0": (0, 0), "1": (0, 1), "2": (1, 0), "3": (1, 1)}

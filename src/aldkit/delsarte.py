@@ -20,27 +20,12 @@ that ordered field - no floating point, no dropped constraints.
 from __future__ import annotations
 
 import math
-import os
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
-from .core import BudgetExceeded, _check_lambda
+from .core import BUDGET_ENV, Budget, BudgetExceeded, _check_lambda
 from .lp import LinearProgram, LPStatus, solve_lp
-
-BUDGET_ENV = "ALDKIT_BUDGET_SECS"
-
-
-def env_budget() -> float | None:
-    """Seconds given by the budget environment variable, None if unset."""
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValueError(f"environment variable {BUDGET_ENV} must be a number")
 
 
 # 2cos(2 pi k / 10) = (_COS_A[k] + _COS_B[k] * sqrt 5) / 2.
@@ -200,16 +185,7 @@ def _multinomial(m: tuple) -> int:
     return out
 
 
-class _Deadline:
-    def __init__(self, seconds):
-        self.expiry = None if seconds is None else time.monotonic() + seconds
-
-    def check(self, what: str):
-        if self.expiry is not None and time.monotonic() > self.expiry:
-            raise BudgetExceeded(f"time budget exhausted during {what}")
-
-
-def coefficient_column(m: tuple, deadline: _Deadline | None = None) -> dict:
+def coefficient_column(m: tuple, budget: Budget | None = None) -> dict:
     """Monomial-profile coefficients of prod_j (sum_i z_i chi(i,j))^m_j.
 
     Returns {p: counts} where p records the multidegree of the
@@ -225,8 +201,8 @@ def coefficient_column(m: tuple, deadline: _Deadline | None = None) -> dict:
     for j in range(10):
         shifts = [10 - chi(i, j) for i in range(10)]
         for _ in range(m[j]):
-            if deadline is not None:
-                deadline.check("coefficient assembly")
+            if budget is not None:
+                budget.check("coefficient assembly")
             nxt = {}
             for p, v in state.items():
                 for i, s in enumerate(shifts):
@@ -280,19 +256,6 @@ class DelsarteReport:
         return self.status is LPStatus.UNBOUNDED
 
 
-def _budget_seconds(n: int, budget_secs) -> float | None:
-    if budget_secs is not None:
-        return float(budget_secs)
-    if n <= 3:
-        return None  # core cells run unconditionally
-    env = env_budget()
-    if env is None:
-        raise BudgetExceeded(
-            f"n={n} needs a time budget: pass budget_secs or set {BUDGET_ENV}"
-        )
-    return env
-
-
 def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport:
     """Exact character-LP upper bound on the largest (d, lam) code.
 
@@ -304,11 +267,18 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     That holds at low design distances too, where the reference tables
     print no value; the number there is still a valid upper bound (the
     LP relaxes a true-code constraint system), just not a tabulated one.
+
+    The time budget is ``budget_secs``, else ``ALDKIT_BUDGET_SECS``, else
+    none.  From n = 4 on, cells can take hours, so there one is required.
     """
     _check_lambda(lam)
     if n < 1 or d < 1:
         raise ValueError("need n >= 1, d >= 1")
-    deadline = _Deadline(_budget_seconds(n, budget_secs))
+    budget = Budget(budget_secs)
+    if n >= 4 and budget.seconds is None:
+        raise BudgetExceeded(
+            f"n={n} needs a time budget: pass budget_secs or set {BUDGET_ENV}"
+        )
 
     ident = identity_profile(n)
     survivors = []
@@ -329,13 +299,13 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     # (all characters against digit 0 equal 1), handled as constants.
     columns = []
     for m, orbit in survivors:
-        deadline.check("column assembly")
-        columns.append((coefficient_column(m, deadline), orbit))
+        budget.check("column assembly")
+        columns.append((coefficient_column(m, budget), orbit))
 
     absent = (0,) * 10
     rows = {}
     for p in profiles(n):
-        deadline.check("row assembly")
+        budget.check("row assembly")
         entries = [column_entry(col.get(p, absent), orbit) for col, orbit in columns]
         rhs = Q5.lift(-_multinomial(p))
         if all(e == Q5.lift(0) for e in entries):
@@ -355,7 +325,7 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     for row in row_list:
         lp.add(row[:-1], ">=", row[-1])
     result = solve_lp(
-        lp, convert=Q5.lift, on_step=lambda: deadline.check("solve")
+        lp, convert=Q5.lift, on_step=lambda: budget.check("solve")
     )
     if result.status is LPStatus.UNBOUNDED:
         return DelsarteReport("delsarte", n, d, lam, LPStatus.UNBOUNDED)

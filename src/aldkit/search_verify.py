@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import Codebook, best_cn_coset, build_cl, build_cp, OddPrimeField
+from .codes import (ENUM_LIMIT_N, Codebook, best_cn_coset, build_cl, build_cp,
+                    OddPrimeField)
 from .core import BudgetExceeded, PairedWord, ald_distance, all_words
 from .delsarte import delsarte_bound
 from .hyperbound import (
@@ -28,7 +29,7 @@ from .hyperbound import (
 )
 
 # Explicit pair scans refuse beyond this many words (about 4.3e9 pairs).
-WORD_BUDGET = 4 ** 8
+WORD_BUDGET = 4 ** ENUM_LIMIT_N
 # Exhaustive clique search caps at 4^4 = 256 vertices.
 SEARCH_LIMIT_N = 4
 

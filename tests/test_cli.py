@@ -128,6 +128,23 @@ def test_bound_delsarte_budget_refusal(capsys):
     assert rc == 3 and "budget" in err.lower()
 
 
+def test_budget_values_and_variable(capsys, monkeypatch):
+    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+    rc, out, err = run(capsys, "bound", "delsarte", "--n", 4, "--d", 16,
+                       "--budget", "nan")
+    assert (rc, out) == (2, "") and "budget" in err
+    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "nan")
+    rc, out, err = run(capsys, "bound", "delsarte", "--n", 4, "--d", 16)
+    assert (rc, out) == (2, "") and "ALDKIT_BUDGET_SECS" in err
+    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "-1")
+    rc, _, err = run(capsys, "bound", "delsarte", "--n", 3, "--d", 9)
+    assert rc == 3 and "budget" in err
+    # only table 3 has a budget, so no other table reads the variable
+    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "abc")
+    rc, out, _ = run(capsys, "table", "1", "--max-n", 1)
+    assert rc == 0 and all(r["match"] == "yes" for r in parse_csv(out))
+
+
 @pytest.mark.parametrize(
     "argv,design",
     [
@@ -267,6 +284,14 @@ def test_table3_budgeted_run(capsys):
     assert all(r["value_floor"] == "" for r in refused)
 
 
+def test_table3_spent_budget_refuses_every_cell(capsys, monkeypatch):
+    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+    rc, out, _ = run(capsys, "table", "3", "--max-n", 2, "--budget", -1)
+    rows = parse_csv(out)
+    assert rc == 3 and len(rows) == 12
+    assert all(r["match"] == "refused" and r["value_floor"] == "" for r in rows)
+
+
 def test_table4_matches(capsys):
     rc, out, _ = run(capsys, "table", "4", "--max-n", 3)
     assert rc == 0
@@ -282,6 +307,19 @@ def test_table5_matches(capsys):
     rows = parse_csv(out)
     assert len(rows) == 56
     assert all(row["match"] == "yes" for row in rows)
+
+
+def test_table5_calls_the_module_level_bound(capsys, monkeypatch):
+    # wrappers set on aldkit.cli (as the benchmark's tracer does) must be seen
+    import aldkit.cli as cli
+
+    calls = []
+    real = cli.lp_hypergraph_bound
+    monkeypatch.setattr(cli, "lp_hypergraph_bound",
+                        lambda *a: calls.append(a) or real(*a))
+    rc, out, _ = run(capsys, "table", "5", "--max-n", 2)
+    assert rc == 0
+    assert len(calls) == sum(r["method"] == "lp" for r in parse_csv(out)) == 4
 
 
 def test_table_json_format(capsys):

@@ -1,10 +1,14 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, strategies as st
 
 from aldkit.core import (
+    BUDGET_ENV,
     Automorphism,
+    Budget,
+    BudgetExceeded,
     ErrorClass,
     PairedWord,
     ald_distance,
@@ -186,3 +190,38 @@ def test_all_words_enumeration():
     assert len(seen) == 16
     assert len(set(seen)) == 16
     assert seen[0] == PairedWord(2, 0, 0)
+
+
+def test_budget_precedence(monkeypatch):
+    # explicit seconds, then the environment variable, then the default
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert Budget().seconds is None
+    assert Budget(default=600.0).seconds == 600.0
+    assert Budget(5, default=600.0).seconds == 5.0
+    monkeypatch.setenv(BUDGET_ENV, "30")
+    assert Budget().seconds == 30.0
+    assert Budget(default=600.0).seconds == 30.0
+    assert Budget(5, default=600.0).seconds == 5.0
+
+
+def test_budget_check_and_remaining(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    spent = Budget(-1)
+    assert spent.remaining() < 0
+    with pytest.raises(BudgetExceeded, match="exhausted during row assembly"):
+        spent.check("row assembly")
+    for unlimited in (Budget(), Budget(math.inf)):
+        unlimited.check("solve")
+        assert unlimited.remaining() == math.inf
+    assert 0 < Budget(3600).remaining() <= 3600
+
+
+def test_budget_rejects_nan_and_non_numbers(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    with pytest.raises(ValueError, match="budget must be a number"):
+        Budget(float("nan"))
+    for raw in ("nan", "abc", ""):
+        monkeypatch.setenv(BUDGET_ENV, raw)
+        with pytest.raises(ValueError, match=BUDGET_ENV):
+            Budget(default=600.0)
+    Budget(5)  # an explicit value does not read the variable

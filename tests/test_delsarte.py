@@ -373,6 +373,28 @@ def test_env_budget_is_honoured(monkeypatch):
         delsarte_bound(4, 9, 1)
 
 
+def test_env_budget_applies_at_every_n(monkeypatch):
+    # one precedence for library and CLI: the variable is read below n = 4 too
+    monkeypatch.setenv(BUDGET_ENV, "-1")
+    with pytest.raises(BudgetExceeded):
+        delsarte_bound(3, 9, 1)
+
+
+def test_nan_budget_is_rejected(monkeypatch):
+    # NaN never expires, so it would lift the mandatory n >= 4 budget
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    with pytest.raises(ValueError):
+        delsarte_bound(4, 16, 1, budget_secs=float("nan"))
+    monkeypatch.setenv(BUDGET_ENV, "nan")
+    with pytest.raises(ValueError, match=BUDGET_ENV):
+        delsarte_bound(4, 16, 1)
+
+
+def test_infinite_budget_means_no_limit(monkeypatch):
+    monkeypatch.delenv(BUDGET_ENV, raising=False)
+    assert delsarte_bound(4, 16, 1, budget_secs=math.inf).floored == 2
+
+
 def test_malformed_env_budget_names_the_variable(monkeypatch):
     monkeypatch.setenv(BUDGET_ENV, "abc")
     with pytest.raises(ValueError, match=BUDGET_ENV):

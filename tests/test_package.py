@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -18,3 +19,23 @@ def test_every_exported_name_resolves(name):
     exported = getattr(module, "__all__", [])
     assert len(set(exported)) == len(exported)
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+def test_benchmark_call_surface():
+    # benchmark/workloads.py and benchmark/tracing.py (not collected here)
+    # call these keywords and wrap these module attributes by name.
+    from aldkit import cli, codes, delsarte, hyperbound, lp, search_verify
+
+    assert "budget_secs" in inspect.signature(delsarte.delsarte_bound).parameters
+    assert "on_step" in inspect.signature(lp.solve_lp).parameters
+    wrapped = {
+        cli: ["lp_hypergraph_bound", "naive_weight_bound", "simple_bound",
+              "weights1_bound", "main"],
+        hyperbound: ["lp_hypergraph_bound", "class_matrix", "ball_size", "solve_lp"],
+        delsarte: ["delsarte_bound", "coefficient_column", "solve_lp"],
+        search_verify: ["exact_max_code", "distance_graph", "min_distance"],
+        codes: ["build_cl", "build_cp", "best_cn_coset", "decode_cl"],
+    }
+    missing = [f"{module.__name__}.{attr}" for module, attrs in wrapped.items()
+               for attr in attrs if not callable(getattr(module, attr, None))]
+    assert missing == []
