@@ -28,12 +28,11 @@ from .codes import (
     best_cn_coset,
     build_cL,
     build_cl,
-    build_clambda,
     build_cn,
     build_cp,
     build_partition_code,
     decode_cl,
-    greedy_manhattan_code,
+    greedy_clambda,
 )
 from .core import (BUDGET_ENV, Budget, BudgetExceeded, PairedWord, ald_distance,
                    canonical_weight_word)
@@ -150,14 +149,6 @@ def _load_reference(idx: int) -> dict:
         return json.load(fh)
 
 
-def _greedy_binary_code(width: int, dist: int) -> set:
-    chosen = []
-    for cand in range(1 << width):
-        if all((cand ^ kept).bit_count() >= dist for kept in chosen):
-            chosen.append(cand)
-    return set(chosen)
-
-
 # ------------------------------------------------------------------- commands
 
 
@@ -252,13 +243,7 @@ def cmd_construct(args) -> int:
             z = tuple(int(part) for part in args.z.split(",") if part != "")
             book = build_cn(field, args.d, args.u, z)
     else:  # clambda
-        need_m = -(-args.d // (1 + args.lam))
-        need_h = -(-args.d // args.lam)
-        cm = greedy_manhattan_code(args.n, need_m)
-        family_map = {
-            w: _greedy_binary_code(w, need_h) for w in range(args.n + 1)
-        }
-        book = build_clambda(args.n, args.d, args.lam, cm, family_map)
+        book = greedy_clambda(args.n, args.d, args.lam)
     write_codebook(args.out, book)
     print(f"{family}: {len(book)} words of length {book.n} -> {args.out}")
     return 0
@@ -353,7 +338,7 @@ _CELL_ROWS = {
 }
 
 
-def _lp_table_rows(idx, max_n, _budget_secs):
+def _lp_table_rows(idx, max_n):
     """Tables 1, 4 and 5: the listed bounds on every reference cell."""
     rows = []
     for cell in _load_reference(idx)["cells"]:
@@ -365,7 +350,7 @@ def _lp_table_rows(idx, max_n, _budget_secs):
     return rows
 
 
-def _table2_rows(max_n, _budget_secs):
+def _table2_rows(max_n):
     ref = _load_reference(2)
     rows = []
     for entry in ref["rows"]:
@@ -402,7 +387,7 @@ def _table3_rows(max_n, budget_secs):
 
 
 _TABLE_BUILDERS = {
-    1: partial(_lp_table_rows, 1), 2: _table2_rows, 3: _table3_rows,
+    1: partial(_lp_table_rows, 1), 2: _table2_rows,
     4: partial(_lp_table_rows, 4), 5: partial(_lp_table_rows, 5),
 }
 
@@ -410,7 +395,12 @@ _TABLE_BUILDERS = {
 def cmd_table(args) -> int:
     idx = args.table
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULT_MAX_N[idx]
-    rows = _TABLE_BUILDERS[idx](max_n, args.budget)
+    if idx == 3:
+        rows = _table3_rows(max_n, args.budget)
+    elif args.budget is not None:
+        raise ValueError("--budget applies to table 3 only")
+    else:
+        rows = _TABLE_BUILDERS[idx](max_n)
     if args.format == "json":
         print(json.dumps({"table": idx, "rows": rows}, indent=1))
     else:

@@ -15,19 +15,27 @@ Six families, all at desk scale with exhaustively verifiable distance:
   Manhattan-distance code and whose disagreement subsequence follows a
   binary Hamming-distance code (any integer weighting).
 
-Codebooks are explicit word lists while 4**n stays enumerable and
-membership predicates above that.  Binary component codewords are int
-bitmasks (bit j = symbol at kept position j); ternary words are tuples.
+Codebooks are explicit word lists while n <= ENUM_LIMIT_N (4**n stays
+enumerable) and membership predicates above that; _book makes that choice
+for every construction.  Binary component codewords are int bitmasks
+(bit j = symbol at kept position j); ternary words are tuples.
+
+Syndromes: a paired word is the 2n-bit vector a | b << n, so the syndrome
+of a word under 2n check columns (ints, bit r = row r) is the XOR of
+columns[:n] at the first strand's set bits and columns[n:] at the
+second's.  The strand-sum code and the doubled parity-check code are
+cosets of such checks.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, product
+from itertools import combinations, islice, product
 
 from .core import (
     BudgetExceeded,
     PairedWord,
+    _check_lambda,
     all_words,
     map_symbols,
     pair_weight,
@@ -79,17 +87,6 @@ class DetectionFlag:
 # ----------------------------------------------------------- F2 linear algebra
 
 
-def _f2_rank(vectors) -> int:
-    basis = []
-    for v in vectors:
-        for b in basis:
-            v = min(v, v ^ b)
-        if v:
-            basis.append(v)
-            basis.sort(reverse=True)
-    return len(basis)
-
-
 def _kernel_basis(columns: tuple[int, ...], nrows: int) -> list[int]:
     """Basis of {x in F2^N : xor of x_j * column_j = 0}, columns as ints."""
     ncols = len(columns)
@@ -125,6 +122,28 @@ def _kernel_basis(columns: tuple[int, ...], nrows: int) -> list[int]:
                 vec |= 1 << pcol
         basis.append(vec)
     return basis
+
+
+def _span(basis):
+    """Every F2 combination of basis, zero first, in Gray-code order:
+    each word is the previous one XOR a single basis vector."""
+    word = 0
+    yield word
+    for i in range(1, 1 << len(basis)):
+        word ^= basis[(i & -i).bit_length() - 1]
+        yield word
+
+
+def _syndrome(word: PairedWord, columns) -> int:
+    """XOR of columns at the set bits of a | b << n: columns[:n] are the
+    first strand's, columns[n:] the second's."""
+    s = 0
+    bits = word.a | word.b << word.n
+    while bits:
+        low = bits & -bits
+        s ^= columns[low.bit_length() - 1]
+        bits ^= low
+    return s
 
 
 @dataclass(frozen=True)
@@ -194,17 +213,7 @@ class BinaryParityCheck:
             raise BudgetExceeded(
                 f"null space has 2^{len(basis)} words, too many to scan"
             )
-        best = None
-        for mask in range(1, 1 << len(basis)):
-            word = 0
-            m = mask
-            while m:
-                word ^= basis[(m & -m).bit_length() - 1]
-                m &= m - 1
-            w = word.bit_count()
-            if best is None or w < best:
-                best = w
-        return best
+        return min(w.bit_count() for w in islice(_span(basis), 1, None))
 
     def validate(self):
         """Raise unless the claimed distance holds (exact at desk scale)."""
@@ -264,6 +273,26 @@ class Codebook:
         return iter(self.words)
 
 
+def _book(n, lam, d, construction, params, member, size=None) -> Codebook:
+    """The explicit list of words passing member while n <= ENUM_LIMIT_N,
+    else the predicate itself.  A given size must match the enumeration."""
+    if n > ENUM_LIMIT_N:
+        return Codebook(n, lam, d, construction, params, size=size,
+                        membership=member)
+    words = tuple(w for w in all_words(n) if member(w))
+    book = Codebook(n, lam, d, construction, params, words=words)
+    if size is not None and book.size != size:
+        raise AssertionError("kernel size does not match enumeration")
+    return book
+
+
+def _syndrome_coset(construction, params, d, columns, u, size) -> Codebook:
+    """Words of length len(columns) // 2 whose syndrome is u; size is the
+    caller's count of them, checked against the enumeration."""
+    return _book(len(columns) // 2, 1, d, construction, params,
+                 lambda w: _syndrome(w, columns) == u, size=size)
+
+
 # -------------------------------------------- strand-sum coset code, distance 3
 
 
@@ -277,18 +306,15 @@ def build_H01(v: int) -> BinaryParityCheck:
     )
 
 
+def _cl_columns(v: int) -> tuple[int, ...]:
+    # Column for first-strand position p is the integer p+1; every
+    # second-strand column is all-ones, so that strand adds its parity.
+    n = (1 << v) - 2
+    return tuple(range(1, n + 1)) + ((1 << v) - 1,) * n
+
+
 def _cl_syndrome(v: int, word: PairedWord) -> int:
-    # Column for position p is the integer p+1; the second strand only
-    # contributes its parity times the all-ones vector.
-    s = 0
-    a = word.a
-    while a:
-        low = a & -a
-        s ^= low.bit_length()
-        a &= a - 1
-    if word.b.bit_count() & 1:
-        s ^= (1 << v) - 1
-    return s
+    return _syndrome(word, _cl_columns(v))
 
 
 def build_cl(v: int, u: int = 0) -> Codebook:
@@ -303,15 +329,8 @@ def build_cl(v: int, u: int = 0) -> Codebook:
     if not (0 <= u < (1 << v)):
         raise ValueError("coset label out of range")
     n = (1 << v) - 2
-    size = 4**n // (1 << v)
-    params = {"v": v, "u": u}
-    if n <= ENUM_LIMIT_N:
-        words = tuple(w for w in all_words(n) if _cl_syndrome(v, w) == u)
-        return Codebook(n, 1, 3, "cl", params, words=words)
-    return Codebook(
-        n, 1, 3, "cl", params, size=size,
-        membership=lambda w: _cl_syndrome(v, w) == u,
-    )
+    return _syndrome_coset("cl", {"v": v, "u": u}, 3, _cl_columns(v), u,
+                           4**n >> v)
 
 
 def decode_cl(v: int, u: int, received: PairedWord, mode: str):
@@ -363,65 +382,24 @@ def build_cL(n: int, check: BinaryParityCheck) -> Codebook:
     effective = tuple(first) + tuple(
         check.columns[i] ^ check.columns[n + i] for i in range(n)
     )
-
-    def member(word: PairedWord) -> bool:
-        s = 0
-        a = word.a
-        while a:
-            low = a & -a
-            s ^= effective[low.bit_length() - 1]
-            a &= a - 1
-        b = word.b
-        while b:
-            low = b & -b
-            s ^= effective[n + low.bit_length() - 1]
-            b &= b - 1
-        return s == 0
-
-    size = 1 << (2 * n - _f2_rank(effective))
     params = {"claimed_distance": check.claimed_distance}
-    if n <= ENUM_LIMIT_N:
-        words = tuple(w for w in all_words(n) if member(w))
-        book = Codebook(
-            n, 1, check.claimed_distance, "cL", params, words=words
-        )
-        if book.size != size:
-            raise AssertionError("kernel size does not match enumeration")
-        return book
-    return Codebook(
-        n, 1, check.claimed_distance, "cL", params,
-        size=size, membership=member,
-    )
+    size = 1 << len(_kernel_basis(effective, check.rows))
+    return _syndrome_coset("cL", params, check.claimed_distance, effective,
+                           0, size)
 
 
-class _GF2Power:
-    """GF(2^v) as bitmask ints with a fixed primitive polynomial."""
-
-    def __init__(self, v: int):
-        try:
-            self.poly = _PRIMITIVE_POLY[v]
-        except KeyError:
-            raise ValueError(f"unsupported field degree {v}") from None
-        self.v = v
-        self.order = (1 << v) - 1
-
-    def mul(self, x: int, y: int) -> int:
-        out = 0
-        while y:
-            if y & 1:
-                out ^= x
-            y >>= 1
-            x <<= 1
-            if x >> self.v:
-                x ^= self.poly
-        return out
-
-    def alpha_powers(self) -> list[int]:
-        # Powers of the class of x, which is primitive for these moduli.
-        out = [1]
-        for _ in range(self.order - 1):
-            out.append(self.mul(out[-1], 0b10))
-        return out
+def _gf2_alpha_powers(v: int) -> list[int]:
+    """x^0, x^1, ..., x^(2^v - 2) in GF(2^v) as bitmask ints, modulo the
+    stored primitive polynomial (so the class of x is primitive)."""
+    try:
+        poly = _PRIMITIVE_POLY[v]
+    except KeyError:
+        raise ValueError(f"unsupported field degree {v}") from None
+    out = [1]
+    for _ in range((1 << v) - 2):
+        x = out[-1] << 1
+        out.append(x ^ poly if x >> v else x)
+    return out
 
 
 def bch_parity_check(v: int, d: int) -> BinaryParityCheck:
@@ -430,15 +408,12 @@ def bch_parity_check(v: int, d: int) -> BinaryParityCheck:
     check; d=5 stacks first and third powers of a primitive element,
     dropping the zeroth position."""
     if d == 3:
-        if v < 2:
-            raise ValueError("need v >= 2")
         return build_H01(v)
     if d == 5:
-        gf = _GF2Power(v)
-        powers = gf.alpha_powers()
+        powers = _gf2_alpha_powers(v)
         cols = []
         for i in range(1, (1 << v) - 1):
-            cols.append((powers[i] << v) | powers[(3 * i) % gf.order])
+            cols.append((powers[i] << v) | powers[(3 * i) % len(powers)])
         return BinaryParityCheck(
             rows=2 * v, columns=tuple(cols), claimed_distance=5
         )
@@ -455,12 +430,8 @@ def build_cp(n: int) -> Codebook:
     if n < 1:
         raise ValueError("need n >= 1")
     _check_enumerable(n)
-    words = tuple(
-        w
-        for w in all_words(n)
-        if w.a == w.b or w.a.bit_count() % 2 == 0
-    )
-    return Codebook(n, 1, 2, "cp", {}, words=words)
+    return _book(n, 1, 2, "cp", {},
+                 lambda w: w.a == w.b or w.a.bit_count() % 2 == 0)
 
 
 # -------------------------------------- weight-partitioned union code, distance 3
@@ -481,17 +452,8 @@ def s_subsequence(word: PairedWord) -> int:
 
 def _hamming_words(length: int) -> frozenset[int]:
     # Null space of the all-nonzero-columns check, as bitmask ints.
-    if length == 1:
-        return frozenset({0})
     rows = (length + 1).bit_length() - 1
-    check = BinaryParityCheck(
-        rows=rows, columns=tuple(range(1, length + 1)), claimed_distance=3
-    )
-    basis = _kernel_basis(check.columns, rows)
-    words = {0}
-    for b in basis:
-        words |= {w ^ b for w in words}
-    return frozenset(words)
+    return frozenset(_span(_kernel_basis(tuple(range(1, length + 1)), rows)))
 
 
 def hamming_component(w: int) -> frozenset[int]:
@@ -521,20 +483,17 @@ def build_partition_code(v: int, u: int = 0) -> Codebook:
         raise ValueError("coset label out of range")
     n = (1 << v) - 2
     components = {w: hamming_component(w) for w in (1, 3, 5, 7) if w <= n}
+    columns = _cl_columns(v)
 
     def member(word: PairedWord) -> bool:
         w = pair_weight(word)
         if w in components:
             return s_subsequence(word) in components[w]
         if w >= 9:
-            return _cl_syndrome(v, word) == u
+            return _syndrome(word, columns) == u
         return False
 
-    params = {"v": v, "u": u}
-    if n <= ENUM_LIMIT_N:
-        words = tuple(w for w in all_words(n) if member(w))
-        return Codebook(n, 1, 3, "partition", params, words=words)
-    return Codebook(n, 1, 3, "partition", params, membership=member)
+    return _book(n, 1, 3, "partition", {"v": v, "u": u}, member)
 
 
 # ------------------------------------ power-sum congruence code, odd distance d
@@ -588,8 +547,7 @@ class OddPrimeField:
             if len(modulus) != l + 1 or modulus[-1] != 1:
                 raise ValueError("modulus must be monic of degree l")
             self.modulus = modulus
-            if self._has_root(modulus) and l >= 2:
-                raise ValueError("modulus has a root, not irreducible")
+        # A reducible modulus leaves no element of order q^l - 1.
         if alpha is None:
             alpha = self._find_generator()
         if not (1 <= alpha < self.size):
@@ -613,15 +571,6 @@ class OddPrimeField:
         for c in reversed(list(digits)):
             out = out * self.q + (c % self.q)
         return out
-
-    def _has_root(self, modulus) -> bool:
-        for r in range(self.q):
-            acc = 0
-            for c in reversed(modulus):
-                acc = (acc * r + c) % self.q
-            if acc == 0:
-                return True
-        return False
 
     def add(self, x: int, y: int) -> int:
         if self.l == 1:
@@ -658,18 +607,22 @@ class OddPrimeField:
         return self._pack(raw[: self.l])
 
     def _order(self, x: int) -> int:
+        """Multiplicative order of x, or 0 when x is not a unit."""
         acc = x
         for k in range(1, self.size):
             if acc == 1:
                 return k
             acc = self.mul(acc, x)
-        raise ArithmeticError("element order not found")
+        return 0
 
     def _find_generator(self) -> int:
         for cand in range(2, self.size):
-            if self._order(cand) == self.size - 1:
+            order = self._order(cand)
+            if order == self.size - 1:
                 return cand
-        raise ArithmeticError("no generator found")
+            if order == 0:  # a non-unit: the ring is not a field
+                break
+        raise ValueError("the modulus is reducible")
 
     def from_int(self, k: int) -> int:
         return k % self.q
@@ -682,8 +635,10 @@ def _digit_values(word: PairedWord) -> tuple[int, ...]:
     return map_symbols(word, "nat4")
 
 
-def _cn_signature(field: OddPrimeField, d: int, word: PairedWord):
-    phis = _digit_values(word)
+def _cn_signature(field: OddPrimeField, d: int, phis) -> tuple:
+    """(sum of phis mod d, power sums sum_i phi_i * alpha^(i*k) for
+    k = 1..floor(d/2)), positions i from 1; phis are integers, so an
+    error pattern's signature is computed the same way as a word's."""
     half = d // 2
     sums = []
     for k in range(1, half + 1):
@@ -719,12 +674,10 @@ def build_cn(field: OddPrimeField, d: int, u: int, z: tuple) -> Codebook:
         raise ValueError("power-sum target out of field range")
     n = field.size - 1
     _check_enumerable(n)
-    words = tuple(
-        w for w in all_words(n) if _cn_signature(field, d, w) == (u, z)
-    )
     params = {"q": field.q, "l": field.l, "alpha": field.alpha,
               "u": u, "z": z}
-    return Codebook(n, 1, d, "cn", params, words=words)
+    return _book(n, 1, d, "cn", params,
+                 lambda w: _cn_signature(field, d, _digit_values(w)) == (u, z))
 
 
 def best_cn_coset(field: OddPrimeField, d: int):
@@ -737,7 +690,8 @@ def best_cn_coset(field: OddPrimeField, d: int):
     _check_enumerable(n)
     buckets: dict = {}
     for w in all_words(n):
-        buckets.setdefault(_cn_signature(field, d, w), []).append(w)
+        sig = _cn_signature(field, d, _digit_values(w))
+        buckets.setdefault(sig, []).append(w)
     u, z = min(buckets, key=lambda sig: (-len(buckets[sig]), sig))
     params = {"q": field.q, "l": field.l, "alpha": field.alpha,
               "u": u, "z": z}
@@ -770,22 +724,12 @@ def decode_cn(field: OddPrimeField, d: int, u: int, z: tuple,
                 yield from patterns(prefix + [m], budget - abs(m), pos + 1)
 
     for lift in patterns([], half, 0):
-        s0 = sum(lift) % d
-        sums = []
-        for k in range(1, half + 1):
-            acc = 0
-            for i, m in enumerate(lift, start=1):
-                if m:
-                    term = field.mul(
-                        field.from_int(m % field.q), field.alpha_pow(i * k)
-                    )
-                    acc = field.add(acc, term)
-            sums.append(acc)
-        key = (s0, tuple(sums))
+        key = _cn_signature(field, d, lift)
         if key in table and table[key] != lift:
             raise ArithmeticError("syndrome collision inside the error set")
         table[key] = lift
-    got_u, got_z = _cn_signature(field, d, received)
+    phis = _digit_values(received)
+    got_u, got_z = _cn_signature(field, d, phis)
     delta = (
         (got_u - u) % d,
         tuple(field.sub(a, b) for a, b in zip(got_z, z)),
@@ -793,17 +737,11 @@ def decode_cn(field: OddPrimeField, d: int, u: int, z: tuple,
     lift = table.get(delta)
     if lift is None:
         raise DecodingError("uncorrectable pattern")
-    phis = _digit_values(received)
     fixed = [p - m for p, m in zip(phis, lift)]
     if any(not (0 <= p <= 3) for p in fixed):
         raise DecodingError("uncorrectable pattern")
-    a = 0
-    b = 0
-    for i, p in enumerate(fixed):
-        a |= (p >> 1) << i
-        b |= (p & 1) << i
-    out = PairedWord(n, a, b)
-    if _cn_signature(field, d, out) != (u, z):
+    out = PairedWord.from_bits([p >> 1 for p in fixed], [p & 1 for p in fixed])
+    if _cn_signature(field, d, _digit_values(out)) != (u, z):
         raise DecodingError("uncorrectable pattern")
     return out
 
@@ -829,27 +767,44 @@ def distance_decomposition(x: PairedWord, y: PairedWord) -> tuple[int, int, int]
     return i_count, j_count, total - i_count - j_count
 
 
+def _l1(x, y) -> int:
+    return sum(abs(a - b) for a, b in zip(x, y))
+
+
+def _hamming(x: int, y: int) -> int:
+    return (x ^ y).bit_count()
+
+
+def _min_pairwise(items, dist) -> int | None:
+    return min((dist(x, y) for x, y in combinations(items, 2)), default=None)
+
+
+def _greedy(candidates, dist, d: int) -> list:
+    """Lexicographic greedy scan: keep each candidate at distance >= d
+    from everything kept so far."""
+    kept = []
+    for cand in candidates:
+        if all(dist(cand, w) >= d for w in kept):
+            kept.append(cand)
+    return kept
+
+
 def min_l1_distance(code) -> int | None:
     """Minimum pairwise Manhattan distance; None below two words."""
-    words = [tuple(w) for w in code]
-    best = None
-    for x, y in combinations(words, 2):
-        dist = sum(abs(a - b) for a, b in zip(x, y))
-        if best is None or dist < best:
-            best = dist
-    return best
+    return _min_pairwise([tuple(w) for w in code], _l1)
 
 
 def min_hamming_distance(code) -> int | None:
     """Minimum pairwise Hamming distance over int bitmasks; None below
     two words."""
-    masks = list(code)
-    best = None
-    for x, y in combinations(masks, 2):
-        dist = (x ^ y).bit_count()
-        if best is None or dist < best:
-            best = dist
-    return best
+    return _min_pairwise(list(code), _hamming)
+
+
+def _component_distances(d: int, lam: int) -> tuple[int, int]:
+    """(ceil(d/(1+lam)), ceil(d/lam)): the Manhattan and Hamming
+    distances the two components of a distance-d clambda code need."""
+    _check_lambda(lam)
+    return -(-d // (1 + lam)), -(-d // lam)
 
 
 def build_clambda(n: int, d: int, lam: int, cm, ch_family) -> Codebook:
@@ -859,11 +814,10 @@ def build_clambda(n: int, d: int, lam: int, cm, ch_family) -> Codebook:
     disagreement subsequence must lie in ch_family[weight], a binary
     code of Hamming distance >= ceil(d/lam).  Weights missing from
     ch_family contribute no words."""
-    if n < 1 or d < 1 or lam < 1:
-        raise ValueError("need n >= 1, d >= 1, lam >= 1")
+    need_m, need_h = _component_distances(d, lam)
+    if n < 1 or d < 1:
+        raise ValueError("need n >= 1, d >= 1")
     _check_enumerable(n)
-    need_m = -(-d // (1 + lam))
-    need_h = -(-d // lam)
     cm_set = set()
     for w in cm:
         w = tuple(w)
@@ -900,9 +854,19 @@ def build_clambda(n: int, d: int, lam: int, cm, ch_family) -> Codebook:
             return False
         return s_subsequence(word) in code
 
-    words = tuple(w for w in all_words(n) if member(w))
     params = {"manhattan_distance": need_m, "hamming_distance": need_h}
-    return Codebook(n, lam, d, "clambda", params, words=words)
+    return _book(n, lam, d, "clambda", params, member)
+
+
+def greedy_clambda(n: int, d: int, lam: int) -> Codebook:
+    """build_clambda on greedy components: greedy_manhattan_code for the
+    strand sums and, for every weight 0..n, the lexicographic greedy
+    binary code of the needed Hamming distance."""
+    need_m, need_h = _component_distances(d, lam)
+    cm = greedy_manhattan_code(n, need_m)
+    family = {w: _greedy(range(1 << w), _hamming, need_h)
+              for w in range(n + 1)}
+    return build_clambda(n, d, lam, cm, family)
 
 
 def greedy_manhattan_code(n: int, d: int):
@@ -914,15 +878,7 @@ def greedy_manhattan_code(n: int, d: int):
         raise BudgetExceeded(f"3^{n} words exceed the enumeration cap")
     if d == 1:
         return tuple(product((0, 1, 2), repeat=n))
-    kept: list[tuple] = []
-    for cand in product((0, 1, 2), repeat=n):
-        ok = True
-        for w in kept:
-            if sum(abs(a - b) for a, b in zip(cand, w)) < d:
-                ok = False
-                break
-        if ok:
-            kept.append(cand)
+    kept = _greedy(product((0, 1, 2), repeat=n), _l1, d)
     verified = min_l1_distance(kept)
     if verified is not None and verified < d:
         raise AssertionError("greedy scan produced a distance shortfall")

@@ -143,6 +143,11 @@ def test_budget_values_and_variable(capsys, monkeypatch):
     monkeypatch.setenv("ALDKIT_BUDGET_SECS", "abc")
     rc, out, _ = run(capsys, "table", "1", "--max-n", 1)
     assert rc == 0 and all(r["match"] == "yes" for r in parse_csv(out))
+    # nor takes --budget: it is a usage error, not silently ignored
+    for argv in (("1", "--max-n", 1, "--budget", "nan"),
+                 ("2", "--max-n", 5, "--budget", 5)):
+        rc, out, err = run(capsys, "table", *argv)
+        assert (rc, out) == (2, "") and "table 3 only" in err
 
 
 @pytest.mark.parametrize(
@@ -173,6 +178,10 @@ def test_construct_usage_and_budget(capsys, tmp_path):
     rc, _, err = run(capsys, "construct", "cl", "--v", 4,
                      "--out", tmp_path / "x.json")
     assert rc == 3  # implicit codebook cannot be serialized
+    for lam in (0, -1):  # refused before the component distances divide
+        rc, _, err = run(capsys, "construct", "clambda", "--n", 3, "--d", 4,
+                         "--lambda", lam, "--out", tmp_path / "x.json")
+        assert rc == 2 and "lam must be a positive integer" in err
 
 
 def test_verify_empty_codebook(capsys, tmp_path):

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import time
 from itertools import combinations, product
 
 import pytest
@@ -9,6 +11,9 @@ from aldkit.codes import (
     DecodingError,
     DetectionFlag,
     OddPrimeField,
+    _cl_syndrome,
+    _kernel_basis,
+    _span,
     bch_parity_check,
     best_cn_coset,
     build_H01,
@@ -21,6 +26,7 @@ from aldkit.codes import (
     decode_cl,
     decode_cn,
     distance_decomposition,
+    greedy_clambda,
     greedy_manhattan_code,
     hamming_component,
     min_hamming_distance,
@@ -99,6 +105,48 @@ def test_parity_check_entry_validation():
         BinaryParityCheck(rows=0, columns=(), claimed_distance=1)
 
 
+@st.composite
+def parity_checks(draw):
+    rows = draw(st.integers(1, 4))
+    columns = draw(st.lists(st.integers(0, (1 << rows) - 1), max_size=10))
+    return BinaryParityCheck(rows=rows, columns=columns, claimed_distance=1)
+
+
+def test_f2_layer_matches_brute_force():
+    # The strand-sum syndrome as 2n check columns must equal its closed
+    # form: XOR of p+1 over first-strand bits p, XOR all-ones when the
+    # second strand has odd weight.
+    for v in (2, 3):
+        ones = (1 << v) - 1
+        for w in all_words((1 << v) - 2):
+            closed = 0
+            for p in range(w.n):
+                if (w.a >> p) & 1:
+                    closed ^= p + 1
+            if w.b.bit_count() & 1:
+                closed ^= ones
+            assert _cl_syndrome(v, w) == closed
+
+    @given(parity_checks())
+    @settings(max_examples=200, deadline=None)
+    def kernel_and_distance(check):
+        null_space = set()
+        for x in range(1 << check.ncols):
+            s = 0
+            for j, c in enumerate(check.columns):
+                if (x >> j) & 1:
+                    s ^= c
+            if s == 0:
+                null_space.add(x)
+        basis = _kernel_basis(check.columns, check.rows)
+        assert 1 << len(basis) == len(null_space)
+        assert set(_span(basis)) == null_space
+        weights = [x.bit_count() for x in null_space if x]
+        assert check.min_distance() == (min(weights) if weights else None)
+
+    kernel_and_distance()
+
+
 def test_bch_shapes_and_exact_distances():
     h3 = bch_parity_check(3, 3)
     assert (h3.rows, h3.ncols) == (3, 6)
@@ -171,6 +219,14 @@ def test_cl_implicit_above_desk_scale():
     assert zero in book
     # single swap moves the word out of the code
     assert PairedWord(14, 1, 1) not in book
+    # The size is the closed form 4^n / 2^v; n = 65534 here, so anything
+    # that builds the 2n-column kernel would take gigabytes.
+    start = time.process_time()
+    book = build_cl(16, 5)
+    assert book.words is None
+    assert book.size == 4**65534 >> 16
+    assert PairedWord(65534, 0b10000, 0) in book  # column 5
+    assert time.process_time() - start < 5.0
 
 
 def test_cl_validation():
@@ -386,6 +442,15 @@ def test_extension_field_axioms():
 def test_extension_field_rejects_reducible_modulus():
     with pytest.raises(ValueError):
         OddPrimeField(3, 2, modulus=(2, 0, 1))  # x^2 + 2 has root 1
+    # (x^2 + 1)^2 has no root in F_3 but is reducible
+    with pytest.raises(ValueError, match="reducible"):
+        OddPrimeField(3, 4, modulus=(1, 0, 2, 0, 1))
+    # x^8 + x: the search stops at x, the first non-unit, instead of
+    # computing the order of all 3^8 candidates
+    start = time.process_time()
+    with pytest.raises(ValueError, match="reducible"):
+        OddPrimeField(3, 8, modulus=(0, 1, 0, 0, 0, 0, 0, 0, 1))
+    assert time.process_time() - start < 5.0
 
 
 # ------------------------------------------------------- power-sum congruence code
@@ -534,6 +599,9 @@ def test_clambda_input_validation():
         build_clambda(4, 4, 1, even_sum_ternary(4), {4: {1 << 5}})
     with pytest.raises(BudgetExceeded):
         build_clambda(9, 3, 1, [(0,) * 9], {0: {0}})
+    for lam in (0, 1.5, True):
+        with pytest.raises(ValueError, match="lam"):
+            build_clambda(2, 2, lam, [(0, 0)], {0: {0}})
 
 
 def test_greedy_manhattan_small_cases():
@@ -581,3 +649,67 @@ def test_codebook_guards():
             n=3, lam=1, design_distance=2, construction="cp", params={},
             words=(PairedWord(2, 0, 0),),
         )
+
+
+# ------------------------------------------------------------ pinned codebooks
+
+# Size and SHA-256 of the newline-joined sorted digit strings of each
+# codebook, as first built; a refactor of the constructions must keep
+# every one.
+PINNED = {
+    ("cl", 2, 0): (4, "a960aa1533ebf8ad158657e2fb6fa02be2a2fdc01069c9b6f2bb15c68d1198c5"),
+    ("cl", 2, 1): (4, "d8d95f092d427b476f1deadffdbf19886e6c7333432464025cd420c646fe1525"),
+    ("cl", 2, 3): (4, "a04baeefee0fc44aaae8e981b2a446c6368044f0e1dcf6286ef3ca3d22df821b"),
+    ("cl", 3, 0): (512, "33144fdaf832a34a0c41bd080fec37f3533ffa8be9c925612495a90b41171a58"),
+    ("cl", 3, 1): (512, "fc53f7b7a2e4d3e050a095a26664bd7c3a1011039b2c03ffcb921a58baa9b33d"),
+    ("cl", 3, 3): (512, "7d8100299dedfdeb7f03f461badecd6ec3081b0ba9cd693fa1f37b096f26d2b1"),
+    ("partition", 2, 0): (4, "6570bd18ed03d46644e7fcaa0885621ff50fa6d68d9cb66c590b6b96e5694a83"),
+    ("partition", 2, 1): (4, "6570bd18ed03d46644e7fcaa0885621ff50fa6d68d9cb66c590b6b96e5694a83"),
+    ("partition", 2, 3): (4, "6570bd18ed03d46644e7fcaa0885621ff50fa6d68d9cb66c590b6b96e5694a83"),
+    ("partition", 3, 0): (560, "3aaf0824b90f82a96a4782e764ab416cc10cc49c1120b132a977b74a276244a3"),
+    ("partition", 3, 1): (560, "3aaf0824b90f82a96a4782e764ab416cc10cc49c1120b132a977b74a276244a3"),
+    ("partition", 3, 3): (560, "3aaf0824b90f82a96a4782e764ab416cc10cc49c1120b132a977b74a276244a3"),
+    ("cL", 3, 5): (1, "2ac9a6746aca543af8dff39894cfe8173afba21eb01c6fae33d52947222855ef"),
+    ("cL", 4, 5): (64, "7b502ce0ced5835b395a4f436db7e666d4aa50ebdc74e1b7d16927df453edb06"),
+    ("cp", 1): (3, "9573fef23628dc1332fa8b58ddacfdcbc57471ac5d8815057d3e3789c3ac2c7f"),
+    ("cp", 2): (10, "f97690fbe94eca91e34f85960174503ae194f4c555bfaa481a6140bf9398a3b5"),
+    ("cp", 3): (36, "768aa600318790d558189b055300de7e3a77239cb8d2abf2bcaf9505ada858ee"),
+    ("cp", 4): (136, "3468ed868119eb07e44e8b007a7ea3dca153307954a6c589e3f6d8296973cce5"),
+    ("cp", 5): (528, "e56b98228a2beb6ee5e003e0c2b65cfb143e0db45e34351ab4d412bbc701d1ce"),
+    ("cp", 6): (2080, "f46e086ea6ec8e995cbfb19fd26b11a6998571c924c20e5261fb00186f0d235a"),
+    ("cn", 5, 3): (18, "73fc56ee3fd60e2c8c4dc95b1ae7de9f0936bf987fff02a4dace805230b09feb"),
+    ("cn", 5, 3, 1, 2): (17, "7c69d08f6802f1dfddc15b3ceed72e43060b536bb4a6bad0e13fdcb5567f4ed6"),
+    ("cn", 7, 5): (24, "1a0e859479f5fa0c0cff9ab9a01e2dede6005e6ca018277ce3ee675a0ea09ee5"),
+    ("clambda", 3, 4, 1): (14, "619e2c150065e567d9b8ae0e451cd222fed1a0f5427bc6d709cd8ac74c10cf14"),
+    ("clambda", 4, 3, 2): (136, "ee2dd65c986e2da79c47a6791013cd369d290f4c3da2beac8f82a24fa2b487e2"),
+    ("clambda", 4, 4, 1): (42, "e06fd7cc9e55644e98bf401bacf4c035f9c9c9cbfa2a09827b68caa520062495"),
+    ("clambda", 5, 6, 1): (23, "62cbf5e968e8cf9d20c66f871fe6824420bdf1e8a82d3d82f0e28be9cffb4614"),
+    ("clambda", 2, 2, 3): (16, "a44c5cde79dcb77c14bc5f33ddafe5b627e2a498b7316f872a03b95067fe37a1"),
+}
+
+
+def pinned_book(key):
+    family, *args = key
+    if family == "cl":
+        return build_cl(*args)
+    if family == "partition":
+        return build_partition_code(*args)
+    if family == "cL":
+        check = bch_parity_check(*args)
+        return build_cL(check.ncols // 2, check)
+    if family == "cp":
+        return build_cp(*args)
+    if family == "cn":
+        field = OddPrimeField(args[0])
+        if len(args) == 2:  # best coset
+            return best_cn_coset(field, args[1])[2]
+        return build_cn(field, args[1], args[2], (args[3],))
+    return greedy_clambda(*args)
+
+
+@pytest.mark.parametrize("key", list(PINNED),
+                         ids=lambda k: "-".join(map(str, k)))
+def test_construction_matches_its_pinned_digest(key):
+    digits = sorted(w.to_digits() for w in pinned_book(key))
+    digest = hashlib.sha256("\n".join(digits).encode()).hexdigest()
+    assert (len(digits), digest) == PINNED[key]
