@@ -245,7 +245,7 @@ def cmd_construct(args) -> int:
     else:  # clambda
         book = greedy_clambda(args.n, args.d, args.lam)
     write_codebook(args.out, book)
-    print(f"{family}: {len(book)} words of length {book.n} -> {args.out}")
+    print(f"{family}: {book.size} words of length {book.n} -> {args.out}")
     return 0
 
 

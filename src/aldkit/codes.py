@@ -263,6 +263,11 @@ class Codebook:
         return bool(self.membership(word))
 
     def __len__(self) -> int:
+        """The exact size, for books of at most ``sys.maxsize`` words.
+
+        Python's ``len()`` raises OverflowError above that (an implicit
+        ``build_cl(6)`` has 2^118 words); read ``size`` for any book.
+        """
         if self.size is None:
             raise TypeError("codebook size not determined")
         return self.size

@@ -14,7 +14,9 @@ terms equal zeta^k), so multiplying by a character shifts the counts
 cyclically.  After the variable symmetrization m ~ reverse(m) every
 constraint coefficient is real: a sum of 2cos(2 pi k / 10), each of which
 lies in the quadratic field Q(sqrt 5).  The LP is solved exactly over
-that ordered field - no floating point, no dropped constraints.
+that ordered field, with no dropped constraints; floating point only
+proposes the basis, and the reported optimum comes with exactly checked
+dual multipliers.
 """
 
 from __future__ import annotations
@@ -43,103 +45,153 @@ def chi(i: int, j: int) -> int:
     return (-i * j) % 10
 
 
-@dataclass(frozen=True)
 class Q5:
     """Element a + b*sqrt(5) of the real quadratic field, exact.
 
-    Comparisons use the real embedding with sqrt(5) > 0.
+    Stored as integers, (p + q*sqrt(5)) / r with r > 0 and gcd(p, q, r)
+    = 1, so each element has one representation; ``a`` and ``b`` give
+    its rational parts.  Instances are immutable.  Comparisons use the
+    real embedding with sqrt(5) > 0.
     """
 
-    a: Fraction
-    b: Fraction
+    __slots__ = ("p", "q", "r")
+
+    def __init__(self, a, b):
+        a, b = Fraction(a), Fraction(b)
+        r = math.lcm(a.denominator, b.denominator)
+        _set(self, "p", a.numerator * (r // a.denominator))
+        _set(self, "q", b.numerator * (r // b.denominator))
+        _set(self, "r", r)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Q5 is immutable")
+
+    def __reduce__(self):
+        return Q5, (self.a, self.b)
+
+    @property
+    def a(self) -> Fraction:
+        return Fraction(self.p, self.r)
+
+    @property
+    def b(self) -> Fraction:
+        return Fraction(self.q, self.r)
 
     @classmethod
     def lift(cls, v) -> "Q5":
         if isinstance(v, Q5):
             return v
-        return cls(Fraction(v), Fraction(0))
+        if isinstance(v, int):
+            return _q5(v, 0, 1)
+        v = Fraction(v)
+        return _q5(v.numerator, 0, v.denominator)
 
     def _sign(self) -> int:
-        a, b = self.a, self.b
-        if a == 0 and b == 0:
-            return 0
-        if a >= 0 and b >= 0:
-            return 1
-        if a <= 0 and b <= 0:
+        p, q = self.p, self.q
+        if p >= 0 and q >= 0:
+            return 0 if p == q == 0 else 1
+        if p <= 0 and q <= 0:
             return -1
-        lhs, rhs = a * a, 5 * b * b
-        if lhs == rhs:  # impossible for b != 0 over the rationals
-            raise ArithmeticError("sqrt(5) cannot be rational")
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        # p*p == 5*q*q is impossible for q != 0, since sqrt(5) is irrational
+        if p > 0:  # q < 0
+            return 1 if p * p > 5 * q * q else -1
+        return 1 if 5 * q * q > p * p else -1
 
     def __add__(self, o):
         o = Q5.lift(o)
-        return Q5(self.a + o.a, self.b + o.b)
+        if self.r == o.r:
+            return _q5(self.p + o.p, self.q + o.q, self.r)
+        return _q5(self.p * o.r + o.p * self.r, self.q * o.r + o.q * self.r, self.r * o.r)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         o = Q5.lift(o)
-        return Q5(self.a - o.a, self.b - o.b)
+        if self.r == o.r:
+            return _q5(self.p - o.p, self.q - o.q, self.r)
+        return _q5(self.p * o.r - o.p * self.r, self.q * o.r - o.q * self.r, self.r * o.r)
 
     def __rsub__(self, o):
         return Q5.lift(o) - self
 
     def __neg__(self):
-        return Q5(-self.a, -self.b)
+        return _q5(-self.p, -self.q, self.r)
 
     def __mul__(self, o):
         o = Q5.lift(o)
-        return Q5(
-            self.a * o.a + 5 * self.b * o.b, self.a * o.b + self.b * o.a
+        return _q5(
+            self.p * o.p + 5 * self.q * o.q, self.p * o.q + self.q * o.p, self.r * o.r
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, o):
+        # multiply by the conjugate: 1 / (p + q sqrt5) = (p - q sqrt5) / norm
         o = Q5.lift(o)
-        norm = o.a * o.a - 5 * o.b * o.b
+        norm = o.p * o.p - 5 * o.q * o.q
         if norm == 0:
             raise ZeroDivisionError("division by zero in Q(sqrt 5)")
-        inv = Q5(o.a / norm, -o.b / norm)
-        return self * inv
+        return _q5(
+            (self.p * o.p - 5 * self.q * o.q) * o.r,
+            (self.q * o.p - self.p * o.q) * o.r,
+            self.r * norm,
+        )
+
+    def __bool__(self):
+        return self.p != 0 or self.q != 0
 
     def __eq__(self, o):
         o = Q5.lift(o)
-        return self.a == o.a and self.b == o.b
+        return self.p == o.p and self.q == o.q and self.r == o.r
 
     def __ne__(self, o):
         return not self.__eq__(o)
 
     def __lt__(self, o):
-        return (self - Q5.lift(o))._sign() < 0
+        return (self - o)._sign() < 0
 
     def __le__(self, o):
-        return (self - Q5.lift(o))._sign() <= 0
+        return (self - o)._sign() <= 0
 
     def __gt__(self, o):
-        return (self - Q5.lift(o))._sign() > 0
+        return (self - o)._sign() > 0
 
     def __ge__(self, o):
-        return (self - Q5.lift(o))._sign() >= 0
+        return (self - o)._sign() >= 0
 
     def __hash__(self):
-        return hash((self.a, self.b))
+        return hash((self.p, self.q, self.r))
+
+    def __float__(self) -> float:
+        return self.p / self.r + self.q / self.r * math.sqrt(5)
 
     def __floor__(self) -> int:
-        est = math.floor(float(self.a) + float(self.b) * math.sqrt(5))
-        while (self - Q5.lift(est))._sign() < 0:
+        est = math.floor(float(self))
+        while (self - est)._sign() < 0:
             est -= 1
-        while (self - Q5.lift(est + 1))._sign() >= 0:
+        while (self - (est + 1))._sign() >= 0:
             est += 1
         return est
 
     def __repr__(self):
-        if self.b == 0:
+        if self.q == 0:
             return f"Q5({self.a})"
         return f"Q5({self.a} + {self.b}*sqrt5)"
+
+
+_set = object.__setattr__
+
+
+def _q5(p: int, q: int, r: int) -> Q5:
+    """(p + q*sqrt(5)) / r in lowest terms, for integers with r != 0."""
+    g = math.gcd(p, q, r)
+    if r < 0:
+        g = -g
+    out = object.__new__(Q5)
+    _set(out, "p", p // g)
+    _set(out, "q", q // g)
+    _set(out, "r", r // g)
+    return out
 
 
 # ---------------------------------------------------------------- profiles
@@ -231,16 +283,21 @@ def column_entry(v, orbit: int) -> Q5:
     """
     if orbit == 1 and not _vanishes([v[k] - v[-k] for k in range(10)]):
         raise ValueError(f"not a real element: {v}")
-    den = 4 // orbit
-    return Q5(
-        Fraction(sum(map(mul, v, _COS_A)), den),
-        Fraction(sum(map(mul, v, _COS_B)), den),
-    )
+    return _q5(sum(map(mul, v, _COS_A)), sum(map(mul, v, _COS_B)), 4 // orbit)
 
 
 @dataclass(frozen=True)
 class DelsarteReport:
-    """Outcome of the character LP: either an exact optimum or Unbounded."""
+    """Outcome of the character LP: either an exact optimum or Unbounded.
+
+    ``dual`` holds the dual multipliers that certify an optimum, as
+    ``(profile, u)`` pairs with u > 0 in Q(sqrt 5), one per LP row with a
+    nonzero multiplier; the row is the transform constraint of that
+    profile.  For every surviving column m, orbit(m) + sum_p u_p *
+    entry(p, m) <= 0, and the reported value is 1 + sum_p u_p *
+    multinomial(p), so the value is an upper bound whatever solver
+    produced it.
+    """
 
     method: str
     n: int
@@ -250,6 +307,7 @@ class DelsarteReport:
     exact: Fraction | None = None
     sqrt5_part: Fraction | None = None
     floored: int | None = None
+    dual: tuple = ()
 
     @property
     def unbounded(self) -> bool:
@@ -303,15 +361,14 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
         columns.append((coefficient_column(m, budget), orbit))
 
     absent = (0,) * 10
-    rows = {}
+    rows = {}  # distinct row -> the first profile that gives it
     for p in profiles(n):
         budget.check("row assembly")
         entries = [column_entry(col.get(p, absent), orbit) for col, orbit in columns]
         rhs = Q5.lift(-_multinomial(p))
-        if all(e == Q5.lift(0) for e in entries):
+        if not any(entries):
             continue  # 0 >= -multinomial holds vacuously
-        rows[tuple(entries) + (rhs,)] = None
-    row_list = [list(k) for k in rows]
+        rows.setdefault(tuple(entries) + (rhs,), p)
 
     if not survivors:
         return DelsarteReport(
@@ -322,7 +379,7 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     lp = LinearProgram(
         objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max"
     )
-    for row in row_list:
+    for row in rows:
         lp.add(row[:-1], ">=", row[-1])
     result = solve_lp(
         lp, convert=Q5.lift, on_step=lambda: budget.check("solve")
@@ -333,7 +390,9 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
         raise ArithmeticError(f"unexpected LP status {result.status}")
     total = Q5.lift(1) + result.value
     exact = total.a if total.b == 0 else None
+    # y <= 0 on these ">=" rows; u = -y are the nonnegative multipliers
+    dual = tuple((p, -y) for p, y in zip(rows.values(), result.y) if y != 0)
     return DelsarteReport(
         "delsarte", n, d, lam, LPStatus.OPTIMAL,
-        exact=exact, sqrt5_part=total.b, floored=total.__floor__(),
+        exact=exact, sqrt5_part=total.b, floored=total.__floor__(), dual=dual,
     )

@@ -1,15 +1,25 @@
-"""Exact linear programming over the rationals.
-
-A small dense two-phase simplex with Bland's rule.  Everything runs on
-``fractions.Fraction`` by default, so answers are exact and runs are
-deterministic; no floating point is involved anywhere.  The arithmetic
-is duck-typed: any ordered-field scalar with +, -, *, / and comparisons
-works, which lets the character-sum bound reuse the solver over a real
-quadratic extension field.
+"""Exact linear programming over ordered fields.
 
 Problems are min or max of c.x subject to rows A_i.x {<=,>=,=} b_i with
 all variables nonnegative.  That is the only variable domain the
-package needs.
+package needs.  The arithmetic is duck-typed: any ordered-field scalar
+with +, -, *, / and comparisons works, so the covering LP runs over
+``fractions.Fraction`` and the character-sum bound over a real
+quadratic extension field.  Answers are exact in that field.
+
+``solve_lp`` works in three steps.  First a bounded float simplex
+(Dantzig pricing, a small fixed perturbation of the right-hand side, a
+step cap) runs on the same tableau over ``float`` and proposes a
+basis.  Floats do nothing else: second, exact arithmetic solves that
+basis for the primal point x and the dual multipliers y (one
+factorisation of the block of basic variables and tight rows) and
+checks x >= 0, every row, the sign of every y_i for its relation,
+every reduced cost and c.x == b.y.  Those checks prove optimality
+whatever produced the basis.  Third, when the float simplex gives up
+or its basis fails the checks, a dense two-phase simplex with Bland's
+rule runs in the exact field, and its final basis passes the same
+checks.  Only that exact simplex ever reports INFEASIBLE or UNBOUNDED,
+and every OPTIMAL result carries its checked dual as ``LPResult.y``.
 """
 
 from __future__ import annotations
@@ -26,6 +36,19 @@ __all__ = [
     "solve_linear_system",
 ]
 
+# Float simplex settings, on a problem scaled to unit magnitudes: a
+# pivot entry or reduced cost within _FLOAT_TOL of zero counts as zero
+# (covering-LP coefficients span many orders of magnitude, so coarser
+# thresholds misprice columns), row i's right-hand side grows by
+# _FLOAT_PERTURB * (1 + i / m) so that ties in the ratio test are rare,
+# and at most _FLOAT_CAP_PER_SIZE * (rows + columns) + 10 pivots are
+# tried before the exact simplex takes over (the covering LP and the
+# character LP up to n = 3 need at most 1.7 * (rows + columns), table-3
+# cell (4,6) needs 6.6 * (rows + columns)).
+_FLOAT_TOL = 1e-12
+_FLOAT_PERTURB = 1e-9
+_FLOAT_CAP_PER_SIZE = 10
+
 
 class LPStatus(Enum):
     OPTIMAL = "optimal"
@@ -35,9 +58,18 @@ class LPStatus(Enum):
 
 @dataclass
 class LPResult:
+    """Status, and for OPTIMAL the value, the point x and the dual y.
+
+    y has one multiplier per row of the program as given.  For a max
+    problem y_i >= 0 on "<=" rows and <= 0 on ">=" rows, and every
+    column has (A^T y)_j >= c_j; for a min problem the signs and the
+    inequality flip.  b.y equals the value, so y certifies it.
+    """
+
     status: LPStatus
     value: object = None
     x: list = None
+    y: list = None
 
 
 @dataclass
@@ -58,16 +90,19 @@ class LinearProgram:
 
 def _pivot(tab: list, basis: list, row: int, col: int) -> None:
     piv = tab[row][col]
-    tab[row] = [v / piv for v in tab[row]]
+    top = tab[row] = [v / piv for v in tab[row]]
+    # only the pivot row's nonzero columns change the other rows
+    support = [j for j, v in enumerate(top) if v]
     for i, r in enumerate(tab):
-        if i != row and r[col]:
-            f = r[col]
-            tab[i] = [v - f * w for v, w in zip(r, tab[row])]
+        f = r[col]
+        if i != row and f:
+            for j in support:
+                r[j] = r[j] - f * top[j]
     basis[row] = col
 
 
-def _iterate(tab: list, basis: list, ncols: int, zero, on_step=None) -> str:
-    """Run simplex steps on a tableau whose last row is the cost row.
+def _bland(tab: list, basis: list, ncols: int, zero, on_step) -> str:
+    """Run exact simplex steps on a tableau whose last row is the cost row.
 
     Returns "optimal" or "unbounded".  Bland's rule throughout: the
     entering column is the lowest-index one with a negative reduced
@@ -77,8 +112,7 @@ def _iterate(tab: list, basis: list, ncols: int, zero, on_step=None) -> str:
     m = len(tab) - 1
     cost = tab[m]
     while True:
-        if on_step is not None:
-            on_step()
+        on_step()
         col = -1
         for j in range(ncols):
             if cost[j] < zero:
@@ -105,143 +139,331 @@ def _iterate(tab: list, basis: list, ncols: int, zero, on_step=None) -> str:
         cost = tab[m]
 
 
-def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
-    """Solve exactly; x >= 0 is implicit for every variable.
+def _dantzig(tab: list, basis: list, ncols: int, on_step, cap: int) -> str:
+    """Float simplex steps: most negative reduced cost enters, the
+    smallest ratio leaves.  Returns "optimal", "unbounded" or, after
+    ``cap`` pivots, "stalled"."""
+    m = len(tab) - 1
+    for _ in range(cap):
+        cost = tab[m]
+        col = min(range(ncols), key=cost.__getitem__, default=-1)
+        if col < 0 or cost[col] >= -_FLOAT_TOL:
+            return "optimal"
+        on_step()
+        best_row = -1
+        best_ratio = float("inf")
+        for i in range(m):
+            a = tab[i][col]
+            if a > _FLOAT_TOL:
+                ratio = max(tab[i][-1], 0.0) / a
+                if ratio < best_ratio:
+                    best_row, best_ratio = i, ratio
+        if best_row < 0:
+            return "unbounded"
+        _pivot(tab, basis, best_row, col)
+    return "stalled"
 
-    ``convert`` lifts plain numbers into the working field and is also
-    applied to the supplied coefficients, so callers may mix ints with
-    field scalars.  ``on_step``, when given, runs before every pivot;
-    raising from it aborts the solve (time budgets use this hook).
+
+def _normalized(rows: list) -> list:
+    """Rows with a nonnegative right-hand side (negative ones flipped)."""
+    flip = {"<=": ">=", ">=": "<=", "=": "="}
+    return [
+        ([-c for c in coeffs], flip[relation], -rhs) if rhs < 0 else (coeffs, relation, rhs)
+        for coeffs, relation, rhs in rows
+    ]
+
+
+def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
+    """Two-phase simplex on the dense tableau of ``rows``.
+
+    Returns ``(outcome, basic, tight)``: outcome is "optimal",
+    "infeasible", "unbounded" or "stalled"; for "optimal", ``basic``
+    lists the structural columns in the final basis and ``tight`` the
+    rows whose slack is not basic, both in the order of ``rows``.
+    ``iterate(tab, basis, ncols)`` runs one phase; ``tol`` is the
+    magnitude up to which a float entry counts as zero (None: exact).
     """
-    zero = convert(0)
-    one = convert(1)
-    nvars = len(lp.objective)
-    minimize = lp.sense == "min"
-    if lp.sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {lp.sense!r}")
-
-    rows = []
-    for coeffs, relation, rhs in lp.rows:
-        coeffs = [convert(c) for c in coeffs]
-        rhs = convert(rhs)
-        if rhs < zero:
-            coeffs = [-c for c in coeffs]
-            rhs = -rhs
-            relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
-        rows.append((coeffs, relation, rhs))
-
+    nonzero = (lambda v: v != zero) if tol is None else (lambda v: abs(v) > tol)
+    nvars = len(obj)
+    rows = _normalized(rows)
     nslack = sum(1 for _, rel, _ in rows if rel != "=")
-    nart = sum(1 for _, rel, _ in rows if rel != "<=")
-    ncols = nvars + nslack + nart
+    nreal = nvars + nslack  # columns before the artificial ones
+    ncols = nreal + sum(1 for _, rel, _ in rows if rel != "<=")
+    owner = {}  # slack or artificial column -> its row
     art_cols = []
-
     tab = []
     basis = []
     si = nvars
-    ai = nvars + nslack
-    for coeffs, relation, rhs in rows:
+    ai = nreal
+    for i, (coeffs, relation, rhs) in enumerate(rows):
         row = [zero] * (ncols + 1)
-        for j, c in enumerate(coeffs):
-            row[j] = c
+        row[:nvars] = coeffs
         row[-1] = rhs
-        if relation == "<=":
-            row[si] = one
-            basis.append(si)
+        if relation != "=":
+            row[si] = one if relation == "<=" else -one
+            owner[si] = i
+            if relation == "<=":
+                basis.append(si)
             si += 1
-        elif relation == ">=":
-            row[si] = -one
-            si += 1
+        if relation != "<=":
             row[ai] = one
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
-        else:
-            row[ai] = one
+            owner[ai] = i
             basis.append(ai)
             art_cols.append(ai)
             ai += 1
         tab.append(row)
 
-    # Phase 1: minimise the artificial total.
+    dropped = set()
     if art_cols:
+        # Phase 1: minimise the artificial total.
         cost = [zero] * (ncols + 1)
         for j in art_cols:
             cost[j] = one
         for i, b in enumerate(basis):
-            if b in art_cols:
+            if b >= nreal:
                 cost = [c - v for c, v in zip(cost, tab[i])]
         tab.append(cost)
-        _iterate(tab, basis, ncols, zero, on_step)
-        if tab[-1][-1] < zero:  # cost row holds -(phase objective)
-            tab.pop()
-            return LPResult(LPStatus.INFEASIBLE)
-        tab.pop()
-        # Drive leftover artificials out of the basis.
-        art_set = set(art_cols)
-        drop = []
+        outcome = iterate(tab, basis, ncols)
+        if outcome != "optimal":
+            return outcome, None, None
+        # the cost row holds -(phase objective)
+        if tab.pop()[-1] < (zero if tol is None else -tol):
+            return "infeasible", None, None
+        # Drive leftover artificials out of the basis; a row where that
+        # is impossible is a redundant equation and is dropped.
+        keep = []
         for i in range(len(tab)):
-            if basis[i] in art_set:
-                piv_col = next(
-                    (j for j in range(nvars + nslack) if tab[i][j] != zero), -1
-                )
+            if basis[i] >= nreal:
+                piv_col = next((j for j in range(nreal) if nonzero(tab[i][j])), -1)
                 if piv_col < 0:
-                    drop.append(i)
-                else:
-                    _pivot(tab, basis, i, piv_col)
-        for i in reversed(drop):
-            tab.pop(i)
-            basis.pop(i)
+                    dropped.add(owner[basis[i]])
+                    continue
+                _pivot(tab, basis, i, piv_col)
+            keep.append(i)
+        tab = [tab[i] for i in keep]
+        basis = [basis[i] for i in keep]
         for row in tab:
             for j in art_cols:
                 row[j] = zero
 
     # Phase 2 on the real objective, as a minimisation.
-    obj = [convert(c) for c in lp.objective]
-    if not minimize:
-        obj = [-c for c in obj]
     cost = [zero] * (ncols + 1)
-    for j, c in enumerate(obj):
-        cost[j] = c
+    cost[:nvars] = obj if minimize else [-c for c in obj]
     for i, b in enumerate(basis):
-        if b < nvars and obj[b] != zero:
-            f = obj[b]
+        if b < nvars and nonzero(cost[b]):
+            f = cost[b]
             cost = [c - f * v for c, v in zip(cost, tab[i])]
     tab.append(cost)
-    outcome = _iterate(tab, basis, nvars + nslack, zero, on_step)
+    outcome = iterate(tab, basis, nreal)
+    if outcome != "optimal":
+        return outcome, None, None
+    loose = {owner[b] for b in basis if b >= nvars}
+    tight = [i for i in range(len(rows)) if i not in loose and i not in dropped]
+    return outcome, sorted(b for b in basis if b < nvars), tight
+
+
+def _float_basis(rows, obj, minimize, on_step):
+    """Basis proposed by the float simplex, or None when it gives up.
+
+    Columns, then rows, are scaled to unit largest magnitude and the
+    objective likewise; scaling moves no basis.  Row i's right-hand
+    side then grows by _FLOAT_PERTURB * (1 + i / m).  Numbers beyond
+    the float range, or a field without ``float()``, leave the problem
+    to the exact simplex.
+    """
+    try:
+        frows = [
+            ([float(c) for c in coeffs], rel, float(b)) for coeffs, rel, b in _normalized(rows)
+        ]
+        fobj = [float(c) for c in obj]
+    except (OverflowError, TypeError):
+        return None
+    colmax = [max((abs(r[0][j]) for r in frows), default=0.0) or 1.0 for j in range(len(obj))]
+    m = len(rows)
+    scaled = []
+    for i, (coeffs, rel, b) in enumerate(frows):
+        coeffs = [c / s for c, s in zip(coeffs, colmax)]
+        big = max(map(abs, coeffs), default=0.0) or 1.0
+        scaled.append(([c / big for c in coeffs], rel, b / big + _FLOAT_PERTURB * (1 + i / m)))
+    fobj = [c / s for c, s in zip(fobj, colmax)]
+    big = max(map(abs, fobj), default=0.0) or 1.0
+    fobj = [c / big for c in fobj]
+    cap = _FLOAT_CAP_PER_SIZE * (m + len(obj)) + 10
+    outcome, basic, tight = _simplex(
+        scaled, fobj, minimize, 0.0, 1.0,
+        lambda tab, basis, ncols: _dantzig(tab, basis, ncols, on_step, cap),
+        tol=_FLOAT_TOL,
+    )
+    return (basic, tight) if outcome == "optimal" else None
+
+
+def _lu(matrix, zero, on_step):
+    """Factorisation P.A = L.U of a square matrix, or None when
+    it is singular.  Returns ``(lu, perm)``: L (unit diagonal, below)
+    and U (on and above the diagonal) share ``lu``, and row i of P.A is
+    row perm[i] of A."""
+    k = len(matrix)
+    a = [list(row) for row in matrix]
+    perm = list(range(k))
+    for c in range(k):
+        on_step()
+        p = next((r for r in range(c, k) if a[r][c] != zero), -1)
+        if p < 0:
+            return None
+        a[c], a[p] = a[p], a[c]
+        perm[c], perm[p] = perm[p], perm[c]
+        top = a[c]
+        nz = [j for j in range(c + 1, k) if top[j] != zero]
+        for r in range(c + 1, k):
+            row = a[r]
+            if row[c] != zero:
+                f = row[c] / top[c]
+                row[c] = f
+                for j in nz:
+                    row[j] = row[j] - f * top[j]
+    return a, perm
+
+
+def _lu_solve(lu, perm, rhs, zero):
+    """x with A.x = rhs, from ``_lu``."""
+    k = len(lu)
+    z = []
+    for i in range(k):
+        v = rhs[perm[i]]
+        for j in range(i):
+            if lu[i][j] != zero:
+                v = v - lu[i][j] * z[j]
+        z.append(v)
+    x = [zero] * k
+    for i in reversed(range(k)):
+        v = z[i]
+        for j in range(i + 1, k):
+            if lu[i][j] != zero:
+                v = v - lu[i][j] * x[j]
+        x[i] = v / lu[i][i]
+    return x
+
+
+def _lu_solve_transposed(lu, perm, rhs, zero):
+    """y with A^T.y = rhs, from ``_lu`` (U^T.w = rhs, L^T.v = w, y = P^T.v)."""
+    k = len(lu)
+    w = []
+    for i in range(k):
+        v = rhs[i]
+        for j in range(i):
+            if lu[j][i] != zero:
+                v = v - lu[j][i] * w[j]
+        w.append(v / lu[i][i])
+    y = [zero] * k
+    for i in reversed(range(k)):
+        v = w[i]
+        for j in range(i + 1, k):
+            if lu[j][i] != zero:
+                v = v - lu[j][i] * y[perm[j]]
+        y[perm[i]] = v
+    return y
+
+
+def _dot(pairs, zero):
+    total = zero
+    for a, b in pairs:
+        if a != zero and b != zero:
+            total = total + a * b
+    return total
+
+
+def _certify(rows, obj, minimize, basic, tight, zero, on_step):
+    """Solve the basis exactly and check it; the LPResult, or None.
+
+    x solves the tight rows on the basic columns, y the transposed
+    system on the basic objective coefficients.  The result is
+    optimal exactly when x >= 0 satisfies every row, y has the sign
+    each relation demands, every reduced cost has the optimal sign and
+    c.x == b.y; all of that is checked here.
+    """
+    if len(basic) != len(tight):
+        return None
+    factored = _lu([[rows[i][0][j] for j in basic] for i in tight], zero, on_step)
+    if factored is None:
+        return None
+    lu, perm = factored
+    x = [zero] * len(obj)
+    for j, v in zip(basic, _lu_solve(lu, perm, [rows[i][2] for i in tight], zero)):
+        x[j] = v
+    y = [zero] * len(rows)
+    for i, v in zip(tight, _lu_solve_transposed(lu, perm, [obj[j] for j in basic], zero)):
+        y[i] = v
+    on_step()
+    if any(v < zero for v in x):
+        return None
+    support = [(j, x[j]) for j in basic]
+    for (coeffs, relation, rhs), yi in zip(rows, y):
+        lhs = _dot(((coeffs[j], v) for j, v in support), zero)
+        if relation == "<=" and lhs > rhs or relation == ">=" and lhs < rhs:
+            return None
+        if relation == "=" and lhs != rhs:
+            return None
+        # max: y >= 0 on "<=" rows, y <= 0 on ">=" rows; min: the reverse
+        if relation != "=" and yi != zero and (yi > zero) != ((relation == "<=") != minimize):
+            return None
+    for j, c in enumerate(obj):
+        reduced = c - _dot(((y[i], rows[i][0][j]) for i in tight), zero)
+        if (reduced < zero) if minimize else (reduced > zero):
+            return None
+    value = _dot(zip(obj, x), zero)
+    if value != _dot(((yi, rhs) for (_, _, rhs), yi in zip(rows, y)), zero):
+        return None
+    return LPResult(LPStatus.OPTIMAL, value, x, y)
+
+
+def _no_step() -> None:
+    pass
+
+
+def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
+    """Solve exactly; x >= 0 is implicit for every variable.
+
+    ``convert`` lifts plain numbers into the working field and is also
+    applied to the supplied coefficients, so callers may mix ints with
+    field scalars.  ``float()`` of a field element, where defined, must
+    approximate it; a field without it is solved by the exact simplex
+    alone.
+    ``on_step``, when given, runs before every float and exact pivot and
+    at every column of the exact basis factorisation; raising from it
+    aborts the solve (time budgets use this hook).
+    """
+    if lp.sense not in ("min", "max"):
+        raise ValueError(f"unknown sense {lp.sense!r}")
+    minimize = lp.sense == "min"
+    on_step = on_step or _no_step
+    zero = convert(0)
+    rows = [
+        ([convert(c) for c in coeffs], relation, convert(rhs))
+        for coeffs, relation, rhs in lp.rows
+    ]
+    obj = [convert(c) for c in lp.objective]
+
+    proposal = _float_basis(rows, obj, minimize, on_step)
+    if proposal is not None:
+        result = _certify(rows, obj, minimize, *proposal, zero, on_step)
+        if result is not None:
+            return result
+    outcome, basic, tight = _simplex(
+        rows, obj, minimize, zero, convert(1),
+        lambda tab, basis, ncols: _bland(tab, basis, ncols, zero, on_step),
+    )
+    if outcome == "infeasible":
+        return LPResult(LPStatus.INFEASIBLE)
     if outcome == "unbounded":
         return LPResult(LPStatus.UNBOUNDED)
-
-    x = [zero] * nvars
-    for i, b in enumerate(basis):
-        if b < nvars:
-            x[b] = tab[i][-1]
-    value = -tab[-1][-1] if minimize else tab[-1][-1]
-
-    # Defensive exact re-check of the reported point.  In both senses
-    # the user-facing objective coefficients are obj negated back for
-    # max, and the dot product must reproduce the reported value.
-    user_obj = obj if minimize else [-c for c in obj]
-    check = zero
-    for c, v in zip(user_obj, x):
-        check = check + c * v
-    if check != value:
-        raise ArithmeticError("objective mismatch after solve")
-    for coeffs, relation, rhs in rows:
-        lhs = zero
-        for c, v in zip(coeffs, x):
-            lhs = lhs + c * v
-        ok = (
-            lhs <= rhs
-            if relation == "<="
-            else lhs >= rhs if relation == ">=" else lhs == rhs
-        )
-        if not ok:
-            raise ArithmeticError("constraint violated after solve")
-    return LPResult(LPStatus.OPTIMAL, value, x)
+    result = _certify(rows, obj, minimize, basic, tight, zero, on_step)
+    if result is None:
+        raise ArithmeticError("the exact simplex basis failed its optimality check")
+    return result
 
 
 def solve_linear_system(matrix, rhs, convert=Fraction):
-    """Solve a square system exactly by Gaussian elimination.
+    """Solve a square system exactly by LU factorisation.
 
     Raises ``ArithmeticError`` when the matrix is singular.
     """
@@ -249,16 +471,7 @@ def solve_linear_system(matrix, rhs, convert=Fraction):
     if any(len(r) != n for r in matrix) or len(rhs) != n:
         raise ValueError("system is not square")
     zero = convert(0)
-    aug = [[convert(v) for v in row] + [convert(b)] for row, b in zip(matrix, rhs)]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if aug[i][col] != zero), -1)
-        if piv < 0:
-            raise ArithmeticError("singular matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        lead = aug[col][col]
-        aug[col] = [v / lead for v in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != zero:
-                f = aug[i][col]
-                aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [aug[i][-1] for i in range(n)]
+    factored = _lu([[convert(v) for v in row] for row in matrix], zero, _no_step)
+    if factored is None:
+        raise ArithmeticError("singular matrix")
+    return _lu_solve(*factored, [convert(b) for b in rhs], zero)

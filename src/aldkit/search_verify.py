@@ -268,8 +268,8 @@ def _lower_candidates(n: int, d: int, lam: int):
         _, _, coset = best_cn_coset(OddPrimeField(5), d)
         candidates.append((coset, "power-sum coset"))
     for book, source in candidates:
-        if len(book) >= 2 and min_distance(book, lam) >= d:
-            yield len(book), source
+        if book.size >= 2 and min_distance(book, lam) >= d:
+            yield book.size, source
     if lam == 1 and d % 2 == 1:
         yield averaging_lower_bound(n, d), "coset averaging"
 

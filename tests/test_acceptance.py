@@ -213,22 +213,17 @@ def test_criterion_04_pair_lp_small_cells_and_unbounded_claim():
     small_ok = len(small) == 6 and all(
         sound(n, d, rep) for (n, d), rep in small.items()
     )
-    # (3,3) may refuse on budget; a finite answer must be sound
-    remaining = min(deadline - time.monotonic(), 60.0)
-    try:
-        rep = delsarte_bound(3, 3, 1, budget_secs=remaining)
-        outcome = f"{rep.status.value} {rep.floored}"
-        big_ok = sound(3, 3, rep)
-    except BudgetExceeded:
-        outcome = "budget refusal"
-        big_ok = True
+    # (3,3) is solved without a budget and must be sound
+    rep = delsarte_bound(3, 3, 1)
+    outcome = f"{rep.status.value} {rep.floored}"
+    big_ok = sound(3, 3, rep)
     ok = cells_ok and stretch_ok and small_ok and big_ok
     report(4, ok, f"cells (1,3)/(2,5)/(3,7)/(3,9) exact: {cells_ok}; "
                   f"stretch n=4,5 match-or-refusal: {stretch_ok}; "
                   f"{len(small)} '--' cells at n<=2 finite and between the "
                   f"exact optimum and 10^n: {small_ok} "
                   f"({ {k: r.floored for k, r in small.items()} }); "
-                  f"(3,3) refusal or finite in [19, 1000]: {big_ok} "
+                  f"(3,3) finite in [19, 1000]: {big_ok} "
                   f"(got {outcome})")
     assert ok, (
         f"exact cells {got}, stretch {stretch_ok}, '--' cells at n<=2 "
@@ -265,17 +260,22 @@ def test_criterion_06_averaging_lower_bound_formula():
 
 def test_criterion_07_sandwich_grid_and_exact_anchors():
     violations = []
+    skipped = []
     for n, d, lam in itertools.product((1, 2, 3), range(1, 11), (1, 2)):
-        rep = sandwich_check(n, d, lam, delsarte_budget_secs=2.0)
+        # no wall-clock limit: the character LP must finish at every cell
+        rep = sandwich_check(n, d, lam, delsarte_budget_secs=None)
         violations.extend(f"(n={n},d={d},lam={lam}) {v}"
                           for v in rep.violations)
+        skipped.extend((n, d, lam) for method, _ in rep.skipped
+                       if method == "delsarte")
     anchors_ok = (
         exact_max_code(2, 2, 1)[0] == 10 and exact_max_code(1, 3, 1)[0] == 2
     )
-    ok = not violations and anchors_ok
+    ok = not violations and not skipped and anchors_ok
     assert report(7, ok, "constructive <= exact <= every upper bound over "
                          "n<=3, d<=10, lam in {1,2} "
-                         f"({len(violations)} violations); exact anchors "
+                         f"({len(violations)} violations, character LP "
+                         f"skipped at {skipped}); exact anchors "
                          f"(2,2)=10 and (1,3)=2: {anchors_ok}")
 
 

@@ -7,6 +7,7 @@ import pytest
 from aldkit.cli import CSV_HEADER, main, read_codebook, write_codebook
 from aldkit.codes import build_cl, build_cp
 from aldkit.core import PairedWord
+from aldkit.search_verify import exact_max_code
 
 
 def run(capsys, *argv):
@@ -277,9 +278,14 @@ def test_table2_reports_honest_mismatches(capsys):
             assert row["match"] == "yes", row
 
 
-def test_table3_budgeted_run(capsys):
-    rc, out, _ = run(capsys, "table", "3", "--budget", 30)
+def test_table3_budgeted_run(capsys, monkeypatch):
+    # Every cell at n <= 3 finishes under the default budget, so the
+    # verdict does not depend on machine speed; the refusal path is
+    # covered by test_table3_spent_budget_refuses_every_cell.
+    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+    rc, out, _ = run(capsys, "table", "3")
     rows = parse_csv(out)
+    assert rc == 0 and len(rows) == 24
     by_cell = {(r["n"], r["d"]): r for r in rows}
     assert by_cell[("1", "3")]["match"] == "yes"
     assert by_cell[("2", "5")]["match"] == "yes"
@@ -288,9 +294,14 @@ def test_table3_budgeted_run(capsys):
     assert by_cell[("1", "1")]["value_floor"] == "5"
     assert by_cell[("1", "1")]["expected"] == "--"
     assert by_cell[("1", "1")]["match"] == "no"
-    refused = [r for r in rows if r["match"] == "refused"]
-    assert refused and rc == 3
-    assert all(r["value_floor"] == "" for r in refused)
+    for r in rows:
+        if r["expected"] != "--":
+            assert r["match"] == "yes", r
+        else:
+            # a finite (OPTIMAL) bound, at least the exact optimum
+            n, d = int(r["n"]), int(r["d"])
+            assert r["value_floor"] != "", r
+            assert int(r["value_floor"]) >= exact_max_code(n, d, 1)[0], r
 
 
 def test_table3_spent_budget_refuses_every_cell(capsys, monkeypatch):

@@ -229,6 +229,15 @@ def test_cl_implicit_above_desk_scale():
     assert time.process_time() - start < 5.0
 
 
+def test_size_is_exact_where_len_overflows():
+    # len() is capped at sys.maxsize; callers read .size
+    book = build_cl(6)
+    assert book.words is None
+    assert book.size == 2**118
+    with pytest.raises(OverflowError):
+        len(book)
+
+
 def test_cl_validation():
     with pytest.raises(ValueError):
         build_cl(1, 0)

@@ -341,6 +341,33 @@ def test_huge_distance_kills_every_profile():
     assert rep.exact == 1 and rep.floored == 1
 
 
+@pytest.mark.parametrize("n,d,lam", [(1, 2, 1), (2, 3, 1), (2, 5, 1), (2, 2, 2), (3, 9, 1)])
+def test_dual_multipliers_certify_the_value(n, d, lam):
+    # Rebuild every surviving column from the public pieces and check the
+    # reported multipliers from scratch: each column's transform weighted
+    # by them prices the column at or above its objective coefficient,
+    # and 1 + sum u * multinomial gives the reported value.
+    rep = delsarte_bound(n, d, lam)
+    assert rep.status is LPStatus.OPTIMAL and rep.dual
+    assert all(u > 0 for _, u in rep.dual)
+    survivors = {}
+    for m in profiles(n):
+        if m != identity_profile(n) and m[3] == m[7] == 0 and profile_cost(m, lam) >= d:
+            survivors.setdefault(min(m, reverse_profile(m)), m)
+    for m in survivors.values():
+        orbit = 1 if reverse_profile(m) == m else 2
+        column = coefficient_column(m)
+        priced = Q5.lift(orbit)
+        for p, u in rep.dual:
+            priced = priced + u * column_entry(column.get(p, (0,) * 10), orbit)
+        assert priced <= 0, m
+    total = Q5.lift(1)
+    for p, u in rep.dual:
+        total = total + u * (math.factorial(n) // math.prod(map(math.factorial, p)))
+    assert total.b == rep.sqrt5_part and math.floor(total) == rep.floored
+    assert rep.exact is None or total == Q5.lift(rep.exact)
+
+
 def test_report_flags_unbounded_status():
     from aldkit.delsarte import DelsarteReport
 

@@ -4,12 +4,38 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aldkit import lp as lp_module
+from aldkit.delsarte import delsarte_bound
+from aldkit.hyperbound import lp_hypergraph_bound
 from aldkit.lp import (
     LinearProgram,
     LPStatus,
     solve_linear_system,
     solve_lp,
 )
+
+
+def dot(a, b):
+    return sum(Fraction(u) * v for u, v in zip(a, b))
+
+
+def assert_certified(lp, res):
+    """Check an OPTIMAL result from scratch: x is feasible, y is
+    dual-feasible with the signs each relation demands, and b.y == c.x."""
+    sign = 1 if lp.sense == "max" else -1
+    assert len(res.x) == len(lp.objective) and len(res.y) == len(lp.rows)
+    assert all(v >= 0 for v in res.x)
+    assert dot(lp.objective, res.x) == res.value
+    for (coeffs, relation, rhs), y in zip(lp.rows, res.y):
+        lhs = dot(coeffs, res.x)
+        assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[relation]
+        if relation == "<=":
+            assert sign * y >= 0
+        elif relation == ">=":
+            assert sign * y <= 0
+    for j, c in enumerate(lp.objective):
+        assert sign * (dot([row[0][j] for row in lp.rows], res.y) - c) >= 0
+    assert dot([rhs for _, _, rhs in lp.rows], res.y) == res.value
 
 
 def test_minimize_simple():
@@ -149,6 +175,228 @@ def test_against_vertex_enumeration(data):
     res = solve_lp(lp)
     assert res.status is LPStatus.OPTIMAL
     assert res.value == brute_force_max(c, rows, ub)
+    # y >= 0 prices every column at least at its cost, and b.y == value
+    assert all(y >= 0 for y in res.y)
+    for j, cj in enumerate(c):
+        assert dot([row[0][j] for row in lp.rows], res.y) >= cj
+    assert dot([rhs for _, _, rhs in lp.rows], res.y) == res.value
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_mixed_relations_carry_a_dual_certificate(data):
+    # any sense and relation; the float oracle switched off must give the
+    # same status and value (the point may differ between optimal vertices)
+    n = data.draw(st.integers(1, 3))
+    lp = LinearProgram(
+        objective=[data.draw(st.integers(-4, 4)) for _ in range(n)],
+        sense=data.draw(st.sampled_from(["min", "max"])),
+    )
+    for _ in range(data.draw(st.integers(0, 4))):
+        lp.add(
+            [data.draw(st.integers(-3, 3)) for _ in range(n)],
+            data.draw(st.sampled_from(["<=", ">=", "="])),
+            data.draw(st.integers(-6, 6)),
+        )
+    res = solve_lp(lp)
+    if res.status is LPStatus.OPTIMAL:
+        assert_certified(lp, res)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_float_basis", lambda *args: None)
+        exact = solve_lp(lp)
+    assert (exact.status, exact.value) == (res.status, res.value)
+    if exact.status is LPStatus.OPTIMAL:
+        assert_certified(lp, exact)
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_a_wrong_proposal_never_changes_the_answer(data):
+    # Propose every square basis (structural columns x tight rows) in
+    # place of the float simplex: the exact checks must reject each one
+    # that is not optimal, so the answer is always the exact simplex's.
+    n = data.draw(st.integers(1, 3))
+    lp = LinearProgram(
+        objective=[data.draw(st.integers(-4, 4)) for _ in range(n)],
+        sense=data.draw(st.sampled_from(["min", "max"])),
+    )
+    for _ in range(data.draw(st.integers(1, 3))):
+        lp.add(
+            [data.draw(st.integers(-3, 3)) for _ in range(n)],
+            data.draw(st.sampled_from(["<=", ">=", "="])),
+            data.draw(st.integers(-6, 6)),
+        )
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_float_basis", lambda *args: None)
+        want = solve_lp(lp)
+        for k in range(min(n, len(lp.rows)) + 1):
+            for basic in itertools.combinations(range(n), k):
+                for tight in itertools.combinations(range(len(lp.rows)), k):
+                    proposal = (list(basic), list(tight))
+                    m.setattr(lp_module, "_float_basis", lambda *args: proposal)
+                    got = solve_lp(lp)
+                    assert (got.status, got.value) == (want.status, want.value)
+                    if got.status is LPStatus.OPTIMAL:
+                        assert_certified(lp, got)
+
+
+def test_rounding_trap_goes_to_the_exact_simplex(monkeypatch):
+    # 1 + 2^-60 rounds to 1.0, so the float simplex cannot tell the
+    # columns apart and proposes x1; the exact reduced cost of x2 is
+    # 2^-60 > 0, the check fails, and the exact simplex answers.
+    eps = Fraction(1, 2**60)
+    lp = LinearProgram(objective=[1, 1 + eps], sense="max")
+    lp.add([1, 1], "<=", 1)
+    proposals, exact_runs = [], []
+    float_basis, bland = lp_module._float_basis, lp_module._bland
+    monkeypatch.setattr(
+        lp_module, "_float_basis",
+        lambda *args: proposals.append(float_basis(*args)) or proposals[-1],
+    )
+    monkeypatch.setattr(
+        lp_module, "_bland", lambda *args: exact_runs.append(1) or bland(*args)
+    )
+    res = solve_lp(lp)
+    assert proposals == [([0], [0])]
+    assert exact_runs
+    assert res.status is LPStatus.OPTIMAL
+    assert res.value == 1 + eps
+    assert res.x == [0, 1]
+    assert res.y == [1 + eps]
+
+
+def test_numbers_beyond_the_float_range_go_to_the_exact_simplex():
+    huge = 10**400  # float(huge) raises OverflowError
+    lp = LinearProgram(objective=[1, 1], sense="max")
+    lp.add([huge, 1], "<=", huge)
+    lp.add([1, huge], "<=", huge)
+    res = solve_lp(lp)
+    assert res.status is LPStatus.OPTIMAL
+    assert res.x == [Fraction(huge, huge + 1)] * 2
+    assert_certified(lp, res)
+
+
+class NoFloat:
+    """The rationals as a field scalar that ``float()`` refuses."""
+
+    def __init__(self, v):
+        self.v = v.v if isinstance(v, NoFloat) else Fraction(v)
+
+    def __add__(self, o):
+        return NoFloat(self.v + NoFloat(o).v)
+
+    def __sub__(self, o):
+        return NoFloat(self.v - NoFloat(o).v)
+
+    def __mul__(self, o):
+        return NoFloat(self.v * NoFloat(o).v)
+
+    def __truediv__(self, o):
+        return NoFloat(self.v / NoFloat(o).v)
+
+    def __neg__(self):
+        return NoFloat(-self.v)
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, o):
+        return self.v == NoFloat(o).v
+
+    def __lt__(self, o):
+        return self.v < NoFloat(o).v
+
+    def __le__(self, o):
+        return self.v <= NoFloat(o).v
+
+    def __gt__(self, o):
+        return self.v > NoFloat(o).v
+
+    def __ge__(self, o):
+        return self.v >= NoFloat(o).v
+
+
+def test_a_field_without_float_goes_to_the_exact_simplex():
+    with pytest.raises(TypeError):
+        float(NoFloat(1))
+    for lp in _named_programs():
+        expected = solve_lp(lp)
+        res = solve_lp(lp, convert=NoFloat)
+        assert res.status is expected.status
+        if res.status is LPStatus.OPTIMAL:
+            assert res.value.v == expected.value
+            assert [v.v for v in res.x] == expected.x
+            assert [v.v for v in res.y] == expected.y
+
+
+def _named_programs():
+    lp1 = LinearProgram(objective=[1, 1], sense="min")
+    lp1.add([1, 2], ">=", 4)
+    lp1.add([3, 1], ">=", 6)
+    lp2 = LinearProgram(objective=[3, 5], sense="max")
+    lp2.add([1, 0], "<=", 4)
+    lp2.add([0, 2], "<=", 12)
+    lp2.add([3, 2], "<=", 18)
+    lp3 = LinearProgram(objective=[2, 3], sense="min")
+    lp3.add([1, 1], "=", 10)
+    lp3.add([1, -1], "=", 2)
+    lp4 = LinearProgram(objective=[1], sense="min")
+    lp4.add([1], ">=", 3)
+    lp4.add([1], "<=", 2)
+    lp5 = LinearProgram(objective=[1, 1], sense="max")
+    lp5.add([1, -1], "<=", 1)
+    return [lp1, lp2, lp3, lp4, lp5]
+
+
+def test_answers_do_not_depend_on_the_float_oracle(monkeypatch):
+    def answers():
+        return (
+            [solve_lp(lp) for lp in _named_programs()],
+            lp_hypergraph_bound(6, 5, 1),
+            delsarte_bound(2, 5, 1),
+        )
+
+    with_oracle = answers()
+    monkeypatch.setattr(lp_module, "_float_basis", lambda *args: None)
+    assert answers() == with_oracle
+    statuses = [r.status for r in with_oracle[0]]
+    assert statuses[3:] == [LPStatus.INFEASIBLE, LPStatus.UNBOUNDED]
+
+
+def test_spent_budget_interrupts_float_phase_and_certificate(monkeypatch):
+    lp = _named_programs()[1]
+    certificates = []  # one entry per _certify call, True once it returns
+    certify = lp_module._certify
+
+    def traced_certify(*args):
+        certificates.append(False)
+        result = certify(*args)
+        certificates[-1] = True
+        return result
+
+    monkeypatch.setattr(lp_module, "_certify", traced_certify)
+    phases = []
+    res = solve_lp(lp, on_step=lambda: phases.append(len(certificates)))
+    assert res.status is LPStatus.OPTIMAL and certificates == [True]
+    # steps fire in the float phase (before any certificate) and inside it
+    assert phases.count(0) >= 2 and phases.count(1) >= 2
+
+    class Spent(Exception):
+        pass
+
+    def spend(when):
+        def on_step():
+            if when():
+                raise Spent
+        return on_step
+
+    certificates.clear()
+    with pytest.raises(Spent):
+        solve_lp(lp, on_step=spend(lambda: True))
+    assert certificates == []  # stopped in the float phase
+    with pytest.raises(Spent):
+        solve_lp(lp, on_step=spend(lambda: certificates == [False]))
+    assert certificates == [False]  # stopped inside the certificate
 
 
 def test_solve_linear_system_exact():
