@@ -2,12 +2,18 @@
 
 Three layers of certainty, all exact:
 
-* ``min_distance`` scans every pair of an explicit codebook.
+* ``min_distance`` finds the closest pair of an explicit codebook by a
+  branch-and-bound walk over positions, every later word at once.
 * ``exact_max_code`` finds the true largest code by branch-and-bound
   maximum-clique search on the distinguishability graph.
 * ``sandwich_check`` squeezes the exact value between verified
   constructive lower bounds and every applicable upper bound, reporting
   any violation as an implementation bug.
+
+``min_distance`` and ``distance_graph`` share one layout: a per-position
+index ``have[k][s]``, the bitmask of list indices whose symbol at
+position k is s, and the 4x4 per-position costs taken from
+``core.ald_distance``.
 """
 
 from __future__ import annotations
@@ -55,41 +61,86 @@ def symbol_distance_table(lam: int) -> tuple:
     return tuple(table)
 
 
-def _nibbles(word: PairedWord) -> tuple:
-    a, b = word.a, word.b
+def _position_costs(lam: int) -> tuple:
+    """``costs[s][t]``: the distance one position contributes, symbol s against t."""
     return tuple(
-        ((a >> (2 * k)) & 3) | (((b >> (2 * k)) & 3) << 2)
-        for k in range((word.n + 1) // 2)
+        tuple(
+            ald_distance(PairedWord(1, s & 1, s >> 1), PairedWord(1, t & 1, t >> 1), lam)
+            for t in range(4)
+        )
+        for s in range(4)
     )
+
+
+def _strand_columns(values, n: int) -> list:
+    """Per position k, the bitmask of list indices whose value has bit k set."""
+    rows = [format(v, f"0{n}b") for v in values]  # position n-1 first
+    return [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+
+
+def _symbol_index(words, n: int) -> list:
+    """``have[k][s]``: bitmask of list indices whose symbol at position k is s."""
+    full = (1 << len(words)) - 1
+    a_cols = _strand_columns([w.a for w in words], n)
+    b_cols = _strand_columns([w.b for w in words], n)
+    return [
+        (full & ~(a | b), a & ~b, b & ~a, a & b)
+        for a, b in zip(a_cols, b_cols)
+    ]
+
+
+def _symbols(word: PairedWord) -> list:
+    """Symbol per position: first-strand bit low, second-strand bit high,
+    so 0 = (0;0), 1 = (1;0), 2 = (0;1), 3 = (1;1)."""
+    a, b = word.a, word.b
+    return [((a >> k) & 1) | (((b >> k) & 1) << 1) for k in range(word.n)]
 
 
 def min_distance(c: Codebook, lam: int):
     """Minimum pairwise distance over an explicit codebook.
 
     Returns ``math.inf`` below two words; refuses implicit codebooks
-    and word counts past the quadratic-scan budget.
+    and word counts past the pair-scan budget.  For each word the later
+    words are walked position by position as bitmasks of the per-position
+    symbol index, trying symbols cheapest first; a branch ends once its
+    distance so far reaches the best found or no word is left in it.
     """
     if c.words is None:
         raise BudgetExceeded("codebook is implicit; pair scan needs explicit words")
-    if len(c.words) > WORD_BUDGET:
+    words = c.words
+    if len(words) > WORD_BUDGET:
         raise BudgetExceeded(
-            f"{len(c.words)} words exceed the {WORD_BUDGET}-word pair-scan budget"
+            f"{len(words)} words exceed the {WORD_BUDGET}-word pair-scan budget"
         )
-    if len(c.words) <= 1:
+    if len(words) <= 1:
         return math.inf
-    table = symbol_distance_table(lam)
-    packed = [_nibbles(w) for w in c.words]
+    n = words[0].n
+    have = _symbol_index(words, n)
+    costs = _position_costs(lam)
+    # Branches are pushed dearest first, so the cheapest is tried first.
+    dearest = [sorted(range(4), key=row.__getitem__, reverse=True) for row in costs]
     best = math.inf
-    for i, xi in enumerate(packed):
-        for j in range(i + 1, len(packed)):
-            yj = packed[j]
-            total = 0
-            for xk, yk in zip(xi, yj):
-                total += table[(xk << 4) | yk]
-                if total >= best:
-                    break
-            else:
-                best = total
+    later = (1 << len(words)) - 1
+    for word in words:
+        later &= later - 1  # drop this word and every earlier one
+        if not later:
+            break
+        steps = [(have[k], costs[s], dearest[s]) for k, s in enumerate(_symbols(word))]
+        stack = [(0, later, 0)]
+        while stack:
+            k, mask, spent = stack.pop()
+            if spent >= best:
+                continue
+            if k == n:
+                best = spent
+                continue
+            col, cost, order = steps[k]
+            for t in order:
+                total = spent + cost[t]
+                if total < best:
+                    sub = mask & col[t]
+                    if sub:
+                        stack.append((k + 1, sub, total))
     return best
 
 
@@ -114,6 +165,13 @@ class DistanceGraph:
 
 
 def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
+    """Distinguishability graph on all 4^n words in digit order.
+
+    Each vertex's row is one walk over positions through the symbol
+    index: a branch already at distance d joins the row whole, and a
+    branch that cannot reach d even at the largest cost of every
+    remaining position is dropped.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
     if d < 1:
@@ -123,15 +181,31 @@ def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
             f"graph on 4^{n} vertices exceeds the 4^{SEARCH_LIMIT_N} search budget"
         )
     vertices = tuple(sorted(all_words(n), key=PairedWord.to_digits))
-    table = symbol_distance_table(lam)
-    packed = [_nibbles(w) for w in vertices]
-    adjacency = [0] * len(vertices)
-    for i, xi in enumerate(packed):
-        for j in range(i + 1, len(packed)):
-            yj = packed[j]
-            if sum(table[(xk << 4) | yk] for xk, yk in zip(xi, yj)) >= d:
-                adjacency[i] |= 1 << j
-                adjacency[j] |= 1 << i
+    have = _symbol_index(vertices, n)
+    costs = _position_costs(lam)
+    full = (1 << len(vertices)) - 1
+    adjacency = []
+    for word in vertices:
+        symbols = _symbols(word)
+        # reach[k]: the largest distance positions k.. can still add
+        reach = [0] * (n + 1)
+        for k in range(n - 1, -1, -1):
+            reach[k] = reach[k + 1] + max(costs[symbols[k]])
+        row = 0
+        stack = [(0, full, 0)]
+        while stack:
+            k, mask, spent = stack.pop()
+            col, cost = have[k], costs[symbols[k]]
+            for t in range(4):
+                sub = mask & col[t]
+                if not sub:
+                    continue
+                total = spent + cost[t]
+                if total >= d:
+                    row |= sub
+                elif total + reach[k + 1] >= d:
+                    stack.append((k + 1, sub, total))
+        adjacency.append(row)
     return DistanceGraph(n, d, lam, vertices, tuple(adjacency))
 
 
@@ -152,41 +226,83 @@ def _color_order(cand: int, adj) -> list:
     return order
 
 
-def _max_clique_size(adj, cand: int, lower: int = 0, stop_at: int = None) -> int:
+def _max_clique(adj, cand: int, lower: int = 0, stop_at: int = None) -> tuple:
     """Largest clique inside ``cand``, never reported below ``lower``.
 
-    Tomita-style search: the greedy coloring of the candidate set upper
-    bounds any clique through it, so branches that cannot beat the
-    incumbent are cut.  ``stop_at`` short-circuits yes/no queries.
+    Returns ``(size, members)``, members as a bitmask; members is 0 when
+    no clique above ``lower`` was found.  Tomita-style search: the
+    greedy coloring of the candidate set upper bounds any clique through
+    it, so branches that cannot beat the incumbent are cut.  ``stop_at``
+    short-circuits yes/no queries.
     """
     best = lower
+    members = 0
 
-    def expand(size: int, cand: int) -> None:
-        nonlocal best
+    def expand(size: int, cand: int, clique: int) -> None:
+        nonlocal best, members
         for v, color in reversed(_color_order(cand, adj)):
             if size + color <= best:
                 return
+            grown = clique | (1 << v)
             if size + 1 > best:
-                best = size + 1
+                best, members = size + 1, grown
                 if stop_at is not None and best >= stop_at:
                     raise _Found
             sub = cand & adj[v]
             if sub:
-                expand(size + 1, sub)
+                expand(size + 1, sub, grown)
             cand &= ~(1 << v)
 
     try:
-        expand(0, cand)
+        expand(0, cand, 0)
     except _Found:
         pass
-    return best
+    return best, members
+
+
+def _lowest_max_clique(adj, order) -> list:
+    """The maximum clique that comes first in ``order``, as a list in that order.
+
+    Greedy extension: a vertex is taken when some maximum clique of the
+    remaining candidates contains it.  What is left of one such clique,
+    the witness, answers most of these questions: a vertex in it, or
+    one non-adjacent to exactly one of its members (which it then
+    replaces), is taken without a search.
+    """
+    full = (1 << len(adj)) - 1
+    size, witness = _max_clique(adj, full)
+    # Invariant: ``witness`` is a clique of ``need`` vertices inside
+    # ``cand``, and no clique inside ``cand`` is larger.
+    chosen = []
+    cand = full
+    need = size
+    for k in order:
+        if need == 0:
+            break
+        if not (cand >> k) & 1:
+            continue
+        bit = 1 << k
+        rest = cand & adj[k]
+        misses = witness & ~bit & ~adj[k]
+        if misses & (misses - 1):
+            found, members = _max_clique(adj, rest, need - 2, need - 1)
+            if found < need - 1:
+                continue
+            witness = members
+        else:
+            witness &= ~bit & ~misses
+        chosen.append(k)
+        cand = rest
+        need -= 1
+    assert len(chosen) == size
+    return chosen
 
 
 def exact_max_code(n: int, d: int, lam: int):
     """Exact largest code size, with a reproducible maximizing codebook.
 
     The witness is the lexicographically lowest maximum codebook in
-    digit order, found by greedy extension with feasibility queries.
+    digit order, found by greedy extension (``_lowest_max_clique``).
     """
     graph = distance_graph(n, d, lam)
     nv = len(graph.vertices)
@@ -204,25 +320,9 @@ def exact_max_code(n: int, d: int, lam: int):
             mask &= mask - 1
             remapped |= 1 << pos[w]
         padj[k] = remapped
-    full = (1 << nv) - 1
-    size = _max_clique_size(padj, full)
-
-    chosen = []
-    cand = full
-    need = size
-    for v in range(nv):
-        if need == 0:
-            break
-        k = pos[v]
-        if not (cand >> k) & 1:
-            continue
-        rest = cand & padj[k]
-        if need == 1 or _max_clique_size(padj, rest, need - 2, need - 1) >= need - 1:
-            chosen.append(v)
-            cand = rest
-            need -= 1
-    assert len(chosen) == size
-    words = tuple(graph.vertices[v] for v in chosen)
+    chosen = _lowest_max_clique(padj, pos)
+    size = len(chosen)
+    words = tuple(graph.vertices[perm[k]] for k in chosen)
     book = Codebook(
         n=n,
         lam=lam,

@@ -29,7 +29,6 @@ from aldkit.codes import (
 )
 from aldkit.core import (
     Automorphism,
-    BudgetExceeded,
     PairedWord,
     ald_distance,
     all_words,
@@ -184,15 +183,13 @@ def test_criterion_04_pair_lp_small_cells_and_unbounded_claim():
         remaining = deadline - time.monotonic()
         got[(n, d)] = delsarte_bound(n, d, 1, budget_secs=remaining).floored
     cells_ok = got == want
-    stretch_ok = True
-    for n, d in ((4, 9), (5, 11)):
-        try:
-            value = delsarte_bound(n, d, 1, budget_secs=2.0).floored
-            table3 = {c["n"] * 100 + c["d"]: c["value"]
-                      for c in _load_reference(3)["cells"]}
-            stretch_ok = stretch_ok and value == table3[n * 100 + d]
-        except BudgetExceeded:
-            pass  # explicit refusal is an accepted outcome here
+    # n = 4 and 5 need a budget; this one is far above either cell's
+    # cost (seconds), so the verdict does not depend on machine speed.
+    table3 = {(c["n"], c["d"]): c["value"] for c in _load_reference(3)["cells"]}
+    stretch = {(n, d): delsarte_bound(n, d, 1, budget_secs=3600.0).floored
+               for n, d in ((4, 9), (5, 11))}
+    stretch_ok = (stretch == {(4, 9): 4, (5, 11): 6}
+                  and all(stretch[cell] == table3[cell] for cell in stretch))
     # The reference prints "--" ("reported unbounded") at low design
     # distances, but this LP cannot be unbounded: every non-identity
     # column sums to 0 over all profiles (sum_i zeta^(-ij) = 0 for j != 0)
@@ -219,7 +216,7 @@ def test_criterion_04_pair_lp_small_cells_and_unbounded_claim():
     big_ok = sound(3, 3, rep)
     ok = cells_ok and stretch_ok and small_ok and big_ok
     report(4, ok, f"cells (1,3)/(2,5)/(3,7)/(3,9) exact: {cells_ok}; "
-                  f"stretch n=4,5 match-or-refusal: {stretch_ok}; "
+                  f"stretch (4,9)=4 and (5,11)=6: {stretch_ok} ({stretch}); "
                   f"{len(small)} '--' cells at n<=2 finite and between the "
                   f"exact optimum and 10^n: {small_ok} "
                   f"({ {k: r.floored for k, r in small.items()} }); "

@@ -1,7 +1,10 @@
+import hashlib
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import aldkit.search_verify as sv
 from aldkit.codes import Codebook, build_cl, build_cp
@@ -54,6 +57,31 @@ def test_min_distance_agrees_with_direct_scan():
             ald_distance(x, y, lam) for x, y in combinations(book.words, 2)
         )
         assert min_distance(book, lam) == direct
+
+
+@st.composite
+def word_lists(draw):
+    """Random lists of 0..150 words of one length; repeats are allowed."""
+    n = draw(st.integers(1, 7))
+    picks = draw(st.lists(st.integers(0, 4**n - 1), max_size=150))
+    return tuple(PairedWord(n, c & ((1 << n) - 1), c >> n) for c in picks)
+
+
+# Codebook refuses repeated words; the scan reads only ``words``, so a
+# plain namespace carries lists with repeats, whose distance must be 0.
+@settings(max_examples=60, deadline=None)
+@given(word_lists(), st.integers(1, 3))
+def test_min_distance_agrees_with_direct_scan_on_random_lists(words, lam):
+    direct = min(
+        (ald_distance(x, y, lam) for x, y in combinations(words, 2)),
+        default=math.inf,
+    )
+    assert min_distance(SimpleNamespace(words=words), lam) == direct
+
+
+def test_min_distance_of_a_repeated_word_is_zero():
+    words = tuple(PairedWord.from_digits(t) for t in ("0123", "3210", "0123"))
+    assert min_distance(SimpleNamespace(words=words), 1) == 0
 
 
 def test_min_distance_degenerate_sizes():
@@ -109,6 +137,29 @@ def test_graph_is_symmetric_and_loop_free():
                 assert ald_distance(g.vertices[i], g.vertices[j], 1) >= 3
 
 
+GRAPH_CELLS = [
+    (n, d, lam)
+    for lam in (1, 2)
+    for n in (1, 2, 3)
+    for d in range(1, 2 * (1 + lam) * n + 2)
+] + [(4, d, lam) for lam in (1, 2) for d in (2, 6, 10)]
+
+
+def test_graph_adjacency_matches_pairwise_distances():
+    distances = {}
+    for n, d, lam in GRAPH_CELLS:
+        g = distance_graph(n, d, lam)
+        if (n, lam) not in distances:
+            distances[(n, lam)] = [
+                [ald_distance(x, y, lam) for y in g.vertices] for x in g.vertices
+            ]
+        want = tuple(
+            sum(1 << j for j, dist in enumerate(row) if dist >= d)
+            for row in distances[(n, lam)]
+        )
+        assert g.adjacency == want, (n, d, lam)
+
+
 def test_graph_budget_and_validation():
     with pytest.raises(BudgetExceeded):
         distance_graph(5, 3, 1)
@@ -148,6 +199,103 @@ def test_exact_witnesses_are_lexicographically_lowest():
     assert [w.to_digits() for w in again.words] == [
         w.to_digits() for w in book.words
     ]
+
+
+# Size and SHA-256 of the newline-joined sorted digit strings of the
+# witness, as the pair-by-pair search first found it: every n = 3 cell
+# with d <= 10 and the ten n = 4 cells the benchmark times.  A faster
+# search must return the same lexicographically lowest maximum code.
+PINNED_WITNESSES = {
+    (3, 1, 1): (64, "f169a41eafba72f881d310a193c53528f7354a8733769f3efcf9547ce3ca1e9f"),
+    (3, 2, 1): (36, "49da666952e020b1da5847a84ad1b81fbab4dd4d70c07093ea9dee3f177f9819"),
+    (3, 3, 1): (19, "aca0fbc46def9bbe81c7bdacb677257487b38b089194ec9156ab2c4dd8f77c0b"),
+    (3, 4, 1): (15, "3137da3c4b17d84750dc58448afb9cf90c0c8e4eec7af1973dd9d531e2fa899d"),
+    (3, 5, 1): (6, "6260ccc2703191a98cb5aac55efbd363f42b99eea6396d12d065810676b984f6"),
+    (3, 6, 1): (5, "59a364f6ceda3049de486053321c9fb1cc3763961571c2dedca9f81a481e29f5"),
+    (3, 7, 1): (4, "108d3665bf22dcddd8330516e4ad8061130dfc9967ea61c31dbebda42b4b86ed"),
+    (3, 8, 1): (4, "108d3665bf22dcddd8330516e4ad8061130dfc9967ea61c31dbebda42b4b86ed"),
+    (3, 9, 1): (2, "b0ec718cdc1d35cd2ce4be84e0bb60efee4b30c67373cac9d7859665531d2b40"),
+    (3, 10, 1): (2, "b0ec718cdc1d35cd2ce4be84e0bb60efee4b30c67373cac9d7859665531d2b40"),
+    (3, 1, 2): (64, "f169a41eafba72f881d310a193c53528f7354a8733769f3efcf9547ce3ca1e9f"),
+    (3, 2, 2): (64, "f169a41eafba72f881d310a193c53528f7354a8733769f3efcf9547ce3ca1e9f"),
+    (3, 3, 2): (36, "49da666952e020b1da5847a84ad1b81fbab4dd4d70c07093ea9dee3f177f9819"),
+    (3, 4, 2): (22, "a05cbc58634649c46b3d8cab3b6855d7a62785c97b020b58cb1bec4116869fb9"),
+    (3, 5, 2): (19, "aca0fbc46def9bbe81c7bdacb677257487b38b089194ec9156ab2c4dd8f77c0b"),
+    (3, 6, 2): (15, "3137da3c4b17d84750dc58448afb9cf90c0c8e4eec7af1973dd9d531e2fa899d"),
+    (3, 7, 2): (6, "6260ccc2703191a98cb5aac55efbd363f42b99eea6396d12d065810676b984f6"),
+    (3, 8, 2): (6, "6260ccc2703191a98cb5aac55efbd363f42b99eea6396d12d065810676b984f6"),
+    (3, 9, 2): (5, "59a364f6ceda3049de486053321c9fb1cc3763961571c2dedca9f81a481e29f5"),
+    (3, 10, 2): (4, "108d3665bf22dcddd8330516e4ad8061130dfc9967ea61c31dbebda42b4b86ed"),
+    (4, 2, 1): (136, "ee2dd65c986e2da79c47a6791013cd369d290f4c3da2beac8f82a24fa2b487e2"),
+    (4, 4, 1): (49, "abc92724e7a1630d2b9d389d7e4bf78fc2cc1f5b5aae81b54fe470cba92f3371"),
+    (4, 7, 1): (9, "0bd7fb54345bac36371627b1d0e32f16dc47f2cce49d42f311748ad1d934f77d"),
+    (4, 8, 1): (9, "0bd7fb54345bac36371627b1d0e32f16dc47f2cce49d42f311748ad1d934f77d"),
+    (4, 9, 1): (4, "3c98e74bd1e61878716bb2be3408bf0ff9f4b174d3a2fbcde607b724305b8493"),
+    (4, 10, 1): (3, "3bfd90dc9f8787864a453b3fd5cfd6d555fe29bb856d45489943859313e7bb64"),
+    (4, 3, 2): (136, "ee2dd65c986e2da79c47a6791013cd369d290f4c3da2beac8f82a24fa2b487e2"),
+    (4, 6, 2): (49, "abc92724e7a1630d2b9d389d7e4bf78fc2cc1f5b5aae81b54fe470cba92f3371"),
+    (4, 10, 2): (9, "0bd7fb54345bac36371627b1d0e32f16dc47f2cce49d42f311748ad1d934f77d"),
+    (4, 12, 2): (9, "0bd7fb54345bac36371627b1d0e32f16dc47f2cce49d42f311748ad1d934f77d"),
+}
+
+
+@pytest.mark.parametrize("cell", list(PINNED_WITNESSES),
+                         ids=lambda c: "-".join(map(str, c)))
+def test_exact_witness_matches_its_pinned_digest(cell):
+    size, book = exact_max_code(*cell)
+    digits = sorted(w.to_digits() for w in book.words)
+    digest = hashlib.sha256("\n".join(digits).encode()).hexdigest()
+    assert size == len(digits)
+    assert (len(digits), digest) == PINNED_WITNESSES[cell]
+
+
+def _adjacency(nv, edges):
+    adj = [0] * nv
+    for i, j in edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj
+
+
+def test_lowest_max_clique_does_not_take_a_two_miss_candidate():
+    # The only triangle is {1, 2, 3}; vertex 0 misses two of its members
+    # and lies on no triangle, so it must not be taken.
+    adj = _adjacency(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
+    assert sv._lowest_max_clique(adj, range(4)) == [1, 2, 3]
+
+
+def test_lowest_max_clique_swaps_in_a_one_miss_candidate():
+    # Triangles {0, 2, 3} and {1, 2, 3}; in order 1, 0, 2, 3 the first is
+    # 1, 2, 3 whichever triangle the search found first.
+    adj = _adjacency(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+    assert sv._lowest_max_clique(adj, [1, 0, 2, 3]) == [1, 2, 3]
+    assert sv._lowest_max_clique(adj, [0, 1, 2, 3]) == [0, 2, 3]
+
+
+@st.composite
+def small_graphs(draw):
+    nv = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+    edges = [p for p in pairs if draw(st.booleans())]
+    order = draw(st.permutations(range(nv)))
+    return _adjacency(nv, edges), order
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_lowest_max_clique_agrees_with_brute_force(graph):
+    adj, order = graph
+    nv = len(adj)
+    rank = {v: r for r, v in enumerate(order)}
+    cliques = [
+        sorted(c, key=rank.get)
+        for size in range(1, nv + 1)
+        for c in combinations(range(nv), size)
+        if all((adj[i] >> j) & 1 for i, j in combinations(c, 2))
+    ]
+    top = max(len(c) for c in cliques)
+    want = min((c for c in cliques if len(c) == top), key=lambda c: [rank[v] for v in c])
+    assert sv._lowest_max_clique(adj, order) == want
 
 
 def test_exact_full_space_and_empty_regimes():
