@@ -279,22 +279,30 @@ def lee_distance(u, v, q: int = 4) -> int:
 
 @dataclass(frozen=True)
 class Automorphism:
-    """A distance-preserving map: permute positions, then complement some.
+    """A distance-preserving map: permute positions, then complement
+    some, then swap the strands at some.
 
-    ``sigma[i]`` is the source position for output position i, and bit i
-    of ``z`` says whether both strand bits at output position i are
-    complemented.
+    ``sigma[i]`` is the source position for output position i; bit i of
+    ``z`` says whether both strand bits at output position i are
+    complemented, and bit i of ``s`` whether the two strand bits there
+    are then exchanged.  These maps form the metric's whole isometry
+    group, of order 4^n * n!.  It keeps the number of mixed positions,
+    ``pair_weight``, and is transitive on the words with any one count,
+    so it has exactly n + 1 word orbits.
     """
 
     n: int
     sigma: tuple[int, ...]
     z: int
+    s: int = 0
 
     def __post_init__(self):
         if sorted(self.sigma) != list(range(self.n)):
             raise ValueError("sigma is not a permutation of range(n)")
         if not (0 <= self.z < (1 << self.n)):
             raise ValueError("complement mask out of range")
+        if not (0 <= self.s < (1 << self.n)):
+            raise ValueError("strand-swap mask out of range")
 
 
 def apply_automorphism(x: PairedWord, pi: Automorphism) -> PairedWord:
@@ -306,7 +314,8 @@ def apply_automorphism(x: PairedWord, pi: Automorphism) -> PairedWord:
         flip = (pi.z >> i) & 1
         a |= (((x.a >> src) & 1) ^ flip) << i
         b |= (((x.b >> src) & 1) ^ flip) << i
-    return PairedWord(x.n, a, b)
+    swap = (a ^ b) & pi.s  # exchanging equal bits changes nothing
+    return PairedWord(x.n, a ^ swap, b ^ swap)
 
 
 def all_words(n: int):

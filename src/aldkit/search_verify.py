@@ -5,7 +5,8 @@ Three layers of certainty, all exact:
 * ``min_distance`` finds the closest pair of an explicit codebook by a
   branch-and-bound walk over positions, every later word at once.
 * ``exact_max_code`` finds the true largest code by branch-and-bound
-  maximum-clique search on the distinguishability graph.
+  maximum-clique search on the distinguishability graph, one search
+  per word orbit of the metric's isometry group.
 * ``sandwich_check`` squeezes the exact value between verified
   constructive lower bounds and every applicable upper bound, reporting
   any violation as an implementation bug.
@@ -24,7 +25,7 @@ from functools import lru_cache
 
 from .codes import (ENUM_LIMIT_N, Codebook, best_cn_coset, build_cl, build_cp,
                     OddPrimeField)
-from .core import BudgetExceeded, PairedWord, ald_distance, all_words
+from .core import BudgetExceeded, PairedWord, ald_distance, all_words, pair_weight
 from .delsarte import delsarte_bound
 from .hyperbound import (
     lp_hypergraph_bound,
@@ -260,17 +261,41 @@ def _max_clique(adj, cand: int, lower: int = 0, stop_at: int = None) -> tuple:
     return best, members
 
 
-def _lowest_max_clique(adj, order) -> list:
+def _orbit_max_clique(adj, orbits) -> int:
+    """A maximum clique, as a bitmask.
+
+    ``orbits`` are bitmasks of the orbits of a group of automorphisms
+    of the graph, together covering every vertex.  One search per
+    orbit, through its lowest vertex r, among r's neighbours in this
+    and later orbits: an automorphism maps any clique so that its
+    member in the first orbit it meets becomes r, and since
+    automorphisms fix every orbit, the image still avoids the earlier
+    ones.
+    """
+    best, clique = 0, 0
+    allowed = sum(orbits)
+    for orbit in orbits:
+        r = (orbit & -orbit).bit_length() - 1
+        # Never below 0: an empty neighbourhood still leaves the clique {r}.
+        found, members = _max_clique(adj, adj[r] & allowed, max(best - 1, 0))
+        if found + 1 > best:
+            best, clique = found + 1, members | (1 << r)
+        allowed &= ~orbit
+    return clique
+
+
+def _lowest_max_clique(adj, order, witness: int) -> list:
     """The maximum clique that comes first in ``order``, as a list in that order.
 
-    Greedy extension: a vertex is taken when some maximum clique of the
-    remaining candidates contains it.  What is left of one such clique,
-    the witness, answers most of these questions: a vertex in it, or
-    one non-adjacent to exactly one of its members (which it then
-    replaces), is taken without a search.
+    ``witness`` is any maximum clique, as a bitmask.  Greedy extension:
+    a vertex is taken when some maximum clique of the remaining
+    candidates contains it.  What is left of the witness answers most
+    of these questions: a vertex in it, or one non-adjacent to exactly
+    one of its members (which it then replaces), is taken without a
+    search.
     """
     full = (1 << len(adj)) - 1
-    size, witness = _max_clique(adj, full)
+    size = witness.bit_count()
     # Invariant: ``witness`` is a clique of ``need`` vertices inside
     # ``cand``, and no clique inside ``cand`` is larger.
     chosen = []
@@ -298,11 +323,56 @@ def _lowest_max_clique(adj, order) -> list:
     return chosen
 
 
+def _renumber(rows, pos) -> list:
+    """The graph with vertex v renamed ``pos[v]``, rows as bitmasks.
+
+    Set bits are moved one at a time while there are no more of them
+    than byte tables would hold entries, as in a small or sparse graph;
+    otherwise ``_renumber_by_bytes`` is cheaper.
+    """
+    if sum(map(int.bit_count, rows)) > 256 * ((len(rows) + 7) // 8):
+        return _renumber_by_bytes(rows, pos)
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        moved = 0
+        while row:
+            low = row & -row
+            moved |= 1 << pos[low.bit_length() - 1]
+            row ^= low
+        out[pos[v]] = moved
+    return out
+
+
+def _renumber_by_bytes(rows, pos) -> list:
+    """``_renumber`` through per-byte tables.
+
+    A row is read a byte at a time: the table of each 8-vertex chunk
+    holds, for every byte value, the OR of ``1 << pos[v]`` over the
+    chunk's vertices v whose bits it sets.  The chunks' images are
+    disjoint, so the OR of their entries is their sum.
+    """
+    tables = []
+    for base in range(0, len(rows), 8):
+        table = [0]
+        for p in pos[base:base + 8]:
+            bit = 1 << p
+            table += [t | bit for t in table]
+        tables.append(table)
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        chunks = row.to_bytes(len(tables), "little")
+        out[pos[v]] = sum(map(list.__getitem__, tables, chunks))
+    return out
+
+
 def exact_max_code(n: int, d: int, lam: int):
     """Exact largest code size, with a reproducible maximizing codebook.
 
-    The witness is the lexicographically lowest maximum codebook in
-    digit order, found by greedy extension (``_lowest_max_clique``).
+    Optimality is proved once per word orbit of the metric's isometry
+    group (``core.Automorphism``), whose n + 1 orbits are the words with
+    a given number of mixed positions; see ``_orbit_max_clique``.  The
+    witness is the lexicographically lowest maximum codebook in digit
+    order, found by greedy extension (``_lowest_max_clique``).
     """
     graph = distance_graph(n, d, lam)
     nv = len(graph.vertices)
@@ -311,16 +381,12 @@ def exact_max_code(n: int, d: int, lam: int):
     pos = [0] * nv
     for k, v in enumerate(perm):
         pos[v] = k
-    padj = [0] * nv
+    padj = _renumber(graph.adjacency, pos)
+    orbits = [0] * (n + 1)
     for k, v in enumerate(perm):
-        mask = graph.adjacency[v]
-        remapped = 0
-        while mask:
-            w = (mask & -mask).bit_length() - 1
-            mask &= mask - 1
-            remapped |= 1 << pos[w]
-        padj[k] = remapped
-    chosen = _lowest_max_clique(padj, pos)
+        orbits[pair_weight(graph.vertices[v])] |= 1 << k
+    orbits.sort(key=int.bit_count, reverse=True)  # largest first
+    chosen = _lowest_max_clique(padj, pos, _orbit_max_clique(padj, orbits))
     size = len(chosen)
     words = tuple(graph.vertices[perm[k]] for k in chosen)
     book = Codebook(

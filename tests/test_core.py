@@ -161,11 +161,53 @@ def test_automorphisms_preserve_distance(pair, lam, rng):
     x, y = pair
     sigma = list(range(x.n))
     rng.shuffle(sigma)
-    pi = Automorphism(x.n, tuple(sigma), rng.getrandbits(x.n))
+    pi = Automorphism(x.n, tuple(sigma), rng.getrandbits(x.n), rng.getrandbits(x.n))
     assert ald_distance(apply_automorphism(x, pi), apply_automorphism(y, pi), lam) == (
         ald_distance(x, y, lam)
     )
     assert pair_weight(apply_automorphism(x, pi)) == pair_weight(x)
+
+
+def _generators(n):
+    """Adjacent transpositions, and a complement and a strand swap at each position."""
+    ident = tuple(range(n))
+    for i in range(n - 1):
+        sigma = list(ident)
+        sigma[i], sigma[i + 1] = i + 1, i
+        yield Automorphism(n, tuple(sigma), 0)
+    for i in range(n):
+        yield Automorphism(n, ident, 1 << i)
+        yield Automorphism(n, ident, 0, 1 << i)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_isometry_group_orbits_are_the_mixed_position_counts(n):
+    words = list(all_words(n))
+    gens = list(_generators(n))
+    images = {w: [apply_automorphism(w, g) for g in gens] for w in words}
+    for lam in (1, 2, 3):
+        dist = {(x, y): ald_distance(x, y, lam) for x in words for y in words}
+        for i, g in enumerate(gens):
+            assert all(
+                dist[images[x][i], images[y][i]] == d for (x, y), d in dist.items()
+            ), (g, lam)
+    orbits = []
+    unseen = set(words)
+    while unseen:
+        frontier = [unseen.pop()]
+        orbit = set(frontier)
+        while frontier:
+            for image in images[frontier.pop()]:
+                if image not in orbit:
+                    orbit.add(image)
+                    unseen.discard(image)
+                    frontier.append(image)
+        orbits.append(orbit)
+    classes = {}
+    for w in words:
+        classes.setdefault(pair_weight(w), set()).add(w)
+    assert sorted(map(sorted, orbits)) == sorted(map(sorted, classes.values()))
+    assert len(orbits) == n + 1
 
 
 def test_automorphism_validation():
@@ -173,6 +215,8 @@ def test_automorphism_validation():
         Automorphism(2, (0, 0), 0)
     with pytest.raises(ValueError):
         Automorphism(2, (0, 1), 4)
+    with pytest.raises(ValueError):
+        Automorphism(2, (0, 1), 0, 4)
     with pytest.raises(ValueError):
         apply_automorphism(PairedWord(3, 0, 0), Automorphism(2, (1, 0), 0))
 
@@ -183,6 +227,15 @@ def test_complement_automorphism_swaps_pure_symbols():
     assert apply_automorphism(w, pi).to_digits() == "30"
     single = Automorphism(1, (0,), 1)
     assert apply_automorphism(PairedWord.from_digits("1"), single).to_digits() == "2"
+
+
+def test_strand_swap_exchanges_mixed_symbols_after_the_complement():
+    swap = Automorphism(4, (0, 1, 2, 3), 0, 0b1111)
+    word = PairedWord.from_digits("0123")
+    assert apply_automorphism(word, swap).to_digits() == "0213"
+    both = Automorphism(2, (1, 0), 0b01, 0b11)
+    # permuted to "10", complemented to "20", then swapped to "10"
+    assert apply_automorphism(PairedWord.from_digits("01"), both).to_digits() == "10"
 
 
 def test_all_words_enumeration():

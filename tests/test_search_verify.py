@@ -1,5 +1,6 @@
 import hashlib
 import math
+from functools import lru_cache
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -8,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import aldkit.search_verify as sv
 from aldkit.codes import Codebook, build_cl, build_cp
-from aldkit.core import BudgetExceeded, PairedWord, ald_distance, all_words
+from aldkit.core import BudgetExceeded, PairedWord, ald_distance, all_words, pair_weight
 from aldkit.search_verify import (
     DistanceGraph,
     averaging_lower_bound,
@@ -178,12 +179,18 @@ KNOWN_OPTIMA = [
     ((1, 3, 1), 2),
     ((2, 2, 1), 10),
     ((2, 3, 1), 5),
+    ((4, 6, 1), 11),
 ]
+
+
+# exact_max_code is deterministic; the cells pinned twice, below and in
+# PINNED_WITNESSES, are searched once.
+_exact = lru_cache(maxsize=None)(exact_max_code)
 
 
 @pytest.mark.parametrize("cell,want", KNOWN_OPTIMA)
 def test_exact_values(cell, want):
-    size, book = exact_max_code(*cell)
+    size, book = _exact(*cell)
     assert size == want
     assert len(book) == want
     n, d, lam = cell
@@ -203,8 +210,10 @@ def test_exact_witnesses_are_lexicographically_lowest():
 
 # Size and SHA-256 of the newline-joined sorted digit strings of the
 # witness, as the pair-by-pair search first found it: every n = 3 cell
-# with d <= 10 and the ten n = 4 cells the benchmark times.  A faster
-# search must return the same lexicographically lowest maximum code.
+# with d <= 10 and the ten n = 4 cells the benchmark times; (4, 6, 1)
+# as the search before the orbit reduction found it, in about 40 s.  A
+# faster search must return the same lexicographically lowest maximum
+# code.
 PINNED_WITNESSES = {
     (3, 1, 1): (64, "f169a41eafba72f881d310a193c53528f7354a8733769f3efcf9547ce3ca1e9f"),
     (3, 2, 1): (36, "49da666952e020b1da5847a84ad1b81fbab4dd4d70c07093ea9dee3f177f9819"),
@@ -236,13 +245,14 @@ PINNED_WITNESSES = {
     (4, 6, 2): (49, "abc92724e7a1630d2b9d389d7e4bf78fc2cc1f5b5aae81b54fe470cba92f3371"),
     (4, 10, 2): (9, "0bd7fb54345bac36371627b1d0e32f16dc47f2cce49d42f311748ad1d934f77d"),
     (4, 12, 2): (9, "0bd7fb54345bac36371627b1d0e32f16dc47f2cce49d42f311748ad1d934f77d"),
+    (4, 6, 1): (11, "4f2c803daf3a6ab535c82f55467116007a2e3b8d5bada1339c41224023840c7d"),
 }
 
 
 @pytest.mark.parametrize("cell", list(PINNED_WITNESSES),
                          ids=lambda c: "-".join(map(str, c)))
 def test_exact_witness_matches_its_pinned_digest(cell):
-    size, book = exact_max_code(*cell)
+    size, book = _exact(*cell)
     digits = sorted(w.to_digits() for w in book.words)
     digest = hashlib.sha256("\n".join(digits).encode()).hexdigest()
     assert size == len(digits)
@@ -257,19 +267,27 @@ def _adjacency(nv, edges):
     return adj
 
 
+def _lowest(adj, order):
+    """``_lowest_max_clique`` started from whichever maximum clique the search finds."""
+    _, witness = sv._max_clique(adj, (1 << len(adj)) - 1)
+    return sv._lowest_max_clique(adj, order, witness)
+
+
 def test_lowest_max_clique_does_not_take_a_two_miss_candidate():
     # The only triangle is {1, 2, 3}; vertex 0 misses two of its members
     # and lies on no triangle, so it must not be taken.
     adj = _adjacency(4, [(0, 3), (1, 2), (1, 3), (2, 3)])
-    assert sv._lowest_max_clique(adj, range(4)) == [1, 2, 3]
+    assert _lowest(adj, range(4)) == [1, 2, 3]
 
 
 def test_lowest_max_clique_swaps_in_a_one_miss_candidate():
     # Triangles {0, 2, 3} and {1, 2, 3}; in order 1, 0, 2, 3 the first is
     # 1, 2, 3 whichever triangle the search found first.
     adj = _adjacency(4, [(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
-    assert sv._lowest_max_clique(adj, [1, 0, 2, 3]) == [1, 2, 3]
-    assert sv._lowest_max_clique(adj, [0, 1, 2, 3]) == [0, 2, 3]
+    assert _lowest(adj, [1, 0, 2, 3]) == [1, 2, 3]
+    assert _lowest(adj, [0, 1, 2, 3]) == [0, 2, 3]
+    for witness in (0b1101, 0b1110):
+        assert sv._lowest_max_clique(adj, [1, 0, 2, 3], witness) == [1, 2, 3]
 
 
 @st.composite
@@ -295,12 +313,80 @@ def test_lowest_max_clique_agrees_with_brute_force(graph):
     ]
     top = max(len(c) for c in cliques)
     want = min((c for c in cliques if len(c) == top), key=lambda c: [rank[v] for v in c])
-    assert sv._lowest_max_clique(adj, order) == want
+    assert _lowest(adj, order) == want
+
+
+def _renumber_bit_by_bit(rows, pos):
+    out = [0] * len(rows)
+    for v, row in enumerate(rows):
+        for w in range(len(rows)):
+            if (row >> w) & 1:
+                out[pos[v]] |= 1 << pos[w]
+    return out
+
+
+@st.composite
+def renamed_graphs(draw):
+    """Random rows and a random renaming of their vertices: rows on
+    1..40 vertices (any count, not only multiples of 8), or rows on
+    48..64 vertices with about 7 bits in 8 set, dense enough for the
+    byte tables."""
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        nv = draw(st.integers(1, 40))
+        rows = [rng.getrandbits(nv) for _ in range(nv)]
+    else:
+        nv = draw(st.integers(48, 64))
+        full = (1 << nv) - 1
+        rows = [
+            full & ~(rng.getrandbits(nv) & rng.getrandbits(nv) & rng.getrandbits(nv))
+            for _ in range(nv)
+        ]
+    pos = draw(st.permutations(range(nv)))
+    return rows, pos
+
+
+@settings(max_examples=60, deadline=None)
+@given(renamed_graphs())
+def test_renumber_agrees_with_a_bit_by_bit_remap(graph):
+    rows, pos = graph
+    want = _renumber_bit_by_bit(rows, pos)
+    assert sv._renumber_by_bytes(rows, pos) == want
+    assert sv._renumber(rows, pos) == want
+
+
+ORBIT_CELLS = [
+    (n, d, lam) for lam in (1, 2) for n in (1, 2, 3) for d in range(1, 13)
+] + [cell for cell in PINNED_WITNESSES if cell[0] == 4 and cell != (4, 6, 1)] + [
+    (1, 100, 1),
+]
+
+
+def test_orbit_reduced_search_finds_a_maximum_clique():
+    # Against the unreduced search, in the degree order exact_max_code
+    # uses.  For n = 1 and d past the diameter every neighbourhood is
+    # empty, and the answer is a single word.
+    for n, d, lam in ORBIT_CELLS:
+        graph = distance_graph(n, d, lam)
+        nv = len(graph.vertices)
+        perm = sorted(range(nv), key=lambda v: (-graph.degree(v), v))
+        pos = {v: k for k, v in enumerate(perm)}
+        adj = sv._renumber(graph.adjacency, [pos[v] for v in range(nv)])
+        orbits = [
+            sum(1 << pos[v] for v in range(nv) if pair_weight(graph.vertices[v]) == m)
+            for m in range(n + 1)
+        ]
+        orbits.sort(key=int.bit_count, reverse=True)
+        clique = sv._orbit_max_clique(adj, orbits)
+        members = [v for v in range(nv) if (clique >> v) & 1]
+        assert all((adj[v] >> w) & 1 for v, w in combinations(members, 2))
+        assert len(members) == sv._max_clique(adj, (1 << nv) - 1)[0], (n, d, lam)
 
 
 def test_exact_full_space_and_empty_regimes():
     size, book = exact_max_code(2, 1, 1)
     assert size == 16
+    assert exact_max_code(1, 5, 1)[0] == 1
     size, book = exact_max_code(1, 100, 1)
     assert size == 1
     assert book.words[0] == PairedWord(1, 0, 0)
