@@ -5,8 +5,8 @@ Three layers of certainty, all exact:
 * ``min_distance`` finds the closest pair of an explicit codebook by a
   branch-and-bound walk over positions, every later word at once.
 * ``exact_max_code`` finds the true largest code by branch-and-bound
-  maximum-clique search on the distinguishability graph, one search
-  per word orbit of the metric's isometry group.
+  maximum-clique search on the distinguishability graph, branching
+  once per orbit of the metric's isometry group at its top levels.
 * ``sandwich_check`` squeezes the exact value between verified
   constructive lower bounds and every applicable upper bound, reporting
   any violation as an implementation bug.
@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .codes import (ENUM_LIMIT_N, Codebook, best_cn_coset, build_cl, build_cp,
                     OddPrimeField)
-from .core import BudgetExceeded, PairedWord, ald_distance, all_words, pair_weight
+from .core import BudgetExceeded, PairedWord, ald_distance
 from .delsarte import delsarte_bound
 from .hyperbound import (
     lp_hypergraph_bound,
@@ -39,6 +39,10 @@ from .hyperbound import (
 WORD_BUDGET = 4 ** ENUM_LIMIT_N
 # Exhaustive clique search caps at 4^4 = 256 vertices.
 SEARCH_LIMIT_N = 4
+# Levels of the clique search that drop a whole orbit after each branch.
+# For (4,6,1): about 1.1 s with one level, 0.24 s with two, 0.07 s with
+# three and 0.15 s with all, where orbits cost more than they save.
+ORBIT_LEVELS = 3
 
 
 class _Found(Exception):
@@ -63,20 +67,44 @@ def symbol_distance_table(lam: int) -> tuple:
 
 
 def _position_costs(lam: int) -> tuple:
-    """``costs[s][t]``: the distance one position contributes, symbol s against t."""
-    return tuple(
-        tuple(
-            ald_distance(PairedWord(1, s & 1, s >> 1), PairedWord(1, t & 1, t >> 1), lam)
-            for t in range(4)
-        )
-        for s in range(4)
-    )
+    """``costs[s][t]``: the distance one position contributes, symbol s against t.
+
+    Read from ``symbol_distance_table``, at chunks whose second
+    position holds (0;0) in both words and so adds nothing.
+    """
+    table = symbol_distance_table(lam)
+    nibble = [(s & 1) | ((s >> 1) << 2) for s in range(4)]
+    return tuple(tuple(table[(x << 4) | y] for y in nibble) for x in nibble)
+
+
+def _digit_order(n: int) -> tuple:
+    """Every word of length n, in the order of ``PairedWord.to_digits``.
+
+    Digit 2x + y stands for the symbol (x;y), and position 0 is the
+    leading digit, so words are built from the last position forward.
+    """
+    strands = [(0, 0)]
+    for k in range(n - 1, -1, -1):
+        strands = [
+            (a | ((digit >> 1) << k), b | ((digit & 1) << k))
+            for digit in range(4)
+            for a, b in strands
+        ]
+    return tuple(PairedWord(n, a, b) for a, b in strands)
+
+
+# _BIT_DIGITS[k][v]: bit k of the byte v, as the digit b"0" or b"1".
+_BIT_DIGITS = tuple(bytes(b"01"[(v >> k) & 1] for v in range(256)) for k in range(8))
 
 
 def _strand_columns(values, n: int) -> list:
     """Per position k, the bitmask of list indices whose value has bit k set."""
-    rows = [format(v, f"0{n}b") for v in values]  # position n-1 first
-    return [int("".join(col)[::-1], 2) for col in zip(*rows)][::-1]
+    columns = []
+    for base in range(0, n, 8):
+        # one byte of each value, the last value first, so index 0 is bit 0
+        lane = bytes([(v >> base) & 255 for v in reversed(values)])
+        columns += [int(lane.translate(_BIT_DIGITS[k]), 2) for k in range(min(8, n - base))]
+    return columns
 
 
 def _symbol_index(words, n: int) -> list:
@@ -181,7 +209,7 @@ def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
         raise BudgetExceeded(
             f"graph on 4^{n} vertices exceeds the 4^{SEARCH_LIMIT_N} search budget"
         )
-    vertices = tuple(sorted(all_words(n), key=PairedWord.to_digits))
+    vertices = _digit_order(n)
     have = _symbol_index(vertices, n)
     costs = _position_costs(lam)
     full = (1 << len(vertices)) - 1
@@ -258,29 +286,108 @@ def _max_clique(adj, cand: int, lower: int = 0, stop_at: int = None) -> tuple:
         expand(0, cand, 0)
     except _Found:
         pass
+    # expand refers to itself; unlinking it frees what it holds now,
+    # not at the next garbage collection.
+    del expand
     return best, members
 
 
-def _orbit_max_clique(adj, orbits) -> int:
-    """A maximum clique, as a bitmask.
+def _swap_strands(symbol: int) -> int:
+    return ((symbol & 1) << 1) | (symbol >> 1)
 
-    ``orbits`` are bitmasks of the orbits of a group of automorphisms
-    of the graph, together covering every vertex.  One search per
-    orbit, through its lowest vertex r, among r's neighbours in this
-    and later orbits: an automorphism maps any clique so that its
-    member in the first orbit it meets becomes r, and since
-    automorphisms fix every orbit, the image still avoids the earlier
-    ones.
+
+@lru_cache(maxsize=None)
+def _column_parts(fixed: tuple) -> tuple:
+    """The four symbols, grouped by the class of the column ``fixed``
+    extends to with them.
+
+    ``fixed`` holds the symbols some words have at one position.  Two
+    columns are in one class when one of the four maps a position
+    allows (identity, complement, strand swap, both) carries one onto
+    the other; each class is named by its smallest member.
     """
+    groups = {}
+    for t in range(4):
+        column = fixed + (t,)
+        swapped = tuple(map(_swap_strands, column))
+        name = min(column, tuple(s ^ 3 for s in column), swapped,
+                   tuple(s ^ 3 for s in swapped))
+        groups.setdefault(name, []).append(t)
+    return tuple((name, tuple(symbols)) for name, symbols in groups.items())
+
+
+def _stabilizer_orbits(have, columns) -> list:
+    """Orbits of the isometries that fix some words, as bitmasks.
+
+    ``have`` is the symbol index of all words and ``columns[k]`` the
+    tuple of the fixed words' symbols at position k.  Two words share
+    an orbit when each class of ``_column_parts`` takes equally many of
+    their positions: a permutation pairs those positions, and
+    per-position maps carry each column onto its partner.  With no
+    word fixed the orbits are the n + 1 classes of ``pair_weight``.
+    """
+    shift = len(have).bit_length()  # bits enough for a count of positions
+    kinds = {}
+    classes = {0: -1}  # counts so far -> words; -1 holds every word
+    for col, fixed in zip(have, columns):
+        parts = []
+        for name, symbols in _column_parts(fixed):
+            part = 0
+            for t in symbols:
+                part |= col[t]
+            parts.append((1 << (shift * kinds.setdefault(name, len(kinds))), part))
+        refined = {}
+        for key, mask in classes.items():
+            for step, part in parts:
+                sub = mask & part
+                if sub:
+                    refined[key + step] = refined.get(key + step, 0) | sub
+        classes = refined
+    return list(classes.values())
+
+
+def _orbit_max_clique(adj, words) -> int:
+    """A maximum clique of the distance graph on ``words``, as a bitmask.
+
+    ``_max_clique``'s search, except that in its first ``ORBIT_LEVELS``
+    levels a branch on v ends by dropping v's whole orbit under the
+    isometries that fix the vertices already chosen, not v alone.  Such
+    an isometry maps any clique through the chosen vertices and a
+    member of that orbit onto one through v, and it maps the remaining
+    candidates onto themselves, as they are what is left of whole
+    orbits; so v's branch has already met a clique that large.  At the
+    top, where nothing is fixed, that leaves n + 1 branches, one per
+    value of ``pair_weight``.
+    """
+    n = words[0].n
+    have = _symbol_index(words, n)
     best, clique = 0, 0
-    allowed = sum(orbits)
-    for orbit in orbits:
-        r = (orbit & -orbit).bit_length() - 1
-        # Never below 0: an empty neighbourhood still leaves the clique {r}.
-        found, members = _max_clique(adj, adj[r] & allowed, max(best - 1, 0))
-        if found + 1 > best:
-            best, clique = found + 1, members | (1 << r)
-        allowed &= ~orbit
+
+    def expand(chosen: tuple, cand: int, members: int) -> None:
+        nonlocal best, clique
+        size = len(chosen)
+        if size == ORBIT_LEVELS:
+            found, sub = _max_clique(adj, cand, max(best - size, 0))
+            if found + size > best:
+                best, clique = found + size, members | sub
+            return
+        columns = list(zip(*chosen)) if chosen else [()] * n
+        orbits = None
+        for v, color in reversed(_color_order(cand, adj)):
+            if size + color <= best:
+                return
+            if not (cand >> v) & 1:
+                continue  # dropped with an earlier vertex's orbit
+            grown = members | (1 << v)
+            if size + 1 > best:
+                best, clique = size + 1, grown
+            expand(chosen + (tuple(_symbols(words[v])),), cand & adj[v], grown)
+            if orbits is None:
+                orbits = _stabilizer_orbits(have, columns)
+            cand &= ~next(o for o in orbits if (o >> v) & 1)
+
+    expand((), (1 << len(adj)) - 1, 0)
+    del expand  # as in _max_clique
     return clique
 
 
@@ -326,26 +433,6 @@ def _lowest_max_clique(adj, order, witness: int) -> list:
 def _renumber(rows, pos) -> list:
     """The graph with vertex v renamed ``pos[v]``, rows as bitmasks.
 
-    Set bits are moved one at a time while there are no more of them
-    than byte tables would hold entries, as in a small or sparse graph;
-    otherwise ``_renumber_by_bytes`` is cheaper.
-    """
-    if sum(map(int.bit_count, rows)) > 256 * ((len(rows) + 7) // 8):
-        return _renumber_by_bytes(rows, pos)
-    out = [0] * len(rows)
-    for v, row in enumerate(rows):
-        moved = 0
-        while row:
-            low = row & -row
-            moved |= 1 << pos[low.bit_length() - 1]
-            row ^= low
-        out[pos[v]] = moved
-    return out
-
-
-def _renumber_by_bytes(rows, pos) -> list:
-    """``_renumber`` through per-byte tables.
-
     A row is read a byte at a time: the table of each 8-vertex chunk
     holds, for every byte value, the OR of ``1 << pos[v]`` over the
     chunk's vertices v whose bits it sets.  The chunks' images are
@@ -370,9 +457,11 @@ def exact_max_code(n: int, d: int, lam: int):
 
     Optimality is proved once per word orbit of the metric's isometry
     group (``core.Automorphism``), whose n + 1 orbits are the words with
-    a given number of mixed positions; see ``_orbit_max_clique``.  The
-    witness is the lexicographically lowest maximum codebook in digit
-    order, found by greedy extension (``_lowest_max_clique``).
+    a given number of mixed positions, and at the next two levels once
+    per orbit of the isometries fixing the words chosen so far; see
+    ``_orbit_max_clique``.  (4,6,1) = 11 takes about 0.1 s this way.
+    The witness is the lexicographically lowest maximum codebook in
+    digit order, found by greedy extension (``_lowest_max_clique``).
     """
     graph = distance_graph(n, d, lam)
     nv = len(graph.vertices)
@@ -382,13 +471,10 @@ def exact_max_code(n: int, d: int, lam: int):
     for k, v in enumerate(perm):
         pos[v] = k
     padj = _renumber(graph.adjacency, pos)
-    orbits = [0] * (n + 1)
-    for k, v in enumerate(perm):
-        orbits[pair_weight(graph.vertices[v])] |= 1 << k
-    orbits.sort(key=int.bit_count, reverse=True)  # largest first
-    chosen = _lowest_max_clique(padj, pos, _orbit_max_clique(padj, orbits))
+    ordered = [graph.vertices[v] for v in perm]
+    chosen = _lowest_max_clique(padj, pos, _orbit_max_clique(padj, ordered))
     size = len(chosen)
-    words = tuple(graph.vertices[perm[k]] for k in chosen)
+    words = tuple(ordered[k] for k in chosen)
     book = Codebook(
         n=n,
         lam=lam,
