@@ -1,21 +1,25 @@
 """Sphere and ball sizes under the asymmetric Lee distance.
 
 Ball sizes depend only on the length and the weight of the centre (the
-number of positions with disagreeing strands).  A word at distance
-exactly r from a weight-w centre is reached by choosing m of the w
-mixed positions for class-1 swaps, k of the n - w pure positions for
-class-3 swaps, and l of the remaining positions for class-2 flips (two
-choices each), subject to (2k + l)(1 + lam) + lam * m = r.
+number of positions with disagreeing strands).  One census counts them:
+around a weight-i centre a word is reached by m cheap swaps at
+disagreeing positions and k expensive swaps at agreeing ones (weight
+unchanged), and by single-bit flips at l- disagreeing positions (weight
+down one) and l+ agreeing ones (weight up one), two choices each, at
+cost (1 + lam)(l- + l+ + 2k) + lam * m.  ``class_matrix`` splits each
+ball by the weight of its members, ``ball_size`` sums a row of it, and
+``sphere_size`` is the difference of two ball sizes.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
 from .core import BudgetExceeded, PairedWord, _check_lambda, classify_position
 
-__all__ = ["sphere_size", "ball_size", "enumerate_ball"]
+__all__ = ["ClassMatrix", "class_matrix", "sphere_size", "ball_size", "enumerate_ball"]
 
 _ENUM_MAX_N = 12
 
@@ -30,38 +34,80 @@ def _check_args(n: int, w: int, lam: int, r: int) -> None:
         raise ValueError("radius must be nonnegative")
 
 
+@dataclass(frozen=True)
+class ClassMatrix:
+    """Ball census by weight class.
+
+    ``entries[i][j]`` counts the words of weight j inside the radius-r
+    ball around a (any) word of weight i.
+    """
+
+    n: int
+    r: int
+    lam: int
+    entries: tuple
+
+    def entry(self, i: int, j: int) -> int:
+        return self.entries[i][j]
+
+    def row(self, i: int):
+        return self.entries[i]
+
+
+def _census_row(n: int, i: int, lam: int, r: int) -> tuple:
+    """Words of each weight within distance r of a weight-i centre."""
+    row = [0] * (n + 1)
+    for m in range(i + 1):
+        if lam * m > r:
+            break
+        cm = comb(i, m)
+        for lminus in range(i - m + 1):
+            base_l = (1 + lam) * lminus + lam * m
+            if base_l > r:
+                break
+            cl = comb(i - m, lminus) * (2 ** lminus)
+            for k in range(n - i + 1):
+                base = base_l + (1 + lam) * 2 * k
+                if base > r:
+                    break
+                ck = comb(n - i, k)
+                for lplus in range(n - i - k + 1):
+                    if base + (1 + lam) * lplus > r:
+                        break
+                    j = i - lminus + lplus
+                    row[j] += (
+                        cm * cl * ck * comb(n - i - k, lplus) * (2 ** lplus)
+                    )
+    return tuple(row)
+
+
+def class_matrix(n: int, r: int, lam: int) -> ClassMatrix:
+    """Count ball members weight class by weight class (see the module
+    docstring for the census)."""
+    _check_lambda(lam)
+    if n < 1 or r < 0:
+        raise ValueError("need n >= 1 and r >= 0")
+    return ClassMatrix(n, r, lam, tuple(_census_row(n, i, lam, r) for i in range(n + 1)))
+
+
 @lru_cache(maxsize=None)
-def sphere_size(n: int, w: int, lam: int, r: int) -> int:
-    """Number of words at distance exactly r from a weight-w centre.
+def ball_size(n: int, w: int, lam: int, r: int) -> int:
+    """Number of words within distance r of a weight-w centre.
 
     Negative w is clamped to 0; callers indexing centres by shifted
     weights rely on that.
     """
     _check_args(n, w, lam, r)
-    w = max(w, 0)
+    return sum(_census_row(n, max(w, 0), lam, r))
+
+
+def sphere_size(n: int, w: int, lam: int, r: int) -> int:
+    """Number of words at distance exactly r from a weight-w centre,
+    with w clamped as in ``ball_size``."""
+    _check_args(n, w, lam, r)
     if r == 0:
         return 1
-    total = 0
-    for m in range(w + 1):
-        rem = r - lam * m
-        if rem < 0:
-            break
-        if rem % (1 + lam):
-            continue
-        budget = rem // (1 + lam)  # 2k + l
-        for k in range(budget // 2 + 1):
-            ell = budget - 2 * k
-            if k > n - w or ell > n - k - m:
-                continue
-            total += comb(w, m) * comb(n - w, k) * comb(n - k - m, ell) * (2 ** ell)
-    return total
-
-
-@lru_cache(maxsize=None)
-def ball_size(n: int, w: int, lam: int, r: int) -> int:
-    """Number of words within distance r of a weight-w centre."""
-    _check_args(n, w, lam, r)
-    return sum(sphere_size(n, w, lam, j) for j in range(r + 1))
+    return ball_size(n, w, lam, r) - ball_size(n, w, lam, r - 1)
 
 
 def enumerate_ball(centre: PairedWord, r: int, lam: int) -> set[PairedWord]:

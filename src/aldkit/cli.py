@@ -161,8 +161,9 @@ def cmd_dist(args) -> int:
 
 def cmd_ball(args) -> int:
     size = ball_size(args.n, args.w, args.lam, args.r)
+    # ball_size clamps a negative weight to 0; the centre refuses it
+    centre = canonical_weight_word(args.n, args.w)
     if args.enumerate:
-        centre = canonical_weight_word(args.n, args.w)
         members = enumerate_ball(centre, args.r, args.lam)
         for word in sorted(members, key=PairedWord.to_digits):
             print(_render(word, args.dna))

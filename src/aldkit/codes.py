@@ -311,6 +311,15 @@ def build_H01(v: int) -> BinaryParityCheck:
     )
 
 
+def _check_cl_params(v: int, u: int) -> int:
+    """Length n = 2^v - 2 of the strand-sum code with coset label u."""
+    if v < 2:
+        raise ValueError("need v >= 2")
+    if not (0 <= u < (1 << v)):
+        raise ValueError("coset label out of range")
+    return (1 << v) - 2
+
+
 def _cl_columns(v: int) -> tuple[int, ...]:
     # Column for first-strand position p is the integer p+1; every
     # second-strand column is all-ones, so that strand adds its parity.
@@ -329,11 +338,7 @@ def build_cl(v: int, u: int = 0) -> Codebook:
     Size is exactly 4**n / 2**v (the syndrome map is surjective).
     Minimum distance 3 at unit weighting, for every coset.
     """
-    if v < 2:
-        raise ValueError("need v >= 2")
-    if not (0 <= u < (1 << v)):
-        raise ValueError("coset label out of range")
-    n = (1 << v) - 2
+    n = _check_cl_params(v, u)
     return _syndrome_coset("cl", {"v": v, "u": u}, 3, _cl_columns(v), u,
                            4**n >> v)
 
@@ -347,11 +352,9 @@ def decode_cl(v: int, u: int, received: PairedWord, mode: str):
     when the syndrome is clean, else a DetectionFlag naming the strand
     (and position, for first-strand flips).
     """
-    n = (1 << v) - 2
+    n = _check_cl_params(v, u)
     if received.n != n:
         raise ValueError("received word length does not match v")
-    if not (0 <= u < (1 << v)):
-        raise ValueError("coset label out of range")
     ones = (1 << v) - 1
     s = _cl_syndrome(v, received) ^ u
     if mode == "detect_class2":
@@ -482,11 +485,7 @@ def build_partition_code(v: int, u: int = 0) -> Codebook:
     weight at most 7 whose disagreement subsequence lies in a distance-3
     component, plus words of weight at least 9 drawn from the strand-sum
     coset u.  Minimum distance 3 at unit weighting."""
-    if v < 2:
-        raise ValueError("need v >= 2")
-    if not (0 <= u < (1 << v)):
-        raise ValueError("coset label out of range")
-    n = (1 << v) - 2
+    n = _check_cl_params(v, u)
     components = {w: hamming_component(w) for w in (1, 3, 5, 7) if w <= n}
     columns = _cl_columns(v)
 

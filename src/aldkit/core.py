@@ -160,29 +160,22 @@ class PairedWord:
     @classmethod
     def from_digits(cls, text: str) -> "PairedWord":
         """Parse a word from quaternary digits, '0'=(0;0) '1'=(0;1) '2'=(1;0) '3'=(1;1)."""
-        a = 0
-        b = 0
-        for i, ch in enumerate(text):
-            try:
-                x, y = _DIGIT_TO_SYMBOL[ch]
-            except KeyError:
-                raise ValueError(f"invalid quaternary digit {ch!r} at position {i}") from None
-            a |= x << i
-            b |= y << i
-        if not text:
-            raise ValueError("empty word")
-        return cls(len(text), a, b)
+        return cls._parse(text, _DIGIT_TO_SYMBOL, "quaternary digit")
 
     @classmethod
     def from_dna(cls, text: str) -> "PairedWord":
         """Parse a word from DNA letters, G=(0;0) C=(0;1) T=(1;0) A=(1;1)."""
+        return cls._parse(text.upper(), _DNA_TO_SYMBOL, "DNA letter")
+
+    @classmethod
+    def _parse(cls, text: str, table: dict, what: str) -> "PairedWord":
         a = 0
         b = 0
-        for i, ch in enumerate(text.upper()):
+        for i, ch in enumerate(text):
             try:
-                x, y = _DNA_TO_SYMBOL[ch]
+                x, y = table[ch]
             except KeyError:
-                raise ValueError(f"invalid DNA letter {ch!r} at position {i}") from None
+                raise ValueError(f"invalid {what} {ch!r} at position {i}") from None
             a |= x << i
             b |= y << i
         if not text:

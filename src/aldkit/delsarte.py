@@ -144,9 +144,6 @@ class Q5:
         o = Q5.lift(o)
         return self.p == o.p and self.q == o.q and self.r == o.r
 
-    def __ne__(self, o):
-        return not self.__eq__(o)
-
     def __lt__(self, o):
         return (self - o)._sign() < 0
 

@@ -5,7 +5,8 @@ the maximum code size is at most the optimum of the fractional covering
 LP: put a weight on every word so that each ball collects total weight
 at least 1, minimising the total.  The automorphism group acts
 transitively on words of equal strand-disagreement weight, which folds
-the 4^n-variable LP down to n+1 weight classes.
+the 4^n-variable LP down to n+1 weight classes; ``balls.class_matrix``
+(imported here) counts each ball class by class.
 
 Besides the exact LP optimum this module evaluates three explicit
 feasible assignments with closed forms (reciprocal ball sizes, the
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .balls import ball_size
+from .balls import ClassMatrix, ball_size, class_matrix
 from .core import _check_lambda
 from .lp import LinearProgram, LPStatus, solve_linear_system, solve_lp
 
@@ -35,67 +36,6 @@ __all__ = [
     "weights1_bound",
     "packing_comparison",
 ]
-
-
-@dataclass(frozen=True)
-class ClassMatrix:
-    """Ball census by weight class.
-
-    ``entries[i][j]`` counts the words of weight j inside the radius-r
-    ball around a (any) word of weight i.
-    """
-
-    n: int
-    r: int
-    lam: int
-    entries: tuple
-
-    def entry(self, i: int, j: int) -> int:
-        return self.entries[i][j]
-
-    def row(self, i: int):
-        return self.entries[i]
-
-
-def class_matrix(n: int, r: int, lam: int) -> ClassMatrix:
-    """Count ball members weight class by weight class.
-
-    Around a weight-i centre: m cheap swaps at disagreeing positions
-    (weight unchanged), k expensive swaps at agreeing positions (weight
-    unchanged), l- single-bit flips at disagreeing positions (weight
-    down one, two bit choices) and l+ at agreeing positions (weight up
-    one, two choices), with total cost
-    (1+lam)(l- + l+ + 2k) + lam*m <= r.
-    """
-    _check_lambda(lam)
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
-    rows = []
-    for i in range(n + 1):
-        row = [0] * (n + 1)
-        for m in range(i + 1):
-            if lam * m > r:
-                break
-            cm = comb(i, m)
-            for lminus in range(i - m + 1):
-                base_l = (1 + lam) * lminus + lam * m
-                if base_l > r:
-                    break
-                cl = comb(i - m, lminus) * (2 ** lminus)
-                for k in range(n - i + 1):
-                    base = base_l + (1 + lam) * 2 * k
-                    if base > r:
-                        break
-                    ck = comb(n - i, k)
-                    for lplus in range(n - i - k + 1):
-                        if base + (1 + lam) * lplus > r:
-                            break
-                        j = i - lminus + lplus
-                        row[j] += (
-                            cm * cl * ck * comb(n - i - k, lplus) * (2 ** lplus)
-                        )
-        rows.append(tuple(row))
-    return ClassMatrix(n, r, lam, tuple(rows))
 
 
 @dataclass(frozen=True)

@@ -255,23 +255,39 @@ def _color_order(cand: int, adj) -> list:
     return order
 
 
-def _max_clique(adj, cand: int, lower: int = 0, stop_at: int = None) -> tuple:
-    """Largest clique inside ``cand``, never reported below ``lower``.
+def _max_clique(adj, cand: int, stop_at: int = None, words=None) -> tuple:
+    """Largest clique inside ``cand``, as ``(size, members)``.
 
-    Returns ``(size, members)``, members as a bitmask; members is 0 when
-    no clique above ``lower`` was found.  Tomita-style search: the
-    greedy coloring of the candidate set upper bounds any clique through
-    it, so branches that cannot beat the incumbent are cut.  ``stop_at``
-    short-circuits yes/no queries.
+    ``members`` is a bitmask.  Tomita-style search: the greedy coloring
+    of the candidate set upper bounds any clique through it, so
+    branches that cannot beat the incumbent are cut.  ``stop_at = k``
+    answers whether a k-clique exists: it returns the first one found,
+    or ``(k - 1, 0)`` when there is none.
+
+    Given ``words``, the word of each vertex, ``cand`` must be a union
+    of word orbits of the metric's isometry group.  Then in the first
+    ``ORBIT_LEVELS`` levels a branch on v ends by dropping v's whole
+    orbit under the isometries that fix the clique so far, not v alone.
+    Such an isometry maps any clique through the clique so far and a
+    member of that orbit onto one through v, and it maps the remaining
+    candidates onto themselves, as they are what is left of whole
+    orbits; so v's branch has already met a clique that large.  At the
+    top, where nothing is fixed, that leaves n + 1 branches, one per
+    value of ``pair_weight``.
     """
-    best = lower
+    best = 0 if stop_at is None else stop_at - 1
     members = 0
+    if words is not None:
+        have = _symbol_index(words, words[0].n)
 
     def expand(size: int, cand: int, clique: int) -> None:
         nonlocal best, members
+        orbits = None
         for v, color in reversed(_color_order(cand, adj)):
             if size + color <= best:
                 return
+            if not (cand >> v) & 1:
+                continue  # dropped with an earlier vertex's orbit
             grown = clique | (1 << v)
             if size + 1 > best:
                 best, members = size + 1, grown
@@ -280,7 +296,13 @@ def _max_clique(adj, cand: int, lower: int = 0, stop_at: int = None) -> tuple:
             sub = cand & adj[v]
             if sub:
                 expand(size + 1, sub, grown)
-            cand &= ~(1 << v)
+            if words is None or size >= ORBIT_LEVELS:
+                cand &= ~(1 << v)
+                continue
+            if orbits is None:
+                fixed = [_symbols(words[u]) for u in range(len(adj)) if (clique >> u) & 1]
+                orbits = _stabilizer_orbits(have, list(zip(*fixed)) or [()] * len(have))
+            cand &= ~next(o for o in orbits if (o >> v) & 1)
 
     try:
         expand(0, cand, 0)
@@ -346,51 +368,6 @@ def _stabilizer_orbits(have, columns) -> list:
     return list(classes.values())
 
 
-def _orbit_max_clique(adj, words) -> int:
-    """A maximum clique of the distance graph on ``words``, as a bitmask.
-
-    ``_max_clique``'s search, except that in its first ``ORBIT_LEVELS``
-    levels a branch on v ends by dropping v's whole orbit under the
-    isometries that fix the vertices already chosen, not v alone.  Such
-    an isometry maps any clique through the chosen vertices and a
-    member of that orbit onto one through v, and it maps the remaining
-    candidates onto themselves, as they are what is left of whole
-    orbits; so v's branch has already met a clique that large.  At the
-    top, where nothing is fixed, that leaves n + 1 branches, one per
-    value of ``pair_weight``.
-    """
-    n = words[0].n
-    have = _symbol_index(words, n)
-    best, clique = 0, 0
-
-    def expand(chosen: tuple, cand: int, members: int) -> None:
-        nonlocal best, clique
-        size = len(chosen)
-        if size == ORBIT_LEVELS:
-            found, sub = _max_clique(adj, cand, max(best - size, 0))
-            if found + size > best:
-                best, clique = found + size, members | sub
-            return
-        columns = list(zip(*chosen)) if chosen else [()] * n
-        orbits = None
-        for v, color in reversed(_color_order(cand, adj)):
-            if size + color <= best:
-                return
-            if not (cand >> v) & 1:
-                continue  # dropped with an earlier vertex's orbit
-            grown = members | (1 << v)
-            if size + 1 > best:
-                best, clique = size + 1, grown
-            expand(chosen + (tuple(_symbols(words[v])),), cand & adj[v], grown)
-            if orbits is None:
-                orbits = _stabilizer_orbits(have, columns)
-            cand &= ~next(o for o in orbits if (o >> v) & 1)
-
-    expand((), (1 << len(adj)) - 1, 0)
-    del expand  # as in _max_clique
-    return clique
-
-
 def _lowest_max_clique(adj, order, witness: int) -> list:
     """The maximum clique that comes first in ``order``, as a list in that order.
 
@@ -417,7 +394,7 @@ def _lowest_max_clique(adj, order, witness: int) -> list:
         rest = cand & adj[k]
         misses = witness & ~bit & ~adj[k]
         if misses & (misses - 1):
-            found, members = _max_clique(adj, rest, need - 2, need - 1)
+            found, members = _max_clique(adj, rest, need - 1)
             if found < need - 1:
                 continue
             witness = members
@@ -458,10 +435,12 @@ def exact_max_code(n: int, d: int, lam: int):
     Optimality is proved once per word orbit of the metric's isometry
     group (``core.Automorphism``), whose n + 1 orbits are the words with
     a given number of mixed positions, and at the next two levels once
-    per orbit of the isometries fixing the words chosen so far; see
-    ``_orbit_max_clique``.  (4,6,1) = 11 takes about 0.1 s this way.
-    The witness is the lexicographically lowest maximum codebook in
-    digit order, found by greedy extension (``_lowest_max_clique``).
+    per orbit of the isometries fixing the words chosen so far: the one
+    ``_max_clique`` call given ``words``.  (4,6,1) = 11 takes about
+    0.1 s this way.  The witness is the lexicographically lowest
+    maximum codebook in digit order, found by greedy extension
+    (``_lowest_max_clique``), whose queries search without orbit
+    pruning: their candidate sets are not unions of orbits.
     """
     graph = distance_graph(n, d, lam)
     nv = len(graph.vertices)
@@ -472,7 +451,8 @@ def exact_max_code(n: int, d: int, lam: int):
         pos[v] = k
     padj = _renumber(graph.adjacency, pos)
     ordered = [graph.vertices[v] for v in perm]
-    chosen = _lowest_max_clique(padj, pos, _orbit_max_clique(padj, ordered))
+    _, witness = _max_clique(padj, (1 << nv) - 1, words=ordered)
+    chosen = _lowest_max_clique(padj, pos, witness)
     size = len(chosen)
     words = tuple(ordered[k] for k in chosen)
     book = Codebook(

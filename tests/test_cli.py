@@ -88,6 +88,9 @@ def test_ball_command(capsys):
     assert lines[-1] == "7"
     assert len(lines) == 8  # 7 member words plus the size line
     assert lines[0] == "000"
+    for extra in ([], ["--enumerate"]):
+        rc, out, err = run(capsys, "ball", "--n", 3, "--w", -1, "--r", 2, *extra)
+        assert (rc, out) == (2, "") and "weight out of range" in err
 
 
 def test_bound_command_methods(capsys):

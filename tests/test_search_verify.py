@@ -351,6 +351,33 @@ def test_lowest_max_clique_agrees_with_brute_force(graph):
     assert _lowest(adj, order) == want
 
 
+@settings(max_examples=150, deadline=None)
+@given(small_graphs())
+def test_max_clique_agrees_with_brute_force(graph):
+    adj, _ = graph
+    nv = len(adj)
+    full = (1 << nv) - 1
+
+    def is_clique(vertices):
+        return all((adj[i] >> j) & 1 for i, j in combinations(vertices, 2))
+
+    def members_form_clique(members, size):
+        vertices = [v for v in range(nv) if (members >> v) & 1]
+        return len(vertices) == size and is_clique(vertices)
+
+    top = max(len(c) for size in range(1, nv + 1)
+              for c in combinations(range(nv), size) if is_clique(c))
+    size, members = sv._max_clique(adj, full)
+    assert size == top and members_form_clique(members, top)
+    # stop_at = k: a k-clique when one exists, else (k - 1, 0)
+    for k in range(1, nv + 2):
+        size, members = sv._max_clique(adj, full, stop_at=k)
+        if k <= top:
+            assert size == k and members_form_clique(members, k)
+        else:
+            assert (size, members) == (k - 1, 0)
+
+
 def _renumber_bit_by_bit(rows, pos):
     out = [0] * len(rows)
     for v, row in enumerate(rows):
@@ -396,7 +423,7 @@ def test_orbit_reduced_search_finds_a_maximum_clique():
         perm = sorted(range(nv), key=lambda v: (-graph.degree(v), v))
         pos = {v: k for k, v in enumerate(perm)}
         adj = sv._renumber(graph.adjacency, [pos[v] for v in range(nv)])
-        clique = sv._orbit_max_clique(adj, [graph.vertices[v] for v in perm])
+        _, clique = sv._max_clique(adj, (1 << nv) - 1, words=[graph.vertices[v] for v in perm])
         members = [v for v in range(nv) if (clique >> v) & 1]
         assert all((adj[v] >> w) & 1 for v, w in combinations(members, 2))
         assert len(members) == sv._max_clique(adj, (1 << nv) - 1)[0], (n, d, lam)
