@@ -11,9 +11,11 @@ Three layers of certainty, all exact:
   constructive lower bounds and every applicable upper bound, reporting
   any violation as an implementation bug.
 
-``min_distance`` and ``distance_graph`` share one layout: a per-position
-index ``have[k][s]``, the bitmask of list indices whose symbol at
-position k is s, and the 4x4 per-position costs taken from
+``min_distance`` and the orbit pruning of ``_max_clique`` read a
+per-position index ``have[k][s]``, the bitmask of list indices whose
+symbol at position k is s.  ``distance_graph`` builds every row at once
+by a recursion over positions on distance thresholds.  Both it and
+``min_distance`` take the 4x4 per-position costs from
 ``core.ald_distance``.
 """
 
@@ -77,6 +79,7 @@ def _position_costs(lam: int) -> tuple:
     return tuple(tuple(table[(x << 4) | y] for y in nibble) for x in nibble)
 
 
+@lru_cache(maxsize=None)
 def _digit_order(n: int) -> tuple:
     """Every word of length n, in the order of ``PairedWord.to_digits``.
 
@@ -196,10 +199,16 @@ class DistanceGraph:
 def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
     """Distinguishability graph on all 4^n words in digit order.
 
-    Each vertex's row is one walk over positions through the symbol
-    index: a branch already at distance d joins the row whole, and a
-    branch that cannot reach d even at the largest cost of every
-    remaining position is dropped.
+    Built by a recursion over positions, as the distance is a sum of
+    per-position costs.  ``far[t][x]`` is the bitmask, in digit order,
+    of the length-k words at distance >= t from the length-k word x
+    (every word once t <= 0).  A word's index is its leading digit
+    times 4^(k-1) plus its tail's index, so the words far from
+    x = (s, tail) are, for each leading digit u, the words far by
+    t - cost(s, u) from the tail, shifted up by u·4^(k-1).  A level
+    with m positions above it is asked only for d minus a sum of m
+    costs, at most C(m+3, 3) thresholds whatever d and λ are; row x is
+    ``far[d][x]`` at length n.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -209,33 +218,32 @@ def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
         raise BudgetExceeded(
             f"graph on 4^{n} vertices exceeds the 4^{SEARCH_LIMIT_N} search budget"
         )
-    vertices = _digit_order(n)
-    have = _symbol_index(vertices, n)
+    # Digit 2x + y is the symbol x | (y << 1) with its strands swapped, an
+    # isometry of each position, so the costs read the same by digit.
     costs = _position_costs(lam)
-    full = (1 << len(vertices)) - 1
-    adjacency = []
-    for word in vertices:
-        symbols = _symbols(word)
-        # reach[k]: the largest distance positions k.. can still add
-        reach = [0] * (n + 1)
-        for k in range(n - 1, -1, -1):
-            reach[k] = reach[k + 1] + max(costs[symbols[k]])
-        row = 0
-        stack = [(0, full, 0)]
-        while stack:
-            k, mask, spent = stack.pop()
-            col, cost = have[k], costs[symbols[k]]
-            for t in range(4):
-                sub = mask & col[t]
-                if not sub:
-                    continue
-                total = spent + cost[t]
-                if total >= d:
-                    row |= sub
-                elif total + reach[k + 1] >= d:
-                    stack.append((k + 1, sub, total))
-        adjacency.append(row)
-    return DistanceGraph(n, d, lam, vertices, tuple(adjacency))
+    cost_values = {c for row in costs for c in row}
+    # wanted[m]: the thresholds asked with m positions above, clamped at 0
+    wanted = [{d}]
+    for _ in range(n):
+        wanted.append({t - c if t > c else 0 for t in wanted[-1] for c in cost_values})
+    far = {t: [0 if t else 1] for t in wanted.pop()}  # the empty word
+    for k in range(1, n + 1):
+        size = 4 ** (k - 1)  # words of the tail's length
+        blocks = {}  # (t, u): far[t] moved up into leading digit u's block
+        longer = {}
+        for t in wanted.pop():
+            rows = []
+            for cost in costs:
+                parts = []
+                for u, c in enumerate(cost):
+                    key = (t - c if t > c else 0, u)
+                    if key not in blocks:
+                        blocks[key] = [row << (u * size) for row in far[key[0]]]
+                    parts.append(blocks[key])
+                rows += [w | x | y | z for w, x, y, z in zip(*parts)]
+            longer[t] = rows
+        far = longer
+    return DistanceGraph(n, d, lam, _digit_order(n), tuple(far[d]))
 
 
 def _color_order(cand: int, adj) -> list:

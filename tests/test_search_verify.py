@@ -17,6 +17,7 @@ from aldkit.core import (
     ald_distance,
     all_words,
     apply_automorphism,
+    pair_weight,
 )
 from aldkit.search_verify import (
     DistanceGraph,
@@ -173,27 +174,69 @@ def test_graph_is_symmetric_and_loop_free():
                 assert ald_distance(g.vertices[i], g.vertices[j], 1) >= 3
 
 
+def _definition_distance(x, y, lam):
+    """The asymmetric Lee distance from its definition, apart from ``core``.
+
+    Per position: 0 on equal symbols, λ for swapping the mixed symbols
+    (1;0) and (0;1), 2(1 + λ) for inverting the pure symbols (0;0) and
+    (1;1), and 1 + λ for flipping a single strand bit.
+    """
+    total = 0
+    for s, t in zip(x.symbols(), y.symbols()):
+        if s == t:
+            continue
+        if s[0] != s[1] and t[0] != t[1]:
+            total += lam
+        elif s[0] == s[1] and t[0] == t[1]:
+            total += 2 * (1 + lam)
+        else:
+            total += 1 + lam
+    return total
+
+
+# Every d up to one past the diameter 2(1 + λ)n.
 GRAPH_CELLS = [
     (n, d, lam)
-    for lam in (1, 2)
+    for lam in (1, 2, 3)
     for n in (1, 2, 3)
     for d in range(1, 2 * (1 + lam) * n + 2)
-] + [(4, d, lam) for lam in (1, 2) for d in (2, 6, 10)]
+] + [(4, d, lam) for lam in (1, 2, 3) for d in (2, 6, 10, 8 * (1 + lam) + 1)]
+# Far past the costs: at λ = 1000 a swap costs d = 1000 and falls short
+# of 1001, 6006 is the diameter and 6007 one past it; at (4, 10^9, 1)
+# every row is empty.
+EXTREME_GRAPH_CELLS = [(3, d, 1000) for d in (1000, 1001, 2002, 4004, 6006, 6007)] + [
+    (4, 10**9, 1)
+]
 
 
 def test_graph_adjacency_matches_pairwise_distances():
     distances = {}
-    for n, d, lam in GRAPH_CELLS:
+    for n, d, lam in GRAPH_CELLS + EXTREME_GRAPH_CELLS:
         g = distance_graph(n, d, lam)
         if (n, lam) not in distances:
             distances[(n, lam)] = [
-                [ald_distance(x, y, lam) for y in g.vertices] for x in g.vertices
+                [_definition_distance(x, y, lam) for y in g.vertices] for x in g.vertices
             ]
         want = tuple(
             sum(1 << j for j, dist in enumerate(row) if dist >= d)
             for row in distances[(n, lam)]
         )
         assert g.adjacency == want, (n, d, lam)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_graph_degree_depends_only_on_pair_weight(n):
+    # The isometries move any word to any other with as many mixed
+    # positions; exact_max_code's orbit pruning and degree order rely on it.
+    words = sv._digit_order(n)
+    for lam in (1, 2):
+        for d in (1, lam + 1, 3, 2 * (1 + lam), 2 * (1 + lam) * n):
+            g = distance_graph(n, d, lam)
+            degrees = {}
+            for i, w in enumerate(words):
+                degrees.setdefault(pair_weight(w), set()).add(g.degree(i))
+            assert sorted(degrees) == list(range(n + 1))
+            assert all(len(seen) == 1 for seen in degrees.values()), (n, d, lam, degrees)
 
 
 def test_graph_budget_and_validation():
@@ -230,6 +273,25 @@ def test_exact_values(cell, want):
     assert len(book) == want
     n, d, lam = cell
     assert min_distance(book, lam) >= d or want <= 1
+
+
+def test_exact_search_builds_its_graph_through_the_module_attribute(monkeypatch):
+    # Profilers time and count the graph build by wrapping
+    # search_verify.distance_graph; exact_max_code must build its one
+    # graph through that attribute, not around it.
+    want_size, want_book = exact_max_code(2, 3, 1)
+    build = sv.distance_graph
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(sv, "distance_graph", counting)
+    size, book = exact_max_code(2, 3, 1)
+    assert calls == [(2, 3, 1)]
+    assert size == want_size == 5
+    assert book.words == want_book.words
 
 
 def test_exact_witnesses_are_lexicographically_lowest():
