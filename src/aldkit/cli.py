@@ -14,8 +14,6 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
-from functools import partial
 from importlib import resources
 
 from .balls import ball_size, enumerate_ball
@@ -149,6 +147,52 @@ def _load_reference(idx: int) -> dict:
         return json.load(fh)
 
 
+# -------------------------------------------------------------- bound methods
+
+
+def _optimal1(n, d, lam, budget_secs):
+    if d is not None and d != 2 * lam + 1:
+        raise ValueError(
+            f"optimal1 is the distance-{2 * lam + 1} closed form at this lambda"
+        )
+    return optimal1_bound(n, lam)
+
+
+def _weights1(n, d, lam, budget_secs):
+    if lam != 1:
+        raise ValueError("weights1 weights are defined at lambda=1 only")
+    if d < 3:
+        raise ValueError("weights1 requires --d of at least 3")
+    return weights1_bound(n, (d - 1) // 2)
+
+
+# method -> bound(n, d, lam, budget_secs), a report or an exact int.
+# The entries look the bound functions up when called, so a wrapper set
+# on this module is used; only delsarte takes a budget.
+_BOUNDS = {
+    "lp": lambda n, d, lam, budget_secs: lp_hypergraph_bound(n, d, lam),
+    "naive": lambda n, d, lam, budget_secs: naive_weight_bound(n, d, lam),
+    "simple": lambda n, d, lam, budget_secs: simple_bound(n, d, lam),
+    "weights1": _weights1,
+    "optimal1": _optimal1,
+    "delsarte": lambda n, d, lam, budget_secs: delsarte_bound(
+        n, d, lam, budget_secs=budget_secs),
+    "averaging": lambda n, d, lam, budget_secs: averaging_lower_bound(n, d),
+}
+
+
+def _value(result):
+    """(floor, numerator, denominator) of a report or an exact int: the
+    fraction is None for an irrational optimum, all three when refused."""
+    if result is None:
+        return None, None, None
+    if isinstance(result, int):
+        return result, result, 1
+    if result.exact is None:
+        return result.floored, None, None
+    return result.floored, result.exact.numerator, result.exact.denominator
+
+
 # ------------------------------------------------------------------- commands
 
 
@@ -177,48 +221,18 @@ def cmd_ball(args) -> int:
 
 def cmd_bound(args) -> int:
     method = args.method
-    n, d, lam = args.n, args.d, args.lam
-    if method == "optimal1":
-        if d is not None and d != 2 * lam + 1:
-            raise ValueError(
-                f"optimal1 is the distance-{2 * lam + 1} closed form at this lambda"
-            )
-        report = optimal1_bound(n, lam)
-    elif method == "delsarte":
-        if d is None:
-            raise ValueError("delsarte requires --d")
-        report = delsarte_bound(n, d, lam, budget_secs=args.budget)
-        if args.exact_rational:
-            if report.exact is not None:
-                print(f"{report.exact.numerator}/{report.exact.denominator}")
-            else:
-                part = report.sqrt5_part
-                print(
-                    f"{report.floored} (irrational optimum; sqrt5 coefficient "
-                    f"{part.numerator}/{part.denominator})"
-                )
-        else:
-            print(report.floored)
-        return 0
+    if args.d is None and method != "optimal1":
+        raise ValueError(f"{method} requires --d")
+    report = _BOUNDS[method](args.n, args.d, args.lam, args.budget)
+    floor, num, den = _value(report)
+    if not args.exact_rational:
+        print(floor)
+    elif num is not None:
+        print(f"{num}/{den}")
     else:
-        if d is None:
-            raise ValueError(f"{method} requires --d")
-        if method == "lp":
-            report = lp_hypergraph_bound(n, d, lam)
-        elif method == "naive":
-            report = naive_weight_bound(n, d, lam)
-        elif method == "simple":
-            report = simple_bound(n, d, lam)
-        else:  # weights1
-            if lam != 1:
-                raise ValueError("weights1 weights are defined at lambda=1 only")
-            if d < 3:
-                raise ValueError("weights1 requires --d of at least 3")
-            report = weights1_bound(n, (d - 1) // 2)
-    if args.exact_rational:
-        print(f"{report.exact.numerator}/{report.exact.denominator}")
-    else:
-        print(report.floored)
+        part = report.sqrt5_part
+        print(f"{floor} (irrational optimum; sqrt5 coefficient "
+              f"{part.numerator}/{part.denominator})")
     return 0
 
 
@@ -304,15 +318,7 @@ def cmd_exact(args) -> int:
 def _row(n, d, lam, method, result, expected):
     """One table row; ``result`` is a report, an exact int, or None when
     the cell was refused."""
-    floor = num = den = None
-    if isinstance(result, int):
-        floor, num, den = result, result, 1
-    elif result is not None:
-        floor = result.floored
-        exact = getattr(result, "exact", None)
-        if exact is not None:
-            frac = Fraction(exact)
-            num, den = frac.numerator, frac.denominator
+    floor, num, den = _value(result)
     if result is None:
         match = "refused"
     elif expected is None or expected == "--":
@@ -327,81 +333,42 @@ def _row(n, d, lam, method, result, expected):
     }
 
 
-# Rows per reference cell of tables 1, 4 and 5, at lambda = 1:
-# (method, reference key, bound(n, d)).  The lambdas look the bound
-# functions up when called, so a wrapper set on this module is used.
-_LP_ROW = ("lp", "value", lambda n, d: lp_hypergraph_bound(n, d, 1))
-_CELL_ROWS = {
-    1: [_LP_ROW],
-    4: [_LP_ROW],
-    5: [("averaging", "lower", lambda n, d: averaging_lower_bound(n, d)),
-        ("lp", "upper", lambda n, d: lp_hypergraph_bound(n, d, 1))],
-}
-
-
-def _lp_table_rows(idx, max_n):
-    """Tables 1, 4 and 5: the listed bounds on every reference cell."""
-    rows = []
-    for cell in _load_reference(idx)["cells"]:
-        if cell["n"] > max_n:
-            continue
-        n, d = cell["n"], cell["d"]
-        for method, key, bound in _CELL_ROWS[idx]:
-            rows.append(_row(n, d, 1, method, bound(n, d), cell[key]))
-    return rows
-
-
-def _table2_rows(max_n):
-    ref = _load_reference(2)
-    rows = []
-    for entry in ref["rows"]:
-        n = entry["n"]
-        if n > max_n:
-            continue
-        reports = {
-            "lp": lp_hypergraph_bound(n, 5, 1),
-            "naive": naive_weight_bound(n, 5, 1),
-            "simple": simple_bound(n, 5, 1),
-            "weights1": weights1_bound(n, 2),
-        }
-        for method in ref["methods"]:
-            rows.append(_row(n, 5, 1, method, reports[method], entry[method]))
-    return rows
-
-
-def _table3_rows(max_n, budget_secs):
-    """Table 3: the character LP on every cell, under one shared budget."""
-    ref = _load_reference(3)
-    cells = [c for c in ref["cells"] if c["n"] <= max_n]
-    budget = Budget(budget_secs, default=600.0)
-    results = {}
-    # cheap cells first: low n, then high d (few LP survivors)
+def _table_rows(idx, max_n, budget):
+    """Every method of reference table ``idx`` on its cells at n <= max_n,
+    in reference order.  Cells are solved cheap-first (low n, then high
+    d: few character-LP survivors) under ``budget`` (a ``Budget`` or
+    None), and a cell that runs it out is reported as refused."""
+    ref = _load_reference(idx)
+    lam = ref["lambda"]
+    methods = ref.get("methods", [ref.get("method")])
+    # table 2 is one row per n at one d; each method's value column is
+    # its own name there, else "value" or table 5's "lower" and "upper"
+    cells = ref.get("cells") or [dict(row, d=ref["d"]) for row in ref["rows"]]
+    columns = [key for key in cells[0] if key not in ("n", "d")]
+    cells = [cell for cell in cells if cell["n"] <= max_n]
+    rows = {}
     for cell in sorted(cells, key=lambda c: (c["n"], -c["d"])):
         n, d = cell["n"], cell["d"]
-        try:
-            # a spent budget makes delsarte_bound refuse at its first check
-            report = delsarte_bound(n, d, 1, budget_secs=budget.remaining())
-        except BudgetExceeded:
-            report = None
-        results[n, d] = _row(n, d, 1, "delsarte", report, cell["value"])
-    return [results[c["n"], c["d"]] for c in cells]
-
-
-_TABLE_BUILDERS = {
-    1: partial(_lp_table_rows, 1), 2: _table2_rows,
-    4: partial(_lp_table_rows, 4), 5: partial(_lp_table_rows, 5),
-}
+        for method, column in zip(methods, columns):
+            try:
+                # a spent budget makes delsarte_bound refuse at its first check
+                result = _BOUNDS[method](
+                    n, d, lam, None if budget is None else budget.remaining())
+            except BudgetExceeded:
+                result = None
+            rows[n, d, method] = _row(n, d, lam, method, result, cell[column])
+    return [rows[cell["n"], cell["d"], method]
+            for cell in cells for method in methods]
 
 
 def cmd_table(args) -> int:
     idx = args.table
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULT_MAX_N[idx]
-    if idx == 3:
-        rows = _table3_rows(max_n, args.budget)
-    elif args.budget is not None:
+    if idx != 3 and args.budget is not None:
         raise ValueError("--budget applies to table 3 only")
-    else:
-        rows = _TABLE_BUILDERS[idx](max_n)
+    # only the character LP of table 3 runs under a budget
+    budget = Budget(args.budget, default=600.0) if idx == 3 else None
+    rows = _table_rows(idx, max_n, budget)
     if args.format == "json":
         print(json.dumps({"table": idx, "rows": rows}, indent=1))
     else:
