@@ -2,6 +2,11 @@
 decoding, exhaustive verification, exact search, and reference-table
 reproduction with per-cell match reporting.
 
+One method table, ``_BOUNDS``, maps each bound method to
+``bound(n, d, lam, budget_secs)`` and holds the rule of when it applies.
+``aldkit bound`` answers one cell from it, and ``aldkit table`` walks a
+reference file's cells through it in one loop, ``_table_rows``.
+
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 budget refusal
 (partial results may have been printed).
 """
@@ -104,9 +109,13 @@ def read_codebook(path: str) -> Codebook:
             raise ValueError(f"{path}: missing field '{field}'")
     if data["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"{path}: field 'schema_version': unsupported version")
+    for field in ("n", "lambda", "design_distance"):
+        value = data[field]
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            raise ValueError(f"{path}: field '{field}': need a positive integer")
+    if not isinstance(data["words"], list):
+        raise ValueError(f"{path}: field 'words': need a list")
     n = data["n"]
-    if not isinstance(n, int) or n < 1:
-        raise ValueError(f"{path}: field 'n': need a positive integer")
     words = []
     for i, text in enumerate(data["words"]):
         if not isinstance(text, str) or len(text) != n:
@@ -221,6 +230,8 @@ def cmd_ball(args) -> int:
 
 def cmd_bound(args) -> int:
     method = args.method
+    if args.budget is not None and method != "delsarte":
+        raise ValueError("--budget applies to delsarte only")
     if args.d is None and method != "optimal1":
         raise ValueError(f"{method} requires --d")
     report = _BOUNDS[method](args.n, args.d, args.lam, args.budget)
@@ -340,7 +351,7 @@ def _table_rows(idx, max_n, budget):
     None), and a cell that runs it out is reported as refused."""
     ref = _load_reference(idx)
     lam = ref["lambda"]
-    methods = ref.get("methods", [ref.get("method")])
+    methods = ref.get("methods") or [ref["method"]]
     # table 2 is one row per n at one d; each method's value column is
     # its own name there, else "value" or table 5's "lower" and "upper"
     cells = ref.get("cells") or [dict(row, d=ref["d"]) for row in ref["rows"]]
@@ -426,7 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-rational", action="store_true",
                    help="print the exact value instead of its floor")
     p.add_argument("--budget", type=float,
-                   help=f"time budget in seconds (default ${BUDGET_ENV})")
+                   help=f"delsarte's time budget in seconds (default ${BUDGET_ENV})")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("construct", help="build a codebook and write it to a file")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -59,6 +60,17 @@ def test_read_codebook_error_reporting(tmp_path):
     path.write_text(json.dumps(good))
     with pytest.raises(ValueError, match="duplicate"):
         read_codebook(path)
+    bad_fields = [("words", 5), ("words", None), ("words", "00"),
+                  ("n", True), ("n", 0), ("n", 2.0),
+                  ("lambda", "a"), ("lambda", 0), ("lambda", False),
+                  ("design_distance", None), ("design_distance", -1)]
+    for field, value in bad_fields:
+        path.write_text(json.dumps({**good, "words": ["00"], field: value}))
+        with pytest.raises(ValueError, match=f"field '{field}'"):
+            read_codebook(path)
+    path.write_text(json.dumps(dict(good, words=None)))
+    rc = main(["verify", "mindist", "--in", str(path)])
+    assert rc == 2  # a usage error, not a traceback
 
 
 def test_write_refuses_implicit_codebooks(tmp_path):
@@ -143,6 +155,11 @@ def test_budget_values_and_variable(capsys, monkeypatch):
     monkeypatch.setenv("ALDKIT_BUDGET_SECS", "-1")
     rc, _, err = run(capsys, "bound", "delsarte", "--n", 3, "--d", 9)
     assert rc == 3 and "budget" in err
+    # the other methods have no budget, so they refuse --budget
+    for method in ("lp", "naive", "simple", "weights1", "optimal1"):
+        rc, out, err = run(capsys, "bound", method, "--n", 5, "--d", 3,
+                           "--budget", "nan")
+        assert (rc, out) == (2, "") and "delsarte only" in err, method
     # only table 3 has a budget, so no other table reads the variable
     monkeypatch.setenv("ALDKIT_BUDGET_SECS", "abc")
     rc, out, _ = run(capsys, "table", "1", "--max-n", 1)
@@ -343,6 +360,39 @@ def test_table5_calls_the_module_level_bound(capsys, monkeypatch):
     rc, out, _ = run(capsys, "table", "5", "--max-n", 2)
     assert rc == 0
     assert len(calls) == sum(r["method"] == "lp" for r in parse_csv(out)) == 4
+
+
+@pytest.mark.parametrize("table,max_n", [(2, 8), (5, 4)])
+def test_bound_agrees_with_table_rows(capsys, table, max_n):
+    rc, out, _ = run(capsys, "table", table, "--max-n", max_n)
+    rows = [r for r in parse_csv(out) if r["method"] != "averaging"]
+    assert rc == 0 and len(rows) == {2: 16, 5: 10}[table]
+    for r in rows:
+        argv = ["bound", r["method"], "--n", r["n"], "--d", r["d"],
+                "--lambda", r["lambda"]]
+        assert run(capsys, *argv)[:2] == (0, r["value_floor"] + "\n"), r
+        assert run(capsys, *argv, "--exact-rational")[:2] == (
+            0, f"{r['value_num']}/{r['value_den']}\n"), r
+
+
+# SHA-256 of the CSV each table prints; every row's floor, numerator,
+# denominator, reference value and match is pinned, byte for byte.
+TABLE_CSV_SHA256 = {
+    ("1",): "ff3c4dbb712aff9f1909a5cbdd0b3809d84ee71ccff886719769804aee5c5ea1",
+    ("2",): "4bf9ed57845a2707dae1e09a71f3927b877296fa971cd6971b910cae2c2a92de",
+    ("3", "--max-n", "2"):
+        "b78ac2432609d6528ac97e536a220bf265401e1f6adb43a507b2e90e45137f87",
+    ("4",): "496c9518c270579aaf0245b5b548b83f7fe9d73eaf5f4ee0e0ceef6013b72d6d",
+    ("5",): "c2f0521871800cb3158dbaceac20bd8e25e1eb9b030d22827ae10fe7b262eb3c",
+}
+
+
+@pytest.mark.parametrize("argv", list(TABLE_CSV_SHA256), ids=" ".join)
+def test_table_csv_bytes_are_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+    rc, out, _ = run(capsys, "table", *argv)
+    assert rc == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[argv]
 
 
 def test_table_json_format(capsys):
