@@ -310,7 +310,7 @@ def cmd_decode(args) -> int:
 
 def cmd_verify(args) -> int:
     book = read_codebook(args.infile)
-    got = min_distance(book, args.lam)
+    got = min_distance(book, book.lam if args.lam is None else args.lam)
     print("Infinity" if got == math.inf else got)
     return 0
 
@@ -397,9 +397,9 @@ def cmd_table(args) -> int:
 # ------------------------------------------------------------------ argparse
 
 
-def _add_lambda(parser, default=1):
+def _add_lambda(parser, default=1, shown="%(default)s"):
     parser.add_argument("--lambda", dest="lam", type=int, default=default,
-                        help="cheap-swap cost parameter (default %(default)s)")
+                        help=f"cheap-swap cost parameter (default {shown})")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -480,7 +480,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver = p.add_subparsers(dest="check", required=True)
     q = ver.add_parser("mindist", help="exhaustive minimum pairwise distance")
     q.add_argument("--in", dest="infile", required=True)
-    _add_lambda(q)
+    _add_lambda(q, default=None, shown="the codebook's lambda")
     q.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("exact", help="exact largest code by exhaustive search")

@@ -96,10 +96,14 @@ _MAPS = {
 }
 
 
+def _check_positive(value, name: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return value
+
+
 def _check_lambda(lam) -> int:
-    if not isinstance(lam, int) or isinstance(lam, bool) or lam < 1:
-        raise ValueError(f"lam must be a positive integer, got {lam!r}")
-    return lam
+    return _check_positive(lam, "lam")
 
 
 class ErrorClass(Enum):

@@ -17,6 +17,22 @@ lies in the quadratic field Q(sqrt 5).  The LP is solved exactly over
 that ordered field, with no dropped constraints; floating point only
 proposes the basis, and the reported optimum comes with exactly checked
 dual multipliers.
+
+Assembly.  ``coefficient_column`` expands one column a factor at a time
+on packed integers: a profile key is one int with a byte per digit (n
+<= 20 < 256), and its counts are one int with ten slots, one per power
+of zeta.  Multiplying by zeta^c moves slot k to slot k + c mod 10, a
+cyclic shift of the int, and adding two terms is one int addition.  A
+count at profile p never exceeds multinomial(p) <= n!, so every slot is
+the smallest of 1, 2, 4 or 8 bytes that holds n!, and no slot can carry
+into its neighbour; the counts are unpacked once, at the end, with
+``struct``.  The rows come from one pass over the profiles.  The
+coefficient at reverse_profile(p) is the conjugate of the one at p, so
+both give the same real entry in every symmetrised column and the same
+multinomial right-hand side: only the lexicographically first profile of
+each reverse pair is visited, and it is the one that names the row.
+Entries are computed once per distinct ``(counts, orbit)`` within a
+call.
 """
 
 from __future__ import annotations
@@ -24,9 +40,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add, mul
+from itertools import combinations_with_replacement
+from operator import mul, sub
+from struct import unpack
 
-from .core import BUDGET_ENV, Budget, BudgetExceeded, _check_lambda
+from .core import BUDGET_ENV, Budget, BudgetExceeded, _check_lambda, _check_positive
 from .lp import LinearProgram, LPStatus, solve_lp
 
 
@@ -194,22 +212,19 @@ def _q5(p: int, q: int, r: int) -> Q5:
 # ---------------------------------------------------------------- profiles
 
 def profiles(n: int):
-    """All 10-tuples of nonnegative integers summing to n, lexicographic."""
+    """All 10-tuples of nonnegative integers summing to n, lexicographic.
 
-    def rec(remaining, slots):
-        if slots == 1:
-            yield (remaining,)
-            return
-        for head in range(remaining + 1):
-            for tail in rec(remaining - head, slots - 1):
-                yield (head,) + tail
-
-    yield from rec(n, 10)
+    Stars and bars: the running sums c_0 <= ... <= c_8 of the first nine
+    digits' counts run over the nondecreasing 9-tuples in 0..n, in the
+    same lexicographic order as the profiles they give.
+    """
+    for c in combinations_with_replacement(range(n + 1), 9):
+        yield tuple(map(sub, (*c, n), (0, *c)))
 
 
 def reverse_profile(m: tuple) -> tuple:
     """Digit negation i -> (10 - i) mod 10 applied to the index axis."""
-    return tuple(m[(10 - i) % 10] for i in range(10))
+    return (m[0], *m[:0:-1])
 
 
 def identity_profile(n: int) -> tuple:
@@ -225,13 +240,22 @@ def profile_cost(m: tuple, lam: int) -> int:
     )
 
 
-def _multinomial(m: tuple) -> int:
-    total = sum(m)
-    out = 1
-    for part in m:
-        out *= math.comb(total, part)
-        total -= part
-    return out
+# struct codes of the unsigned integer sizes a count slot may take
+_SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+
+
+def _count_slot(n: int) -> tuple:
+    """Bytes and struct code of one zeta-power count slot at length n.
+
+    A count at profile p never exceeds multinomial(p) <= n!, so the
+    smallest struct size with room for n! holds every count of every
+    intermediate state; 20! is the largest factorial below 2^64.
+    """
+    need = math.factorial(n).bit_length()
+    for size, code in _SLOT_CODES:
+        if 8 * size >= need:
+            return size, code
+    raise ValueError(f"n={n} is too long: column counts need n <= 20")
 
 
 def coefficient_column(m: tuple, budget: Budget | None = None) -> dict:
@@ -239,28 +263,41 @@ def coefficient_column(m: tuple, budget: Budget | None = None) -> dict:
 
     Returns {p: counts} where p records the multidegree of the
     z-monomial as a profile and counts[k] is how many of its terms equal
-    zeta^k, so the coefficient is sum_k counts[k] zeta^k.  Multiplying
-    by chi(i,j) shifts the counts cyclically.  Cross-checkable against
-    the direct sum of chi over words with a fixed difference profile.
+    zeta^k, so the coefficient is sum_k counts[k] zeta^k.  Cross-checkable
+    against the direct sum of chi over words with a fixed difference
+    profile.  The expansion runs on packed ints, as the module docstring
+    describes under "Assembly".
     """
-    one = (1,) + (0,) * 9
-    if sum(m) == 0:
-        return {(): one}
-    state = {(0,) * 10: one}
+    n = sum(m)
+    if n == 0:
+        return {(): (1,) + (0,) * 9}
+    size, code = _count_slot(n)
+    width = 8 * size
+    full = (1 << 10 * width) - 1
+    state = {0: 1}  # the empty monomial, one term equal to zeta^0
     for j in range(10):
-        shifts = [10 - chi(i, j) for i in range(10)]
+        # one (down, up, digit steps) move per distinct value c = chi(i, j)
+        steps = {}
+        for i in range(10):
+            steps.setdefault(chi(i, j), []).append(1 << 8 * i)
+        moves = [((10 - c) * width, c * width, s) for c, s in steps.items()]
         for _ in range(m[j]):
             if budget is not None:
                 budget.check("coefficient assembly")
             nxt = {}
+            get = nxt.get
             for p, v in state.items():
-                for i, s in enumerate(shifts):
-                    w = v[s:] + v[:s]  # w[k] = v[k - chi(i, j)]
-                    key = p[:i] + (p[i] + 1,) + p[i + 1:]
-                    cur = nxt.get(key)
-                    nxt[key] = w if cur is None else tuple(map(add, cur, w))
+                for down, up, digit_steps in moves:
+                    w = ((v << up) & full) | (v >> down)  # slot k -> k + c
+                    for step in digit_steps:
+                        q = p + step
+                        nxt[q] = get(q, 0) + w
             state = nxt
-    return state
+    fmt = f"<10{code}"
+    return {
+        tuple(p.to_bytes(10, "little")): unpack(fmt, v.to_bytes(10 * size, "little"))
+        for p, v in state.items()
+    }
 
 
 def _vanishes(v) -> bool:
@@ -311,6 +348,54 @@ class DelsarteReport:
         return self.status is LPStatus.UNBOUNDED
 
 
+def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
+    """The LP's columns and rows: ``(survivors, rows)``.
+
+    ``survivors`` lists ``(m, orbit)`` for the first profile m of each
+    reverse pair whose column survives the kill rules; ``rows`` maps each
+    distinct row, its entries then its right-hand side, to the first
+    profile that gives it.  The row of reverse_profile(p) equals the row
+    of p, so only the first profile of each pair is visited.
+    """
+    ident = identity_profile(n)
+    firsts = []  # p with reverse_profile(p) >= p, in lexicographic order
+    survivors = []
+    for m in profiles(n):
+        rev = reverse_profile(m)
+        if rev < m:
+            continue
+        firsts.append(m)
+        if m == ident or m[3] > 0 or m[7] > 0 or profile_cost(m, lam) < d:
+            continue
+        survivors.append((m, 1 if rev == m else 2))
+
+    # Column of the identity profile is the plain multinomial expansion
+    # (all characters against digit 0 equal 1), handled as constants.
+    columns = []
+    for m, orbit in survivors:
+        budget.check("column assembly")
+        columns.append((coefficient_column(m, budget), orbit))
+
+    absent = (0,) * 10
+    fact = [math.factorial(k) for k in range(n + 1)]
+    entry_of = {}  # (counts, orbit) -> column_entry(counts, orbit)
+    rows = {}  # distinct row -> the first profile that gives it
+    for p in firsts:
+        budget.check("row assembly")
+        entries = []
+        for col, orbit in columns:
+            key = (col.get(p, absent), orbit)
+            entry = entry_of.get(key)
+            if entry is None:
+                entry = entry_of[key] = column_entry(*key)
+            entries.append(entry)
+        if not any(entries):
+            continue  # 0 >= -multinomial holds vacuously
+        rhs = Q5.lift(-(fact[n] // math.prod(map(fact.__getitem__, p))))
+        rows.setdefault(tuple(entries) + (rhs,), p)
+    return survivors, rows
+
+
 def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport:
     """Exact character-LP upper bound on the largest (d, lam) code.
 
@@ -326,47 +411,16 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     The time budget is ``budget_secs``, else ``ALDKIT_BUDGET_SECS``, else
     none.  From n = 4 on, cells can take hours, so there one is required.
     """
+    _check_positive(n, "n")
+    _check_positive(d, "d")
     _check_lambda(lam)
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1, d >= 1")
+    _count_slot(n)  # refuses n > 20 before any profile is listed
     budget = Budget(budget_secs)
     if n >= 4 and budget.seconds is None:
         raise BudgetExceeded(
             f"n={n} needs a time budget: pass budget_secs or set {BUDGET_ENV}"
         )
-
-    ident = identity_profile(n)
-    survivors = []
-    seen = set()
-    for m in profiles(n):
-        if m == ident or m in seen:
-            continue
-        if m[3] > 0 or m[7] > 0:
-            continue
-        if profile_cost(m, lam) < d:
-            continue
-        rev = reverse_profile(m)
-        seen.add(m)
-        seen.add(rev)
-        survivors.append((m, 1 if rev == m else 2))
-
-    # Column of the identity profile is the plain multinomial expansion
-    # (all characters against digit 0 equal 1), handled as constants.
-    columns = []
-    for m, orbit in survivors:
-        budget.check("column assembly")
-        columns.append((coefficient_column(m, budget), orbit))
-
-    absent = (0,) * 10
-    rows = {}  # distinct row -> the first profile that gives it
-    for p in profiles(n):
-        budget.check("row assembly")
-        entries = [column_entry(col.get(p, absent), orbit) for col, orbit in columns]
-        rhs = Q5.lift(-_multinomial(p))
-        if not any(entries):
-            continue  # 0 >= -multinomial holds vacuously
-        rows.setdefault(tuple(entries) + (rhs,), p)
-
+    survivors, rows = _assemble(n, d, lam, budget)
     if not survivors:
         return DelsarteReport(
             "delsarte", n, d, lam, LPStatus.OPTIMAL,

@@ -192,6 +192,18 @@ def test_construct_then_verify(capsys, tmp_path, argv, design):
     assert int(out.strip()) >= design
 
 
+def test_verify_defaults_to_the_codebook_lambda(capsys, tmp_path):
+    path = tmp_path / "book.json"
+    rc, _, _ = run(capsys, "construct", "clambda", "--n", 4, "--d", 6,
+                   "--lambda", 2, "--out", path)
+    assert rc == 0
+    rc, out, _ = run(capsys, "verify", "mindist", "--in", path)
+    assert (rc, out.strip()) == (0, "6")
+    # an explicit --lambda still wins
+    rc, out, _ = run(capsys, "verify", "mindist", "--in", path, "--lambda", 1)
+    assert (rc, out.strip()) == (0, "3")
+
+
 def test_construct_usage_and_budget(capsys, tmp_path):
     rc, _, err = run(capsys, "construct", "cn", "--q", 5, "--d", 3,
                      "--u", 1, "--out", tmp_path / "x.json")

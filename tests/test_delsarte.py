@@ -1,10 +1,12 @@
 import cmath
 import math
+from functools import cache
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aldkit import delsarte
 from aldkit.core import BudgetExceeded
 from aldkit.delsarte import (
     BUDGET_ENV,
@@ -18,7 +20,7 @@ from aldkit.delsarte import (
     profiles,
     reverse_profile,
 )
-from aldkit.lp import LPStatus
+from aldkit.lp import LinearProgram, LPStatus
 
 small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=8
@@ -181,12 +183,27 @@ def test_q5_floor_brackets_the_value(a, b):
 # ---------------------------------------------------------------- profiles
 
 
+def profiles_oracle(n, slots=10):
+    """Compositions of n into ``slots`` parts by recursion on the head."""
+    if slots == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for tail in profiles_oracle(n - head, slots - 1):
+            yield (head,) + tail
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_profiles_enumerate_all_compositions(n):
     seen = list(profiles(n))
     assert len(seen) == math.comb(n + 9, 9)
     assert len(set(seen)) == len(seen)
     assert all(sum(p) == n and min(p) >= 0 for p in seen)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_profiles_are_in_lexicographic_order(n):
+    assert list(profiles(n)) == list(profiles_oracle(n))
 
 
 def test_reverse_profile_is_an_involution():
@@ -217,6 +234,19 @@ def test_profile_cost_of_the_edge_classes():
 # ------------------------------------------------- coefficient extraction
 
 
+@cache
+def words_by_profile(n):
+    """The 10^n words of Z_10^n grouped by their digit profile."""
+    words = [()]
+    for _ in range(n):
+        words = [w + (digit,) for w in words for digit in range(10)]
+    out = {}
+    for y in words:
+        p = tuple(sum(1 for v in y if v == digit) for digit in range(10))
+        out.setdefault(p, []).append(y)
+    return out
+
+
 def character_sum_oracle(n, m):
     """Direct evaluation of the column: fix a word with digit profile m,
     sum chi against every word of Z_10^n, grouped by the profile of the
@@ -225,21 +255,61 @@ def character_sum_oracle(n, m):
     for digit, count in enumerate(m):
         x.extend([digit] * count)
     out = {}
-    words = [()]
-    for _ in range(n):
-        words = [w + (digit,) for w in words for digit in range(10)]
-    for y in words:
-        p = tuple(sum(1 for v in y if v == digit) for digit in range(10))
-        k = sum(chi(xi, yi) for xi, yi in zip(x, y)) % 10
-        counts = out.setdefault(p, [0] * 10)
-        counts[k] += 1
-    return {p: tuple(v) for p, v in out.items()}
+    for p, ys in words_by_profile(n).items():
+        counts = [0] * 10
+        for y in ys:
+            counts[sum(chi(xi, yi) for xi, yi in zip(x, y)) % 10] += 1
+        out[p] = tuple(counts)
+    return out
 
 
-@pytest.mark.parametrize("n", [1, 2])
+def multinomial(p):
+    return math.factorial(sum(p)) // math.prod(map(math.factorial, p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
 def test_coefficient_column_matches_character_sums(n):
     for m in profiles(n):
         assert coefficient_column(m) == character_sum_oracle(n, m), m
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_column_counts_fill_their_slots(n):
+    # Every term at p is one of multinomial(p) products, so a column's
+    # counts at p sum to it; the identity column puts them all on zeta^0.
+    # At n = 6 that reaches 6! = 720, past one byte: a count slot narrower
+    # than the one derived from n would carry into its neighbour.
+    ident = identity_profile(n)
+    assert coefficient_column(ident) == {
+        p: (multinomial(p),) + (0,) * 9 for p in profiles(n)
+    }
+    spread = (n - 5, 1, 1, 0, 1, 1, 0, 0, 1, 0)
+    column = coefficient_column(spread)
+    assert len(column) == math.comb(n + 9, 9)
+    for p, counts in column.items():
+        assert min(counts) >= 0 and sum(counts) == multinomial(p), p
+
+
+def expand_column_oracle(m):
+    """The column expanded one factor at a time: each factor's digit i
+    rotates the 10-tuple of counts by chi(i, j)."""
+    state = {(0,) * 10: ONE}
+    for j, power in enumerate(m):
+        for _ in range(power):
+            nxt = {}
+            for p, v in state.items():
+                for i in range(10):
+                    s = chi(i, j)
+                    w = v[10 - s:] + v[:10 - s]  # w[k] = v[k - s]
+                    key = p[:i] + (p[i] + 1,) + p[i + 1:]
+                    nxt[key] = plus(nxt[key], w) if key in nxt else w
+            state = nxt
+    return state
+
+
+def test_expand_column_oracle_matches_character_sums():
+    for m in profiles(2):
+        assert expand_column_oracle(m) == character_sum_oracle(2, m), m
 
 
 def test_unit_profile_columns_are_single_characters():
@@ -283,6 +353,102 @@ def test_paired_columns_are_real():
             assert column_entry(plus(c, conj(c)), 1) == column_entry(c, 2)
             if rev == m:
                 assert column_entry(c, 1) * 2 == column_entry(c, 2)
+
+
+# ---------------------------------------- assembly against the old algorithm
+
+
+@cache
+def oracle_column(m):
+    return expand_column_oracle(m)
+
+
+def oracle_rows(n, d, lam):
+    """The LP as assembled before the reverse-pair half loop: one column
+    per surviving reverse pair, then one row per profile of all of them,
+    keeping the first profile of each distinct row.  Returns the
+    survivors and {row: first profile}."""
+    ident = identity_profile(n)
+    survivors, seen = [], set()
+    for m in profiles_oracle(n):
+        if m == ident or m in seen or m[3] or m[7] or profile_cost(m, lam) < d:
+            continue
+        rev = reverse_profile(m)
+        seen |= {m, rev}
+        survivors.append((m, 1 if rev == m else 2))
+    rows = {}
+    for p in profiles_oracle(n):
+        entries = [column_entry(oracle_column(m).get(p, (0,) * 10), orbit)
+                   for m, orbit in survivors]
+        if any(entries):
+            rows.setdefault(tuple(entries) + (Q5.lift(-multinomial(p)),), p)
+    return survivors, rows
+
+
+def oracle_lp(n, d, lam):
+    """The oracle's LinearProgram, or None when no column survives."""
+    survivors, rows = oracle_rows(n, d, lam)
+    if not survivors:
+        return None
+    lp = LinearProgram(objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max")
+    for row in rows:
+        lp.add(row[:-1], ">=", row[-1])
+    return lp
+
+
+class _Captured(Exception):
+    pass
+
+
+def assembled_lp(monkeypatch, n, d, lam):
+    """The LinearProgram delsarte_bound hands to its solver, or None when
+    it returns before solving."""
+    got = []
+
+    def capture(lp, **kwargs):
+        got.append(lp)
+        raise _Captured
+
+    monkeypatch.setattr(delsarte, "solve_lp", capture)
+    try:
+        rep = delsarte_bound(n, d, lam, budget_secs=math.inf)
+    except _Captured:
+        return got[0]
+    assert rep.exact == 1 and rep.floored == 1
+    return None
+
+
+ORACLE_CELLS = [
+    (n, lam, d)
+    for n in (1, 2, 3)
+    for lam in (1, 2, 3)
+    for d in range(1, 2 * (1 + lam) * n + 2)
+] + [(4, 1, d) for d in range(13, 18)]
+
+
+@pytest.mark.parametrize("n,lam", sorted({(n, lam) for n, lam, _ in ORACLE_CELLS}))
+def test_assembly_matches_the_one_factor_oracle(monkeypatch, n, lam):
+    for cell_n, cell_lam, d in ORACLE_CELLS:
+        if (cell_n, cell_lam) == (n, lam):
+            assert assembled_lp(monkeypatch, n, d, lam) == oracle_lp(n, d, lam), d
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_reverse_profile_rows_are_equal(n):
+    # The assembly visits only the first profile of each reverse pair:
+    # entry(p, m) is the real part of a coefficient whose conjugate is
+    # the coefficient at reverse_profile(p), and the multinomial is
+    # symmetric in the digits.
+    for m in profiles(n):
+        rev_m = reverse_profile(m)
+        if rev_m < m:
+            continue
+        orbit = 1 if rev_m == m else 2
+        column = coefficient_column(m)
+        for p in profiles(n):
+            rev = reverse_profile(p)
+            assert column_entry(column[p], orbit) == column_entry(column[rev], orbit)
+            assert multinomial(p) == multinomial(rev)
 
 
 # ------------------------------------------------------------- the LP bound
@@ -361,6 +527,9 @@ def test_dual_multipliers_certify_the_value(n, d, lam):
         for p, u in rep.dual:
             priced = priced + u * column_entry(column.get(p, (0,) * 10), orbit)
         assert priced <= 0, m
+    # each multiplier names the first profile that gives its row
+    firsts = set(oracle_rows(n, d, lam)[1].values())
+    assert all(p in firsts for p, _ in rep.dual)
     total = Q5.lift(1)
     for p, u in rep.dual:
         total = total + u * (math.factorial(n) // math.prod(map(math.factorial, p)))
@@ -377,7 +546,8 @@ def test_report_flags_unbounded_status():
 
 
 def test_argument_validation():
-    for bad in ((0, 3, 1), (1, 0, 1), (1, 3, 0), (1, 3, True), (1, 3, 1.5)):
+    for bad in ((0, 3, 1), (1, 0, 1), (1, 3, 0), (1, 3, True), (1, 3, 1.5),
+                (1, 2.5, 1), (True, 3, 1), (1.5, 3, 1), (1, True, 1), (21, 3, 1)):
         with pytest.raises(ValueError):
             delsarte_bound(*bad)
 
