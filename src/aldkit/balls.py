@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
-from .core import BudgetExceeded, PairedWord, _check_lambda, classify_position
+from .core import BudgetExceeded, PairedWord, _check_int, _check_lambda, classify_position
 
 __all__ = ["ClassMatrix", "class_matrix", "sphere_size", "ball_size", "enumerate_ball"]
 
@@ -25,13 +25,11 @@ _ENUM_MAX_N = 12
 
 
 def _check_args(n: int, w: int, lam: int, r: int) -> None:
-    if n < 1:
-        raise ValueError("length must be at least 1")
-    if w > n:
+    _check_int(n, "n", 1)
+    if _check_int(w, "w") > n:
         raise ValueError("weight exceeds length")
     _check_lambda(lam)
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_int(r, "r", 0)
 
 
 @dataclass(frozen=True)
@@ -85,20 +83,25 @@ def class_matrix(n: int, r: int, lam: int) -> ClassMatrix:
     """Count ball members weight class by weight class (see the module
     docstring for the census)."""
     _check_lambda(lam)
-    if n < 1 or r < 0:
-        raise ValueError("need n >= 1 and r >= 0")
+    _check_int(n, "n", 1)
+    _check_int(r, "r", 0)
     return ClassMatrix(n, r, lam, tuple(_census_row(n, i, lam, r) for i in range(n + 1)))
 
 
-@lru_cache(maxsize=None)
 def ball_size(n: int, w: int, lam: int, r: int) -> int:
     """Number of words within distance r of a weight-w centre.
 
     Negative w is clamped to 0; callers indexing centres by shifted
     weights rely on that.
     """
+    # checked ahead of the cache, where True would hit the entry of 1
     _check_args(n, w, lam, r)
-    return sum(_census_row(n, max(w, 0), lam, r))
+    return _ball_size(n, max(w, 0), lam, r)
+
+
+@lru_cache(maxsize=None)
+def _ball_size(n: int, w: int, lam: int, r: int) -> int:
+    return sum(_census_row(n, w, lam, r))
 
 
 def sphere_size(n: int, w: int, lam: int, r: int) -> int:
@@ -117,8 +120,7 @@ def enumerate_ball(centre: PairedWord, r: int, lam: int) -> set[PairedWord]:
     abandoning any prefix whose cost already exceeds the radius, so the
     work is proportional to the result size rather than 4^n.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_int(r, "r", 0)
     if centre.n > _ENUM_MAX_N:
         raise BudgetExceeded(
             f"ball enumeration refused for n={centre.n} (limit {_ENUM_MAX_N})"

@@ -96,14 +96,20 @@ _MAPS = {
 }
 
 
-def _check_positive(value, name: str) -> int:
-    if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return value
+def _check_int(value, name: str, least=None) -> int:
+    """``value`` if it is an int (not a bool) of at least ``least``;
+    ValueError otherwise."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        if least is None or value >= least:
+            return value
+    kind = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+    raise ValueError(
+        f"{name} must be {kind.get(least, f'an integer >= {least}')}, got {value!r}"
+    )
 
 
 def _check_lambda(lam) -> int:
-    return _check_positive(lam, "lam")
+    return _check_int(lam, "lam", 1)
 
 
 class ErrorClass(Enum):

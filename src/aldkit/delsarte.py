@@ -44,7 +44,7 @@ from itertools import combinations_with_replacement
 from operator import mul, sub
 from struct import unpack
 
-from .core import BUDGET_ENV, Budget, BudgetExceeded, _check_lambda, _check_positive
+from .core import BUDGET_ENV, Budget, BudgetExceeded, _check_int, _check_lambda
 from .lp import LinearProgram, LPStatus, solve_lp
 
 
@@ -411,8 +411,8 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     The time budget is ``budget_secs``, else ``ALDKIT_BUDGET_SECS``, else
     none.  From n = 4 on, cells can take hours, so there one is required.
     """
-    _check_positive(n, "n")
-    _check_positive(d, "d")
+    _check_int(n, "n", 1)
+    _check_int(d, "d", 1)
     _check_lambda(lam)
     _count_slot(n)  # refuses n > 20 before any profile is listed
     budget = Budget(budget_secs)

@@ -12,7 +12,9 @@ Besides the exact LP optimum this module evaluates three explicit
 feasible assignments with closed forms (reciprocal ball sizes, the
 binomial-denominator form, and the solution of a capped class-matrix
 system), each checked for feasibility by substitution before its value
-is trusted.
+is trusted.  The check is in integers: the weights are put over their
+least common denominator L, and each ball's integer row sum must reach
+L, before any weight is checked for a negative sign.
 """
 
 from __future__ import annotations
@@ -20,10 +22,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from operator import mul
 
 from .balls import ClassMatrix, ball_size, class_matrix
-from .core import _check_lambda
-from .lp import LinearProgram, LPStatus, solve_linear_system, solve_lp
+from .core import _check_int, _check_lambda
+from .lp import LinearProgram, LPStatus, _cleared, solve_linear_system, solve_lp
 
 __all__ = [
     "ClassMatrix",
@@ -60,21 +63,24 @@ def _report(method: str, n: int, d: int, lam: int, exact: Fraction, weights=None
     return BoundReport(method, n, d, lam, exact, exact.__floor__(), weights)
 
 
-def _radius(d: int) -> int:
-    if d < 2:
-        raise ValueError("distance must be at least 2")
-    return (d - 1) // 2
+def _radius(n: int, d: int, lam: int) -> int:
+    """The ball radius of cell (n, d, lam), once its arguments check out."""
+    _check_int(n, "n", 1)
+    _check_lambda(lam)
+    return (_check_int(d, "d", 2) - 1) // 2
 
 
 def _check_feasible(mat: ClassMatrix, weights) -> None:
-    # Substitute the weight vector into every ball-cover row.
+    # Substitute the weight vector, over its common denominator, into
+    # every ball-cover row.
+    common, scaled = _cleared(weights)
     for i in range(mat.n + 1):
-        got = sum(Fraction(k) * w for k, w in zip(mat.row(i), weights))
-        if got < 1:
+        got = sum(map(mul, mat.row(i), scaled))
+        if got < common:
             raise ArithmeticError(
-                f"weight vector infeasible at centre class {i}: {got} < 1"
+                f"weight vector infeasible at centre class {i}: {Fraction(got, common)} < 1"
             )
-    for w in weights:
+    for w in scaled:
         if w < 0:
             raise ArithmeticError("negative weight in covering assignment")
 
@@ -85,8 +91,7 @@ def _class_objective(n: int, weights) -> Fraction:
 
 def lp_hypergraph_bound(n: int, d: int, lam: int) -> BoundReport:
     """Exact optimum of the folded covering LP."""
-    _check_lambda(lam)
-    r = _radius(d)
+    r = _radius(n, d, lam)
     mat = class_matrix(n, r, lam)
     lp = LinearProgram(
         objective=[(2 ** n) * comb(n, j) for j in range(n + 1)], sense="min"
@@ -109,8 +114,7 @@ def optimal1_bound(n: int, lam: int = 1) -> BoundReport:
     2^n (2^(n+1) - 1)/(n+1) exactly.
     """
     _check_lambda(lam)
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_int(n, "n", 1)
     exact = Fraction(2 ** n * (2 ** (n + 1) - 1), n + 1)
     weights = tuple(Fraction(1, i + 1) for i in range(n + 1))
     _check_feasible(class_matrix(n, lam, lam), weights)
@@ -131,8 +135,7 @@ def naive_weight_bound(n: int, d: int, lam: int, strict: bool = False) -> BoundR
     strict=True for the uniformly-reciprocal assignment, which is also
     feasible and gives a tighter value.
     """
-    _check_lambda(lam)
-    r = _radius(d)
+    r = _radius(n, d, lam)
     mu = r // (1 + lam)
     def weight(i: int) -> Fraction:
         if i < mu and not strict:
@@ -150,8 +153,7 @@ def simple_bound(n: int, d: int, lam: int) -> BoundReport:
     Weight class l gets 1/(sum of C(l,j) for j <= r // lam): the count
     of cheap-swap patterns a ball centre can absorb.
     """
-    _check_lambda(lam)
-    r = _radius(d)
+    r = _radius(n, d, lam)
     cap = r // lam
     weights = tuple(
         Fraction(1, sum(comb(l, j) for j in range(min(l, cap) + 1)))
@@ -172,8 +174,8 @@ def weights1_bound(n: int, r: int) -> BoundReport:
     w1, w3, w5 < 0) and a cover row of about -2.57 at class 0, so it
     is no covering assignment and certifies nothing.
     """
-    if n < 1 or r < 1:
-        raise ValueError("need n >= 1 and r >= 1")
+    _check_int(n, "n", 1)
+    _check_int(r, "r", 1)
     lam = 1
     mat = class_matrix(n, r, lam)
     capped = []

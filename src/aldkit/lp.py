@@ -11,14 +11,19 @@ quadratic extension field.  Answers are exact in that field.
 (Dantzig pricing, a small fixed perturbation of the right-hand side, a
 step cap) runs on the same tableau over ``float`` and proposes a
 basis.  Floats do nothing else: second, exact arithmetic solves that
-basis for the primal point x and the dual multipliers y (one
-factorisation of the block of basic variables and tight rows) and
-checks x >= 0, every row, the sign of every y_i for its relation,
-every reduced cost and c.x == b.y.  Those checks prove optimality
-whatever produced the basis.  Third, when the float simplex gives up
-or its basis fails the checks, a dense two-phase simplex with Bland's
-rule runs in the exact field, and its final basis passes the same
-checks.  Only that exact simplex ever reports INFEASIBLE or UNBOUNDED,
+basis for the primal point x and the dual multipliers y (the block of
+basic variables and tight rows, and its transpose) and checks x >= 0,
+every row, the sign of every y_i for its relation, every reduced cost
+and c.x == b.y.  Rational programs (field ``Fraction``) are solved and
+checked in integers: each row and the objective are cleared of
+denominators, fraction-free (Bareiss) elimination gives x and y as
+integer numerators over the basis determinant D > 0, and every check
+compares integers scaled by D; ``Fraction``s are built only for the
+result.  Other fields use one LU factorisation in the field.  Those
+checks prove optimality whatever produced the basis.  Third, when the
+float simplex gives up or its basis fails the checks, a dense
+two-phase simplex with Bland's rule runs in the exact field, and its
+final basis passes the same checks.  Only that exact simplex ever reports INFEASIBLE or UNBOUNDED,
 and every OPTIMAL result carries its checked dual as ``LPResult.y``.
 """
 
@@ -27,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 
 __all__ = [
     "LPStatus",
@@ -379,10 +385,17 @@ def _certify(rows, obj, minimize, basic, tight, zero, on_step):
     system on the basic objective coefficients.  The result is
     optimal exactly when x >= 0 satisfies every row, y has the sign
     each relation demands, every reduced cost has the optimal sign and
-    c.x == b.y; all of that is checked here.
+    c.x == b.y; all of that is checked here, in integers when the
+    field is ``Fraction`` and by LU in the field otherwise.
     """
     if len(basic) != len(tight):
         return None
+    check = _certify_rational if type(zero) is Fraction else _certify_lu
+    return check(rows, obj, minimize, basic, tight, zero, on_step)
+
+
+def _certify_lu(rows, obj, minimize, basic, tight, zero, on_step):
+    """``_certify`` in any ordered field, through one LU factorisation."""
     factored = _lu([[rows[i][0][j] for j in basic] for i in tight], zero, on_step)
     if factored is None:
         return None
@@ -416,6 +429,120 @@ def _certify(rows, obj, minimize, basic, tight, zero, on_step):
     return LPResult(LPStatus.OPTIMAL, value, x, y)
 
 
+def _cleared(values):
+    """``(s, ints)``: the least s > 0 making every rational s*v an
+    integer, and those integers."""
+    s = 1
+    for v in values:
+        s = lcm(s, v.denominator)
+    if s == 1:
+        return 1, [v.numerator for v in values]
+    return s, [v.numerator * (s // v.denominator) for v in values]
+
+
+def _bareiss_solve(augmented, on_step):
+    """Solve an integer k x (k+1) system [B | b] fraction-free.
+
+    Bareiss elimination keeps every entry an integer minor of the
+    input; back substitution then yields the integer numerators X of
+    x = X / D, where D = |det B|.  Returns ``(X, D)``, or None when B
+    is singular.  ``augmented`` is consumed.
+    """
+    a = augmented
+    k = len(a)
+    prev = 1
+    for c in range(k):
+        on_step()
+        p = next((r for r in range(c, k) if a[r][c]), -1)
+        if p < 0:
+            return None
+        a[c], a[p] = a[p], a[c]
+        top = a[c]
+        piv = top[c]
+        tail = top[c + 1:]
+        for r in range(c + 1, k):
+            row = a[r]
+            f = row[c]
+            if f:
+                row[c + 1:] = [(v * piv - f * t) // prev for v, t in zip(row[c + 1:], tail)]
+            else:
+                row[c + 1:] = [v * piv // prev for v in row[c + 1:]]
+        prev = piv
+    # row i now reads a[i][i] x_i + sum_{j>i} a[i][j] x_j = a[i][k] and
+    # prev = +-det B, so each X_i = prev * x_i is an exact quotient
+    det = prev
+    numer = [0] * k
+    for i in reversed(range(k)):
+        row = a[i]
+        v = det * row[k]
+        for j in range(i + 1, k):
+            if row[j]:
+                v -= row[j] * numer[j]
+        numer[i] = v // row[i]
+    if det < 0:
+        return [-v for v in numer], -det
+    return numer, det
+
+
+def _certify_rational(rows, obj, minimize, basic, tight, zero, on_step):
+    """``_certify`` for rational programs, in integer arithmetic.
+
+    Row i times s_i and the objective times t have integer entries
+    (a_i, b_i, c); x is the same for the scaled rows, and their dual
+    y' relates to y by y_i = s_i y'_i / t.  With x = X / D and
+    y' = Y / D (D > 0), every check below is the original one
+    multiplied by a positive integer.
+    """
+    scales, coeff_rows, rhs = [], [], []
+    for coeffs, _, b in rows:
+        s, ints = _cleared([*coeffs, b])
+        scales.append(s)
+        rhs.append(ints.pop())
+        coeff_rows.append(ints)
+    t, cost = _cleared(obj)
+    primal = _bareiss_solve([[coeff_rows[i][j] for j in basic] + [rhs[i]] for i in tight], on_step)
+    if primal is None:
+        return None
+    dual = _bareiss_solve(
+        [[coeff_rows[i][j] for i in tight] + [cost[j]] for j in basic], on_step
+    )
+    xs, det = primal
+    ys, _ = dual  # the same |det|, as det B^T = det B
+    on_step()
+    if any(v < 0 for v in xs):
+        return None
+    support = [(j, v) for j, v in zip(basic, xs) if v]
+    row_duals = [0] * len(rows)
+    for i, v in zip(tight, ys):
+        row_duals[i] = v
+    for coeffs, (_, relation, _), b, yi in zip(coeff_rows, rows, rhs, row_duals):
+        lhs = sum(coeffs[j] * v for j, v in support)
+        b *= det
+        if relation == "<=" and lhs > b or relation == ">=" and lhs < b:
+            return None
+        if relation == "=" and lhs != b:
+            return None
+        # max: y >= 0 on "<=" rows, y <= 0 on ">=" rows; min: the reverse
+        if relation != "=" and yi and (yi > 0) != ((relation == "<=") != minimize):
+            return None
+    priced = [(coeff_rows[i], v) for i, v in zip(tight, ys) if v]
+    for j, c in enumerate(cost):
+        reduced = c * det - sum(coeffs[j] * v for coeffs, v in priced)
+        if (reduced < 0) if minimize else (reduced > 0):
+            return None
+    value = sum(cost[j] * v for j, v in support)
+    if value != sum(rhs[i] * v for i, v in zip(tight, ys)):
+        return None
+    x = [zero] * len(obj)
+    for j, v in support:
+        x[j] = Fraction(v, det)
+    y = [zero] * len(rows)
+    for i, v in zip(tight, ys):
+        if v:
+            y[i] = Fraction(scales[i] * v, t * det)
+    return LPResult(LPStatus.OPTIMAL, Fraction(value, t * det), x, y)
+
+
 def _no_step() -> None:
     pass
 
@@ -428,9 +555,11 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     field scalars.  ``float()`` of a field element, where defined, must
     approximate it; a field without it is solved by the exact simplex
     alone.
-    ``on_step``, when given, runs before every float and exact pivot and
-    at every column of the exact basis factorisation; raising from it
-    aborts the solve (time budgets use this hook).
+    ``on_step``, when given, runs before every float and exact pivot,
+    once per elimination column of each exact basis solve (for a
+    ``Fraction`` program two eliminations, the basis and its transpose;
+    in other fields one LU factorisation) and once before the checks;
+    raising from it aborts the solve (time budgets use this hook).
     """
     if lp.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {lp.sense!r}")

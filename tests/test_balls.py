@@ -129,3 +129,14 @@ def test_argument_validation():
         ball_size(3, 1, 0, 1)
     with pytest.raises(ValueError):
         ball_size(3, 1, 1, -1)
+    # n, w and r must be ints, and not bools, even when an equal int
+    # argument list is already cached
+    assert ball_size(3, 1, 1, 2) == 8
+    for args in [(3, True, 1, 2), (3, 1, 1, 2.5), (3.0, 1, 1, 2), (3, 1.0, 1, 2),
+                 (True, 1, 1, 2), (3, 1, 1, True)]:
+        with pytest.raises(ValueError, match="must be"):
+            ball_size(*args)
+        with pytest.raises(ValueError, match="must be"):
+            sphere_size(*args)
+    with pytest.raises(ValueError, match="must be"):
+        enumerate_ball(PairedWord(2, 0, 0), 1.5, 1)

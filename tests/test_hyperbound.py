@@ -10,6 +10,8 @@ from aldkit.balls import ball_size, enumerate_ball
 from aldkit.core import PairedWord, canonical_weight_word, pair_weight
 from aldkit.hyperbound import (
     BoundReport,
+    ClassMatrix,
+    _check_feasible,
     class_matrix,
     lp_hypergraph_bound,
     naive_weight_bound,
@@ -113,6 +115,46 @@ class TestLPBound:
     def test_rejects_degenerate_distance(self):
         with pytest.raises(ValueError):
             lp_hypergraph_bound(3, 1, 1)
+        # n, d and r must be ints, and not bools
+        for bound, args in [
+            (lp_hypergraph_bound, (3, 5.5, 1)),
+            (lp_hypergraph_bound, (True, 5, 1)),
+            (lp_hypergraph_bound, (3.0, 5, 1)),
+            (naive_weight_bound, (3, 5.0, 1)),
+            (simple_bound, (2.0, 5, 1)),
+            (optimal1_bound, (True,)),
+            (weights1_bound, (3, True)),
+            (weights1_bound, (3.0, 2)),
+            (class_matrix, (3, 1.5, 1)),
+            (class_matrix, (True, 1, 1)),
+        ]:
+            with pytest.raises(ValueError, match="must be"):
+                bound(*args)
+
+
+class TestCheckFeasible:
+    DIAGONAL = class_matrix(1, 1, 1)  # rows [1, 0] and [0, 2]
+
+    def test_row_sum_of_exactly_one_is_accepted(self):
+        _check_feasible(self.DIAGONAL, (Fraction(1), Fraction(1, 2)))
+        _check_feasible(self.DIAGONAL, (1, Fraction(3, 6)))
+
+    def test_row_sum_just_below_one_is_refused(self):
+        short = 1 - Fraction(1, 10**30)
+        message = f"weight vector infeasible at centre class 0: {10**30 - 1}/{10**30} < 1"
+        with pytest.raises(ArithmeticError, match=f"^{message}$"):
+            _check_feasible(self.DIAGONAL, (short, Fraction(1, 2)))
+        message = "weight vector infeasible at centre class 1: 4/5 < 1"
+        with pytest.raises(ArithmeticError, match=f"^{message}$"):
+            _check_feasible(self.DIAGONAL, (Fraction(1), Fraction(2, 5)))
+
+    def test_negative_weight_is_refused_after_the_rows(self):
+        mat = ClassMatrix(1, 1, 1, ((1, 1), (1, 1)))
+        with pytest.raises(ArithmeticError, match="^negative weight in covering assignment$"):
+            _check_feasible(mat, (Fraction(2), Fraction(-1, 2)))
+        # a short row is reported before a negative weight
+        with pytest.raises(ArithmeticError, match="^weight vector infeasible at centre class 0: 1/2 < 1$"):
+            _check_feasible(mat, (Fraction(1), Fraction(-1, 2)))
 
 
 class TestClosedFormBounds:

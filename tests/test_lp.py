@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aldkit import lp as lp_module
+from aldkit import hyperbound, lp as lp_module
+from aldkit.cli import _load_reference
 from aldkit.delsarte import delsarte_bound
 from aldkit.hyperbound import lp_hypergraph_bound
 from aldkit.lp import (
@@ -209,22 +210,42 @@ def test_mixed_relations_carry_a_dual_certificate(data):
         assert_certified(lp, exact)
 
 
+def _converted(lp):
+    rows = [([Fraction(c) for c in coeffs], rel, Fraction(b)) for coeffs, rel, b in lp.rows]
+    return rows, [Fraction(c) for c in lp.objective]
+
+
+def _both_certificates(lp, basic, tight):
+    """The integer and the LU certificate of one proposed basis."""
+    args = (*_converted(lp), lp.sense == "min", list(basic), list(tight),
+            Fraction(0), lambda: None)
+    return lp_module._certify(*args), lp_module._certify_lu(*args)
+
+
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 def test_a_wrong_proposal_never_changes_the_answer(data):
     # Propose every square basis (structural columns x tight rows) in
     # place of the float simplex: the exact checks must reject each one
-    # that is not optimal, so the answer is always the exact simplex's.
+    # that is not optimal, so the answer is always the exact simplex's,
+    # and the integer certificate must agree with the LU one on each.
+    # The data are integers or fractions with denominators 1-6.
     n = data.draw(st.integers(1, 3))
+    rational = data.draw(st.booleans())
+
+    def scalar(bound):
+        q = data.draw(st.integers(1, 6)) if rational else 1
+        return Fraction(data.draw(st.integers(-bound * q, bound * q)), q)
+
     lp = LinearProgram(
-        objective=[data.draw(st.integers(-4, 4)) for _ in range(n)],
+        objective=[scalar(4) for _ in range(n)],
         sense=data.draw(st.sampled_from(["min", "max"])),
     )
     for _ in range(data.draw(st.integers(1, 3))):
         lp.add(
-            [data.draw(st.integers(-3, 3)) for _ in range(n)],
+            [scalar(3) for _ in range(n)],
             data.draw(st.sampled_from(["<=", ">=", "="])),
-            data.draw(st.integers(-6, 6)),
+            scalar(6),
         )
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lp_module, "_float_basis", lambda *args: None)
@@ -232,12 +253,85 @@ def test_a_wrong_proposal_never_changes_the_answer(data):
         for k in range(min(n, len(lp.rows)) + 1):
             for basic in itertools.combinations(range(n), k):
                 for tight in itertools.combinations(range(len(lp.rows)), k):
+                    integer, lu = _both_certificates(lp, basic, tight)
+                    assert integer == lu
                     proposal = (list(basic), list(tight))
                     m.setattr(lp_module, "_float_basis", lambda *args: proposal)
                     got = solve_lp(lp)
                     assert (got.status, got.value) == (want.status, want.value)
                     if got.status is LPStatus.OPTIMAL:
                         assert_certified(lp, got)
+
+
+def _program(sense, objective, *rows):
+    lp = LinearProgram(objective=objective, sense=sense)
+    for row in rows:
+        lp.add(*row)
+    return lp
+
+
+@pytest.mark.parametrize(
+    "lp, basic, tight, value",
+    [
+        # empty basis (k = 0): x = 0 is optimal
+        (_program("min", [1, 2], ([1, -1], "<=", 3)), [], [], 0),
+        # empty basis, refused: raising x1 pays (a positive reduced cost)
+        (_program("max", [1], ([1], "<=", 1)), [], [], None),
+        # B = [[0, 1], [1, 0]], determinant -1
+        (_program("max", [1, 1], ([0, 1], "<=", 1), ([1, 0], "<=", 2)),
+         [0, 1], [0, 1], 3),
+        # B = [[1/2, 1/2], [1, 0]]: row 0 scaled by 2, then the
+        # elimination ends on the pivot -1
+        (_program("max", [3, 2], ([Fraction(1, 2), Fraction(1, 2)], "<=", Fraction(3, 2)),
+                  ([1, 0], "<=", 1)),
+         [0, 1], [0, 1], 7),
+        # singular basis
+        (_program("max", [1, 1], ([1, 1], "<=", 2), ([2, 2], "<=", 4)),
+         [0, 1], [0, 1], None),
+        # x feasible, reduced costs right, but y_0 > 0 on a ">=" row of a max
+        (_program("max", [1], ([1], ">=", 1), ([1], "<=", 3)), [0], [0], None),
+        # x feasible, duals signed right, but x2's reduced cost is positive
+        (_program("max", [1, 1], ([1, 0], "<=", 1), ([0, 1], "<=", 1)), [0], [0], None),
+        # fractional objective over fractional rows: x = (34/57, 20/57)
+        (_program("min", [Fraction(1, 3), Fraction(5, 6)],
+                  ([Fraction(1, 4), 1], ">=", Fraction(1, 2)),
+                  ([1, Fraction(1, 5)], ">=", Fraction(2, 3))),
+         [0, 1], [0, 1], Fraction(28, 57)),
+    ],
+)
+def test_integer_certificate_on_fixed_proposals(lp, basic, tight, value):
+    integer, lu = _both_certificates(lp, basic, tight)
+    assert integer == lu
+    if value is None:
+        assert integer is None
+    else:
+        assert integer.value == value
+        assert_certified(lp, integer)
+
+
+def test_integer_certificate_matches_lu_on_covering_lps(monkeypatch):
+    # LU stays the certificate in other fields, so it is the reference:
+    # on the covering LP of every cell of tables 1, 2, 4 and 5, and at
+    # lam = 2, 3 for n <= 8, both certify the float simplex's basis alike.
+    cells = {(n, d, 2 + extra) for extra in (0, 1) for n in range(1, 9)
+             for d in range(2, 2 * (3 + extra) * n + 3)}
+    for idx in (1, 2, 4, 5):
+        ref = _load_reference(idx)
+        for cell in ref.get("cells") or ref["rows"]:
+            cells.add((cell["n"], cell.get("d", ref.get("d")), ref["lambda"]))
+    accepted = []
+
+    def solve_both_ways(lp):
+        proposal = lp_module._float_basis(*_converted(lp), True, lambda: None)
+        integer, lu = _both_certificates(lp, *proposal)
+        assert integer == lu
+        accepted.append(integer is not None)
+        return solve_lp(lp)
+
+    monkeypatch.setattr(hyperbound, "solve_lp", solve_both_ways)
+    for cell in sorted(cells):
+        lp_hypergraph_bound(*cell)
+    assert len(accepted) == len(cells) and all(accepted)
 
 
 def test_rounding_trap_goes_to_the_exact_simplex(monkeypatch):
