@@ -14,7 +14,6 @@ ball by the weight of its members, ``ball_size`` sums a row of it, and
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from math import comb
 
 from .core import BudgetExceeded, PairedWord, _check_int, _check_lambda, classify_position
@@ -94,14 +93,8 @@ def ball_size(n: int, w: int, lam: int, r: int) -> int:
     Negative w is clamped to 0; callers indexing centres by shifted
     weights rely on that.
     """
-    # checked ahead of the cache, where True would hit the entry of 1
     _check_args(n, w, lam, r)
-    return _ball_size(n, max(w, 0), lam, r)
-
-
-@lru_cache(maxsize=None)
-def _ball_size(n: int, w: int, lam: int, r: int) -> int:
-    return sum(_census_row(n, w, lam, r))
+    return sum(_census_row(n, max(w, 0), lam, r))
 
 
 def sphere_size(n: int, w: int, lam: int, r: int) -> int:

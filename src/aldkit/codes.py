@@ -35,6 +35,7 @@ from itertools import combinations, islice, product
 from .core import (
     BudgetExceeded,
     PairedWord,
+    _check_int,
     _check_lambda,
     all_words,
     map_symbols,
@@ -435,8 +436,7 @@ def build_cp(n: int) -> Codebook:
     """All words whose strands disagree somewhere and whose first strand
     has even parity, plus every word with identical strands.  Exactly
     2^(2n-1) + 2^(n-1) words, minimum distance 2 at unit weighting."""
-    if n < 1:
-        raise ValueError("need n >= 1")
+    _check_int(n, "n", 1)
     _check_enumerable(n)
     return _book(n, 1, 2, "cp", {},
                  lambda w: w.a == w.b or w.a.bit_count() % 2 == 0)
@@ -657,7 +657,7 @@ def _cn_signature(field: OddPrimeField, d: int, phis) -> tuple:
 
 
 def _check_cn_params(field: OddPrimeField, d: int):
-    if d < 1 or d % 2 == 0:
+    if _check_int(d, "d", 1) % 2 == 0:
         raise ValueError("design distance must be odd")
     if field.q < d + 1:
         raise ValueError("need q >= d + 1")
@@ -818,9 +818,8 @@ def build_clambda(n: int, d: int, lam: int, cm, ch_family) -> Codebook:
     disagreement subsequence must lie in ch_family[weight], a binary
     code of Hamming distance >= ceil(d/lam).  Weights missing from
     ch_family contribute no words."""
-    need_m, need_h = _component_distances(d, lam)
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1, d >= 1")
+    _check_int(n, "n", 1)
+    need_m, need_h = _component_distances(_check_int(d, "d", 1), lam)
     _check_enumerable(n)
     cm_set = set()
     for w in cm:
@@ -876,8 +875,8 @@ def greedy_clambda(n: int, d: int, lam: int) -> Codebook:
 def greedy_manhattan_code(n: int, d: int):
     """Lexicographic greedy scan of {0,1,2}^n keeping words at Manhattan
     distance >= d from everything kept, post-verified."""
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1, d >= 1")
+    _check_int(n, "n", 1)
+    _check_int(d, "d", 1)
     if 3**n > 3**10:
         raise BudgetExceeded(f"3^{n} words exceed the enumeration cap")
     if d == 1:

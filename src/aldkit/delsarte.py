@@ -268,10 +268,7 @@ def coefficient_column(m: tuple, budget: Budget | None = None) -> dict:
     profile.  The expansion runs on packed ints, as the module docstring
     describes under "Assembly".
     """
-    n = sum(m)
-    if n == 0:
-        return {(): (1,) + (0,) * 9}
-    size, code = _count_slot(n)
+    size, code = _count_slot(sum(m))
     width = 8 * size
     full = (1 << 10 * width) - 1
     state = {0: 1}  # the empty monomial, one term equal to zeta^0

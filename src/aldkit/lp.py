@@ -12,19 +12,22 @@ quadratic extension field.  Answers are exact in that field.
 step cap) runs on the same tableau over ``float`` and proposes a
 basis.  Floats do nothing else: second, exact arithmetic solves that
 basis for the primal point x and the dual multipliers y (the block of
-basic variables and tight rows, and its transpose) and checks x >= 0,
-every row, the sign of every y_i for its relation, every reduced cost
-and c.x == b.y.  Rational programs (field ``Fraction``) are solved and
-checked in integers: each row and the objective are cleared of
-denominators, fraction-free (Bareiss) elimination gives x and y as
-integer numerators over the basis determinant D > 0, and every check
-compares integers scaled by D; ``Fraction``s are built only for the
-result.  Other fields use one LU factorisation in the field.  Those
-checks prove optimality whatever produced the basis.  Third, when the
-float simplex gives up or its basis fails the checks, a dense
-two-phase simplex with Bland's rule runs in the exact field, and its
-final basis passes the same checks.  Only that exact simplex ever reports INFEASIBLE or UNBOUNDED,
-and every OPTIMAL result carries its checked dual as ``LPResult.y``.
+basic variables and tight rows, and its transpose), and one routine
+checks the pair: x >= 0, every row, the sign of every y_i for its
+relation, every reduced cost and c.x == b.y.  Only the solve depends
+on the field.  Rational programs (field ``Fraction``) are solved in
+integers: each row and the objective are cleared of denominators,
+fraction-free (Bareiss) elimination gives x and y as integer
+numerators over the basis determinant D > 0, and the checks run on
+those numerators against right-hand sides and costs scaled by D;
+``Fraction``s are built only for the result.  Other fields use one LU
+factorisation in the field.  Those checks prove optimality whatever
+produced the basis.  Third, when the float simplex gives up or its
+basis fails the checks, a dense two-phase simplex with Bland's rule
+runs in the exact field, and its final basis passes the same checks.
+Only that exact simplex ever reports INFEASIBLE or UNBOUNDED, and
+every OPTIMAL result carries its checked dual as ``LPResult.y``.
+``solve_linear_system`` uses the same integer elimination.
 """
 
 from __future__ import annotations
@@ -370,23 +373,46 @@ def _lu_solve_transposed(lu, perm, rhs, zero):
     return y
 
 
-def _dot(pairs, zero):
-    total = zero
-    for a, b in pairs:
-        if a != zero and b != zero:
-            total = total + a * b
-    return total
+def _optimal_value(rows, obj, minimize, basic, tight, xs, ys, zero):
+    """c.x when x and y prove each other optimal, else None.
+
+    x is ``xs`` on the columns ``basic`` and zero elsewhere, y is ``ys``
+    on the rows ``tight`` and zero elsewhere.  The checks: x >= 0,
+    every row A_i.x against b_i, the sign of every y_i for its
+    relation, every reduced cost c_j - (A^T y)_j, and c.x == b.y.
+    """
+    if any(v < zero for v in xs):
+        return None
+    support = [(j, v) for j, v in zip(basic, xs) if v != zero]
+    priced = [(i, v) for i, v in zip(tight, ys) if v != zero]
+    for coeffs, relation, rhs in rows:
+        lhs = sum((coeffs[j] * v for j, v in support), zero)
+        if relation == "<=" and lhs > rhs or relation == ">=" and lhs < rhs:
+            return None
+        if relation == "=" and lhs != rhs:
+            return None
+    for i, v in priced:
+        relation = rows[i][1]
+        # max: y >= 0 on "<=" rows, y <= 0 on ">=" rows; min: the reverse
+        if relation != "=" and (v > zero) != ((relation == "<=") != minimize):
+            return None
+    for j, c in enumerate(obj):
+        reduced = c - sum((rows[i][0][j] * v for i, v in priced), zero)
+        if (reduced < zero) if minimize else (reduced > zero):
+            return None
+    value = sum((obj[j] * v for j, v in support), zero)
+    if value != sum((rows[i][2] * v for i, v in priced), zero):
+        return None
+    return value
 
 
 def _certify(rows, obj, minimize, basic, tight, zero, on_step):
     """Solve the basis exactly and check it; the LPResult, or None.
 
     x solves the tight rows on the basic columns, y the transposed
-    system on the basic objective coefficients.  The result is
-    optimal exactly when x >= 0 satisfies every row, y has the sign
-    each relation demands, every reduced cost has the optimal sign and
-    c.x == b.y; all of that is checked here, in integers when the
-    field is ``Fraction`` and by LU in the field otherwise.
+    system on the basic objective coefficients, and ``_optimal_value``
+    checks the pair: in integers when the field is ``Fraction``, in the
+    field after one LU factorisation otherwise.
     """
     if len(basic) != len(tight):
         return None
@@ -400,32 +426,18 @@ def _certify_lu(rows, obj, minimize, basic, tight, zero, on_step):
     if factored is None:
         return None
     lu, perm = factored
+    xs = _lu_solve(lu, perm, [rows[i][2] for i in tight], zero)
+    ys = _lu_solve_transposed(lu, perm, [obj[j] for j in basic], zero)
+    on_step()
+    value = _optimal_value(rows, obj, minimize, basic, tight, xs, ys, zero)
+    if value is None:
+        return None
     x = [zero] * len(obj)
-    for j, v in zip(basic, _lu_solve(lu, perm, [rows[i][2] for i in tight], zero)):
+    for j, v in zip(basic, xs):
         x[j] = v
     y = [zero] * len(rows)
-    for i, v in zip(tight, _lu_solve_transposed(lu, perm, [obj[j] for j in basic], zero)):
+    for i, v in zip(tight, ys):
         y[i] = v
-    on_step()
-    if any(v < zero for v in x):
-        return None
-    support = [(j, x[j]) for j in basic]
-    for (coeffs, relation, rhs), yi in zip(rows, y):
-        lhs = _dot(((coeffs[j], v) for j, v in support), zero)
-        if relation == "<=" and lhs > rhs or relation == ">=" and lhs < rhs:
-            return None
-        if relation == "=" and lhs != rhs:
-            return None
-        # max: y >= 0 on "<=" rows, y <= 0 on ">=" rows; min: the reverse
-        if relation != "=" and yi != zero and (yi > zero) != ((relation == "<=") != minimize):
-            return None
-    for j, c in enumerate(obj):
-        reduced = c - _dot(((y[i], rows[i][0][j]) for i in tight), zero)
-        if (reduced < zero) if minimize else (reduced > zero):
-            return None
-    value = _dot(zip(obj, x), zero)
-    if value != _dot(((yi, rhs) for (_, _, rhs), yi in zip(rows, y)), zero):
-        return None
     return LPResult(LPStatus.OPTIMAL, value, x, y)
 
 
@@ -490,8 +502,9 @@ def _certify_rational(rows, obj, minimize, basic, tight, zero, on_step):
     Row i times s_i and the objective times t have integer entries
     (a_i, b_i, c); x is the same for the scaled rows, and their dual
     y' relates to y by y_i = s_i y'_i / t.  With x = X / D and
-    y' = Y / D (D > 0), every check below is the original one
-    multiplied by a positive integer.
+    y' = Y / D (D > 0), ``_optimal_value`` checks X and Y against the
+    rows (a_i, D b_i) and the costs D c: every check is the original
+    one multiplied by a positive integer.
     """
     scales, coeff_rows, rhs = [], [], []
     for coeffs, _, b in rows:
@@ -509,38 +522,22 @@ def _certify_rational(rows, obj, minimize, basic, tight, zero, on_step):
     xs, det = primal
     ys, _ = dual  # the same |det|, as det B^T = det B
     on_step()
-    if any(v < 0 for v in xs):
-        return None
-    support = [(j, v) for j, v in zip(basic, xs) if v]
-    row_duals = [0] * len(rows)
-    for i, v in zip(tight, ys):
-        row_duals[i] = v
-    for coeffs, (_, relation, _), b, yi in zip(coeff_rows, rows, rhs, row_duals):
-        lhs = sum(coeffs[j] * v for j, v in support)
-        b *= det
-        if relation == "<=" and lhs > b or relation == ">=" and lhs < b:
-            return None
-        if relation == "=" and lhs != b:
-            return None
-        # max: y >= 0 on "<=" rows, y <= 0 on ">=" rows; min: the reverse
-        if relation != "=" and yi and (yi > 0) != ((relation == "<=") != minimize):
-            return None
-    priced = [(coeff_rows[i], v) for i, v in zip(tight, ys) if v]
-    for j, c in enumerate(cost):
-        reduced = c * det - sum(coeffs[j] * v for coeffs, v in priced)
-        if (reduced < 0) if minimize else (reduced > 0):
-            return None
-    value = sum(cost[j] * v for j, v in support)
-    if value != sum(rhs[i] * v for i, v in zip(tight, ys)):
+    scaled = [(a, relation, b * det) for a, (_, relation, _), b in zip(coeff_rows, rows, rhs)]
+    value = _optimal_value(
+        scaled, [c * det for c in cost], minimize, basic, tight, xs, ys, 0
+    )
+    if value is None:
         return None
     x = [zero] * len(obj)
-    for j, v in support:
-        x[j] = Fraction(v, det)
+    for j, v in zip(basic, xs):
+        if v:
+            x[j] = Fraction(v, det)
     y = [zero] * len(rows)
     for i, v in zip(tight, ys):
         if v:
             y[i] = Fraction(scales[i] * v, t * det)
-    return LPResult(LPStatus.OPTIMAL, Fraction(value, t * det), x, y)
+    # the checked value is (D t c).(D x)
+    return LPResult(LPStatus.OPTIMAL, Fraction(value, t * det * det), x, y)
 
 
 def _no_step() -> None:
@@ -591,16 +588,20 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     return result
 
 
-def solve_linear_system(matrix, rhs, convert=Fraction):
-    """Solve a square system exactly by LU factorisation.
+def solve_linear_system(matrix, rhs):
+    """Solve a square rational system exactly, fraction-free.
 
-    Raises ``ArithmeticError`` when the matrix is singular.
+    Each row is cleared of denominators and Bareiss elimination gives
+    the solution as integer numerators over the determinant, so no
+    ``Fraction`` is built before the answer.  Entries are ints or
+    ``Fraction``s; raises ``ArithmeticError`` when the matrix is
+    singular.
     """
     n = len(matrix)
     if any(len(r) != n for r in matrix) or len(rhs) != n:
         raise ValueError("system is not square")
-    zero = convert(0)
-    factored = _lu([[convert(v) for v in row] for row in matrix], zero, _no_step)
-    if factored is None:
+    solved = _bareiss_solve([_cleared([*row, b])[1] for row, b in zip(matrix, rhs)], _no_step)
+    if solved is None:
         raise ArithmeticError("singular matrix")
-    return _lu_solve(*factored, [convert(b) for b in rhs], zero)
+    numer, det = solved
+    return [Fraction(v, det) for v in numer]

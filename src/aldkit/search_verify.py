@@ -27,7 +27,7 @@ from functools import lru_cache
 
 from .codes import (ENUM_LIMIT_N, Codebook, best_cn_coset, build_cl, build_cp,
                     OddPrimeField)
-from .core import BudgetExceeded, PairedWord, ald_distance
+from .core import BudgetExceeded, PairedWord, _check_int, ald_distance
 from .delsarte import delsarte_bound
 from .hyperbound import (
     lp_hypergraph_bound,
@@ -210,10 +210,8 @@ def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
     costs, at most C(m+3, 3) thresholds whatever d and λ are; row x is
     ``far[d][x]`` at length n.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d < 1:
-        raise ValueError("need d >= 1")
+    _check_int(n, "n", 1)
+    _check_int(d, "d", 1)
     if n > SEARCH_LIMIT_N:
         raise BudgetExceeded(
             f"graph on 4^{n} vertices exceeds the 4^{SEARCH_LIMIT_N} search budget"
@@ -478,9 +476,8 @@ def exact_max_code(n: int, d: int, lam: int):
 
 def averaging_lower_bound(n: int, d: int) -> int:
     """Some congruence coset holds at least the average share of all words."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    if d < 1 or d % 2 == 0:
+    _check_int(n, "n", 1)
+    if _check_int(d, "d", 1) % 2 == 0:
         raise ValueError("odd minimum distance required")
     return -((-(4 ** n)) // (d * (n + 1) ** (d // 2)))
 

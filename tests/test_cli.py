@@ -71,6 +71,12 @@ def test_read_codebook_error_reporting(tmp_path):
     path.write_text(json.dumps(dict(good, words=None)))
     rc = main(["verify", "mindist", "--in", str(path)])
     assert rc == 2  # a usage error, not a traceback
+    path.write_text(json.dumps([good]))
+    with pytest.raises(ValueError, match="top level must be an object"):
+        read_codebook(path)
+    path.write_text(json.dumps(dict(good, schema_version=2)))
+    with pytest.raises(ValueError, match="field 'schema_version': unsupported version"):
+        read_codebook(path)
 
 
 def test_write_refuses_implicit_codebooks(tmp_path):
@@ -234,12 +240,16 @@ def test_decode_command(capsys, tmp_path):
     pos = (mixed & -mixed).bit_length() - 1
     swapped = PairedWord(6, clean.a ^ (1 << pos), clean.b ^ (1 << pos))
     flipped = PairedWord(6, clean.a ^ (1 << 2), clean.b)
+    # a flip on the second strand is no class-1 error: correct1 cannot fix it
+    flipped_b = PairedWord(6, clean.a, clean.b ^ 1)
     path = tmp_path / "rx.json"
-    path.write_text(json.dumps({
+    received = {
         "schema_version": 1, "n": 6, "lambda": 1, "design_distance": 3,
         "construction": "received", "params": {},
-        "words": [clean.to_digits(), swapped.to_digits(), flipped.to_digits()],
-    }))
+        "words": [clean.to_digits(), swapped.to_digits(), flipped.to_digits(),
+                  flipped_b.to_digits()],
+    }
+    path.write_text(json.dumps(received))
     rc, out, _ = run(capsys, "decode", "cl", "--v", 3, "--u", 0,
                      "--mode", "correct1", "--in", path)
     assert rc == 0
@@ -249,6 +259,10 @@ def test_decode_command(capsys, tmp_path):
         "word": clean.to_digits(),
     }
     assert records[1]["word"] == clean.to_digits()
+    assert records[3] == {
+        "received": flipped_b.to_digits(), "status": "error",
+        "reason": "uncorrectable pattern",
+    }
     rc, out, _ = run(capsys, "decode", "cl", "--v", 3, "--u", 0,
                      "--mode", "detect2", "--in", path)
     records = [json.loads(line) for line in out.strip().splitlines()]
@@ -257,6 +271,11 @@ def test_decode_command(capsys, tmp_path):
         "received": flipped.to_digits(), "status": "flagged",
         "strand": "a", "position": 2,
     }
+    path.write_text(json.dumps(dict(received, n=4, words=["0000"])))
+    rc, out, err = run(capsys, "decode", "cl", "--v", 3, "--u", 0,
+                       "--mode", "correct1", "--in", path)
+    assert (rc, out) == (2, "")
+    assert "length mismatch: file words have n=4, v=3 needs 6" in err
 
 
 def test_exact_command(capsys):

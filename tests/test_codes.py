@@ -340,8 +340,9 @@ def test_cp_small_cases():
 
 
 def test_cp_validation():
-    with pytest.raises(ValueError):
-        build_cp(0)
+    for n in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            build_cp(n)
     with pytest.raises(BudgetExceeded):
         build_cp(9)
 
@@ -469,6 +470,9 @@ def test_cn_parameter_validation():
     f = OddPrimeField(5, 1, alpha=2)
     with pytest.raises(ValueError):
         build_cn(f, 4, 0, (0, 0))  # even distance
+    for d in (3.0, True):
+        with pytest.raises(ValueError, match="d must"):
+            build_cn(f, d, 0, (0,))
     with pytest.raises(ValueError):
         build_cn(f, 5, 0, (0, 0))  # q < d+1
     with pytest.raises(ValueError):
@@ -611,6 +615,9 @@ def test_clambda_input_validation():
     for lam in (0, 1.5, True):
         with pytest.raises(ValueError, match="lam"):
             build_clambda(2, 2, lam, [(0, 0)], {0: {0}})
+    for n, d in ((2, 2.5), (2, 0), (True, 2), (2.0, 2)):
+        with pytest.raises(ValueError, match="n must|d must"):
+            build_clambda(n, d, 1, [(0, 0)], {0: {0}})
 
 
 def test_greedy_manhattan_small_cases():
@@ -619,8 +626,9 @@ def test_greedy_manhattan_small_cases():
     book = greedy_manhattan_code(2, 2)
     assert min_l1_distance(book) >= 2
     assert (0, 0) in book
-    with pytest.raises(ValueError):
-        greedy_manhattan_code(0, 1)
+    for n, d in ((0, 1), (2, 1.5), (True, 1), (2, 0), (2.0, 2)):
+        with pytest.raises(ValueError):
+            greedy_manhattan_code(n, d)
     with pytest.raises(BudgetExceeded):
         greedy_manhattan_code(11, 2)
 

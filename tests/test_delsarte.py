@@ -267,7 +267,7 @@ def multinomial(p):
     return math.factorial(sum(p)) // math.prod(map(math.factorial, p))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", [0, 1, 2, 3])
 def test_coefficient_column_matches_character_sums(n):
     for m in profiles(n):
         assert coefficient_column(m) == character_sum_oracle(n, m), m

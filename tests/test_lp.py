@@ -39,6 +39,46 @@ def assert_certified(lp, res):
     assert dot([rhs for _, _, rhs in lp.rows], res.y) == res.value
 
 
+class NoFloat:
+    """The rationals as a field scalar that ``float()`` refuses."""
+
+    def __init__(self, v):
+        self.v = v.v if isinstance(v, NoFloat) else Fraction(v)
+
+    def __add__(self, o):
+        return NoFloat(self.v + NoFloat(o).v)
+
+    def __sub__(self, o):
+        return NoFloat(self.v - NoFloat(o).v)
+
+    def __mul__(self, o):
+        return NoFloat(self.v * NoFloat(o).v)
+
+    def __truediv__(self, o):
+        return NoFloat(self.v / NoFloat(o).v)
+
+    def __neg__(self):
+        return NoFloat(-self.v)
+
+    def __bool__(self):
+        return bool(self.v)
+
+    def __eq__(self, o):
+        return self.v == NoFloat(o).v
+
+    def __lt__(self, o):
+        return self.v < NoFloat(o).v
+
+    def __le__(self, o):
+        return self.v <= NoFloat(o).v
+
+    def __gt__(self, o):
+        return self.v > NoFloat(o).v
+
+    def __ge__(self, o):
+        return self.v >= NoFloat(o).v
+
+
 def test_minimize_simple():
     # min x + y  st  x + 2y >= 4,  3x + y >= 6  ->  (8/5, 6/5), value 14/5
     lp = LinearProgram(objective=[1, 1], sense="min")
@@ -302,11 +342,47 @@ def _program(sense, objective, *rows):
 def test_integer_certificate_on_fixed_proposals(lp, basic, tight, value):
     integer, lu = _both_certificates(lp, basic, tight)
     assert integer == lu
+    # the same checks on the LU solution in a field that is not Fraction,
+    # where nothing is scaled by a determinant
+    rows = [([NoFloat(c) for c in coeffs], rel, NoFloat(b)) for coeffs, rel, b in lp.rows]
+    other = lp_module._certify_lu(rows, [NoFloat(c) for c in lp.objective], lp.sense == "min",
+                                  list(basic), list(tight), NoFloat(0), lambda: None)
     if value is None:
-        assert integer is None
+        assert integer is None and other is None
     else:
         assert integer.value == value
         assert_certified(lp, integer)
+        assert (other.value.v, [v.v for v in other.x], [v.v for v in other.y]) == (
+            integer.value, integer.x, integer.y)
+
+
+@pytest.mark.parametrize("field", [int, NoFloat])
+@pytest.mark.parametrize(
+    "sense, objective, rows, xs, ys, value",
+    [
+        # x = 1, y = 1 on the one tight row: an optimal pair
+        ("max", [1], [([1], "<=", 1)], [1], [1], 1),
+        # each pair below fails exactly one check, always at basic [0]
+        # and tight [0]: x >= 0
+        ("max", [1], [([1], "=", -1)], [-1], [1], None),
+        # a row: x = 1 breaks x <= 0
+        ("max", [1], [([1], "<=", 1), ([1], "<=", 0)], [1], [1], None),
+        # a dual sign: y > 0 on a ">=" row of a max
+        ("max", [1], [([1], ">=", 1), ([1], "<=", 3)], [1], [1], None),
+        # a reduced cost: raising x2 pays
+        ("max", [1, 1], [([1, 0], "<=", 1), ([0, 1], "<=", 1)], [1], [1], None),
+        # c.x == b.y: 1 against 2 (a basis solve cannot give this pair)
+        ("max", [1], [([1], "<=", 1)], [1], [2], None),
+    ],
+    ids=["optimal", "negative-x", "row", "dual-sign", "reduced-cost", "duality-gap"],
+)
+def test_each_optimality_check_refuses_on_its_own(sense, objective, rows, xs, ys, value, field):
+    rows = [([field(c) for c in coeffs], rel, field(b)) for coeffs, rel, b in rows]
+    got = lp_module._optimal_value(
+        rows, [field(c) for c in objective], sense == "min", [0], [0],
+        [field(v) for v in xs], [field(v) for v in ys], field(0),
+    )
+    assert got == (None if value is None else field(value))
 
 
 def test_integer_certificate_matches_lu_on_covering_lps(monkeypatch):
@@ -332,6 +408,59 @@ def test_integer_certificate_matches_lu_on_covering_lps(monkeypatch):
     for cell in sorted(cells):
         lp_hypergraph_bound(*cell)
     assert len(accepted) == len(cells) and all(accepted)
+
+
+def test_redundant_equation_is_dropped(monkeypatch):
+    # min x + 2y  st  x + y = 1, 2x + 2y = 2: after phase 1 the second
+    # row's artificial cannot leave the basis, so the exact simplex
+    # drops the row.  It runs whether or not the float simplex is asked
+    # first, as the perturbed float rows are inconsistent.
+    lp = LinearProgram(objective=[1, 2], sense="min")
+    lp.add([1, 1], "=", 1)
+    lp.add([2, 2], "=", 2)
+    tights = []
+    simplex = lp_module._simplex
+
+    def traced_simplex(*args, **kwargs):
+        outcome = simplex(*args, **kwargs)
+        tights.append(outcome[2])
+        return outcome
+
+    monkeypatch.setattr(lp_module, "_simplex", traced_simplex)
+    res = solve_lp(lp)
+    assert tights[-1] == [0]
+    tights.clear()
+    monkeypatch.setattr(lp_module, "_float_basis", lambda *args: None)
+    exact = solve_lp(lp)
+    assert tights == [[0]]
+    for got in (res, exact):
+        assert got.status is LPStatus.OPTIMAL
+        assert got.value == 1 and got.x == [1, 0]
+        assert_certified(lp, got)
+
+
+def test_float_step_cap_hands_over_to_the_exact_simplex(monkeypatch):
+    # max x_1 + ... + x_12  st  x_i <= 1: every x_i enters once, so the
+    # float simplex needs 12 pivots, past the 10 a zero cap leaves it.
+    lp = LinearProgram(objective=[1] * 12, sense="max")
+    for i in range(12):
+        lp.add([int(i == j) for j in range(12)], "<=", 1)
+    outcomes, exact_runs = [], []
+    dantzig, bland = lp_module._dantzig, lp_module._bland
+    monkeypatch.setattr(
+        lp_module, "_dantzig", lambda *args: outcomes.append(dantzig(*args)) or outcomes[-1]
+    )
+    monkeypatch.setattr(
+        lp_module, "_bland", lambda *args: exact_runs.append(1) or bland(*args)
+    )
+    want = solve_lp(lp)
+    assert outcomes == ["optimal"] and not exact_runs
+    monkeypatch.setattr(lp_module, "_FLOAT_CAP_PER_SIZE", 0)
+    got = solve_lp(lp)
+    assert outcomes == ["optimal", "stalled"] and exact_runs
+    assert got == want
+    assert got.value == 12 and got.x == [1] * 12
+    assert_certified(lp, got)
 
 
 def test_rounding_trap_goes_to_the_exact_simplex(monkeypatch):
@@ -368,46 +497,6 @@ def test_numbers_beyond_the_float_range_go_to_the_exact_simplex():
     assert res.status is LPStatus.OPTIMAL
     assert res.x == [Fraction(huge, huge + 1)] * 2
     assert_certified(lp, res)
-
-
-class NoFloat:
-    """The rationals as a field scalar that ``float()`` refuses."""
-
-    def __init__(self, v):
-        self.v = v.v if isinstance(v, NoFloat) else Fraction(v)
-
-    def __add__(self, o):
-        return NoFloat(self.v + NoFloat(o).v)
-
-    def __sub__(self, o):
-        return NoFloat(self.v - NoFloat(o).v)
-
-    def __mul__(self, o):
-        return NoFloat(self.v * NoFloat(o).v)
-
-    def __truediv__(self, o):
-        return NoFloat(self.v / NoFloat(o).v)
-
-    def __neg__(self):
-        return NoFloat(-self.v)
-
-    def __bool__(self):
-        return bool(self.v)
-
-    def __eq__(self, o):
-        return self.v == NoFloat(o).v
-
-    def __lt__(self, o):
-        return self.v < NoFloat(o).v
-
-    def __le__(self, o):
-        return self.v <= NoFloat(o).v
-
-    def __gt__(self, o):
-        return self.v > NoFloat(o).v
-
-    def __ge__(self, o):
-        return self.v >= NoFloat(o).v
 
 
 def test_a_field_without_float_goes_to_the_exact_simplex():

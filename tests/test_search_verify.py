@@ -246,6 +246,11 @@ def test_graph_budget_and_validation():
         distance_graph(0, 3, 1)
     with pytest.raises(ValueError):
         distance_graph(2, 0, 1)
+    for n, d in ((2, 2.5), (True, 1), (2.0, 3), (2, True)):
+        with pytest.raises(ValueError):
+            distance_graph(n, d, 1)
+        with pytest.raises(ValueError):
+            exact_max_code(n, d, 1)
 
 
 # ------------------------------------------------------------- exact search
@@ -590,6 +595,9 @@ def test_averaging_validation():
         averaging_lower_bound(0, 3)
     with pytest.raises(ValueError):
         averaging_lower_bound(3, 4)
+    for n, d in ((2.0, 3), (True, 3), (2, 3.0), (2, True)):
+        with pytest.raises(ValueError):
+            averaging_lower_bound(n, d)
 
 
 # ------------------------------------------------------------- sandwich reports
