@@ -37,7 +37,7 @@ from .codes import (
     decode_cl,
     greedy_clambda,
 )
-from .core import (BUDGET_ENV, Budget, BudgetExceeded, PairedWord, ald_distance,
+from .core import (Budget, BudgetExceeded, PairedWord, _check_int, ald_distance,
                    canonical_weight_word)
 from .delsarte import delsarte_bound
 from .hyperbound import (
@@ -110,9 +110,10 @@ def read_codebook(path: str) -> Codebook:
     if data["schema_version"] != SCHEMA_VERSION:
         raise ValueError(f"{path}: field 'schema_version': unsupported version")
     for field in ("n", "lambda", "design_distance"):
-        value = data[field]
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"{path}: field '{field}': need a positive integer")
+        try:
+            _check_int(data[field], field, 1)
+        except ValueError as err:
+            raise ValueError(f"{path}: field '{field}': {err}")
     if not isinstance(data["words"], list):
         raise ValueError(f"{path}: field 'words': need a list")
     n = data["n"]
@@ -378,7 +379,7 @@ def cmd_table(args) -> int:
     if idx != 3 and args.budget is not None:
         raise ValueError("--budget applies to table 3 only")
     # only the character LP of table 3 runs under a budget
-    budget = Budget(args.budget, default=600.0) if idx == 3 else None
+    budget = Budget(600.0 if args.budget is None else args.budget) if idx == 3 else None
     rows = _table_rows(idx, max_n, budget)
     if args.format == "json":
         print(json.dumps({"table": idx, "rows": rows}, indent=1))
@@ -437,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exact-rational", action="store_true",
                    help="print the exact value instead of its floor")
     p.add_argument("--budget", type=float,
-                   help=f"delsarte's time budget in seconds (default ${BUDGET_ENV})")
+                   help="delsarte's time budget in seconds (none by default; n >= 4 needs one)")
     p.set_defaults(func=cmd_bound)
 
     p = sub.add_parser("construct", help="build a codebook and write it to a file")
@@ -494,8 +495,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("table", type=int, choices=[1, 2, 3, 4, 5])
     p.add_argument("--max-n", type=int, dest="max_n")
     p.add_argument("--budget", type=float,
-                   help=f"table 3's total time budget in seconds "
-                        f"(default ${BUDGET_ENV}, else 600)")
+                   help="table 3's total time budget in seconds (default 600)")
     p.add_argument("--format", choices=["csv", "json"], default="csv")
     p.set_defaults(func=cmd_table)
 

@@ -161,10 +161,8 @@ class BinaryParityCheck:
     claimed_distance: int
 
     def __post_init__(self):
-        if self.rows < 1:
-            raise ValueError("need at least one row")
-        if self.claimed_distance < 1:
-            raise ValueError("claimed distance must be positive")
+        _check_int(self.rows, "rows", 1)
+        _check_int(self.claimed_distance, "claimed_distance", 1)
         top = 1 << self.rows
         object.__setattr__(self, "columns", tuple(self.columns))
         if any(not (0 <= c < top) for c in self.columns):
@@ -533,8 +531,7 @@ class OddPrimeField:
                  modulus: tuple | None = None):
         if not _is_odd_prime(q):
             raise ValueError("q must be an odd prime")
-        if l < 1:
-            raise ValueError("extension degree must be positive")
+        _check_int(l, "l", 1)
         self.q = q
         self.l = l
         self.size = q**l

@@ -17,13 +17,11 @@ per-symbol heap objects.
 from __future__ import annotations
 
 import math
-import os
 import time
 from dataclasses import dataclass
 from enum import Enum
 
 __all__ = [
-    "BUDGET_ENV",
     "Budget",
     "BudgetExceeded",
     "ErrorClass",
@@ -44,28 +42,17 @@ class BudgetExceeded(RuntimeError):
     """An enumeration or solve was refused or cut short by its budget."""
 
 
-BUDGET_ENV = "ALDKIT_BUDGET_SECS"
-
-
 class Budget:
-    """A time budget: ``seconds`` if given, else ``ALDKIT_BUDGET_SECS``,
-    else ``default``.  ``self.seconds`` is None when none of them sets a
-    limit; the budget then never runs out, as with ``inf``.  NaN is
-    rejected, since no clock reading would ever pass it.
+    """A time budget of ``seconds``.  ``self.seconds`` is None when no
+    limit is given; the budget then never runs out, as with ``inf``.
+    NaN is rejected, since no clock reading would ever pass it.
     """
 
-    def __init__(self, seconds=None, default=None):
-        source = "budget"
-        if seconds is None:
-            seconds = os.environ.get(BUDGET_ENV, default)
-            source = f"environment variable {BUDGET_ENV}"
+    def __init__(self, seconds=None):
         if seconds is not None:
-            try:
-                seconds = float(seconds)
-            except ValueError:
-                seconds = math.nan
+            seconds = float(seconds)
             if math.isnan(seconds):
-                raise ValueError(f"{source} must be a number of seconds")
+                raise ValueError("budget must be a number of seconds")
         self.seconds = seconds
         self.expiry = time.monotonic() + (math.inf if seconds is None else seconds)
 

@@ -44,7 +44,7 @@ from itertools import combinations_with_replacement
 from operator import mul, sub
 from struct import unpack
 
-from .core import BUDGET_ENV, Budget, BudgetExceeded, _check_int, _check_lambda
+from .core import Budget, BudgetExceeded, _check_int, _check_lambda
 from .lp import LinearProgram, LPStatus, solve_lp
 
 
@@ -405,8 +405,8 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     print no value; the number there is still a valid upper bound (the
     LP relaxes a true-code constraint system), just not a tabulated one.
 
-    The time budget is ``budget_secs``, else ``ALDKIT_BUDGET_SECS``, else
-    none.  From n = 4 on, cells can take hours, so there one is required.
+    The time budget is ``budget_secs``, else none.  From n = 4 on, cells
+    can take hours, so there one is required.
     """
     _check_int(n, "n", 1)
     _check_int(d, "d", 1)
@@ -415,7 +415,7 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     budget = Budget(budget_secs)
     if n >= 4 and budget.seconds is None:
         raise BudgetExceeded(
-            f"n={n} needs a time budget: pass budget_secs or set {BUDGET_ENV}"
+            f"n={n} needs a time budget: pass budget_secs (--budget on the CLI)"
         )
     survivors, rows = _assemble(n, d, lam, budget)
     if not survivors:

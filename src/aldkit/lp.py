@@ -275,8 +275,9 @@ def _float_basis(rows, obj, minimize, on_step):
     """Basis proposed by the float simplex, or None when it gives up.
 
     Columns, then rows, are scaled to unit largest magnitude and the
-    objective likewise; scaling moves no basis.  Row i's right-hand
-    side then grows by _FLOAT_PERTURB * (1 + i / m).  Numbers beyond
+    objective likewise; scaling moves no basis.  Inequality row i's
+    right-hand side then grows by _FLOAT_PERTURB * (1 + i / m); equations
+    keep theirs, so redundant ones stay consistent.  Numbers beyond
     the float range, or a field without ``float()``, leave the problem
     to the exact simplex.
     """
@@ -293,7 +294,8 @@ def _float_basis(rows, obj, minimize, on_step):
     for i, (coeffs, rel, b) in enumerate(frows):
         coeffs = [c / s for c, s in zip(coeffs, colmax)]
         big = max(map(abs, coeffs), default=0.0) or 1.0
-        scaled.append(([c / big for c in coeffs], rel, b / big + _FLOAT_PERTURB * (1 + i / m)))
+        nudge = 0.0 if rel == "=" else _FLOAT_PERTURB * (1 + i / m)
+        scaled.append(([c / big for c in coeffs], rel, b / big + nudge))
     fobj = [c / s for c, s in zip(fobj, colmax)]
     big = max(map(abs, fobj), default=0.0) or 1.0
     fobj = [c / big for c in fobj]

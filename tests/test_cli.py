@@ -8,6 +8,7 @@ import pytest
 from aldkit.cli import CSV_HEADER, main, read_codebook, write_codebook
 from aldkit.codes import build_cl, build_cp
 from aldkit.core import PairedWord
+from aldkit.delsarte import delsarte_bound
 from aldkit.search_verify import exact_max_code
 
 
@@ -150,31 +151,37 @@ def test_bound_delsarte_budget_refusal(capsys):
     assert rc == 3 and "budget" in err.lower()
 
 
-def test_budget_values_and_variable(capsys, monkeypatch):
-    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+def test_budget_values(capsys):
     rc, out, err = run(capsys, "bound", "delsarte", "--n", 4, "--d", 16,
                        "--budget", "nan")
     assert (rc, out) == (2, "") and "budget" in err
-    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "nan")
-    rc, out, err = run(capsys, "bound", "delsarte", "--n", 4, "--d", 16)
-    assert (rc, out) == (2, "") and "ALDKIT_BUDGET_SECS" in err
-    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "-1")
-    rc, _, err = run(capsys, "bound", "delsarte", "--n", 3, "--d", 9)
+    rc, _, err = run(capsys, "bound", "delsarte", "--n", 3, "--d", 9,
+                     "--budget", -1)
     assert rc == 3 and "budget" in err
     # the other methods have no budget, so they refuse --budget
     for method in ("lp", "naive", "simple", "weights1", "optimal1"):
         rc, out, err = run(capsys, "bound", method, "--n", 5, "--d", 3,
                            "--budget", "nan")
         assert (rc, out) == (2, "") and "delsarte only" in err, method
-    # only table 3 has a budget, so no other table reads the variable
-    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "abc")
-    rc, out, _ = run(capsys, "table", "1", "--max-n", 1)
-    assert rc == 0 and all(r["match"] == "yes" for r in parse_csv(out))
-    # nor takes --budget: it is a usage error, not silently ignored
+    # nor does any table but 3: --budget is a usage error, not ignored
     for argv in (("1", "--max-n", 1, "--budget", "nan"),
                  ("2", "--max-n", 5, "--budget", 5)):
         rc, out, err = run(capsys, "table", *argv)
         assert (rc, out) == (2, "") and "table 3 only" in err
+
+
+def test_budget_variable_has_no_effect(capsys, monkeypatch):
+    # budgets are arguments only; an ambient variable changes no answer
+    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+    report = delsarte_bound(3, 9, 1)
+    answer = run(capsys, "bound", "delsarte", "--n", 3, "--d", 9)
+    assert answer[0] == 0
+    for raw in ("-1", "nan"):
+        monkeypatch.setenv("ALDKIT_BUDGET_SECS", raw)
+        assert delsarte_bound(3, 9, 1) == report
+        assert run(capsys, "bound", "delsarte", "--n", 3, "--d", 9) == answer
+        rc, out, err = run(capsys, "bound", "delsarte", "--n", 4, "--d", 16)
+        assert (rc, out) == (3, "") and "budget_secs" in err
 
 
 @pytest.mark.parametrize(
@@ -329,11 +336,10 @@ def test_table2_reports_honest_mismatches(capsys):
             assert row["match"] == "yes", row
 
 
-def test_table3_budgeted_run(capsys, monkeypatch):
+def test_table3_budgeted_run(capsys):
     # Every cell at n <= 3 finishes under the default budget, so the
     # verdict does not depend on machine speed; the refusal path is
     # covered by test_table3_spent_budget_refuses_every_cell.
-    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
     rc, out, _ = run(capsys, "table", "3")
     rows = parse_csv(out)
     assert rc == 0 and len(rows) == 24
@@ -355,8 +361,7 @@ def test_table3_budgeted_run(capsys, monkeypatch):
             assert int(r["value_floor"]) >= exact_max_code(n, d, 1)[0], r
 
 
-def test_table3_spent_budget_refuses_every_cell(capsys, monkeypatch):
-    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+def test_table3_spent_budget_refuses_every_cell(capsys):
     rc, out, _ = run(capsys, "table", "3", "--max-n", 2, "--budget", -1)
     rows = parse_csv(out)
     assert rc == 3 and len(rows) == 12
@@ -419,8 +424,7 @@ TABLE_CSV_SHA256 = {
 
 
 @pytest.mark.parametrize("argv", list(TABLE_CSV_SHA256), ids=" ".join)
-def test_table_csv_bytes_are_pinned(capsys, monkeypatch, argv):
-    monkeypatch.delenv("ALDKIT_BUDGET_SECS", raising=False)
+def test_table_csv_bytes_are_pinned(capsys, argv):
     rc, out, _ = run(capsys, "table", *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[argv]

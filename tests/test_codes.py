@@ -103,6 +103,10 @@ def test_parity_check_entry_validation():
         BinaryParityCheck(rows=2, columns=(4,), claimed_distance=1)
     with pytest.raises(ValueError):
         BinaryParityCheck(rows=0, columns=(), claimed_distance=1)
+    # bools and floats are not counts
+    for rows, claimed in ((True, 1), (2, 2.5), (2, True), (2.0, 1)):
+        with pytest.raises(ValueError, match="rows|claimed_distance"):
+            BinaryParityCheck(rows=rows, columns=(1,), claimed_distance=claimed)
 
 
 @st.composite
@@ -413,8 +417,9 @@ def test_field_rejects_bad_parameters():
     for q in (2, 4, 9, 15):
         with pytest.raises(ValueError):
             OddPrimeField(q)
-    with pytest.raises(ValueError):
-        OddPrimeField(5, 0)
+    for l in (0, True, 1.0):
+        with pytest.raises(ValueError, match="l must"):
+            OddPrimeField(5, l)
     with pytest.raises(ValueError):
         OddPrimeField(5, 1, alpha=4)  # order 2, not a generator
     with pytest.raises(ValueError):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aldkit.core import (
-    BUDGET_ENV,
     Automorphism,
     Budget,
     BudgetExceeded,
@@ -245,20 +244,15 @@ def test_all_words_enumeration():
     assert seen[0] == PairedWord(2, 0, 0)
 
 
-def test_budget_precedence(monkeypatch):
-    # explicit seconds, then the environment variable, then the default
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
+def test_budget_precedence():
+    # the explicit value, else no limit
     assert Budget().seconds is None
-    assert Budget(default=600.0).seconds == 600.0
-    assert Budget(5, default=600.0).seconds == 5.0
-    monkeypatch.setenv(BUDGET_ENV, "30")
-    assert Budget().seconds == 30.0
-    assert Budget(default=600.0).seconds == 30.0
-    assert Budget(5, default=600.0).seconds == 5.0
+    assert Budget(None).seconds is None
+    assert Budget(5).seconds == 5.0
+    assert Budget(math.inf).seconds == math.inf
 
 
-def test_budget_check_and_remaining(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
+def test_budget_check_and_remaining():
     spent = Budget(-1)
     assert spent.remaining() < 0
     with pytest.raises(BudgetExceeded, match="exhausted during row assembly"):
@@ -269,12 +263,9 @@ def test_budget_check_and_remaining(monkeypatch):
     assert 0 < Budget(3600).remaining() <= 3600
 
 
-def test_budget_rejects_nan_and_non_numbers(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
+def test_budget_rejects_nan_and_non_numbers():
     with pytest.raises(ValueError, match="budget must be a number"):
         Budget(float("nan"))
-    for raw in ("nan", "abc", ""):
-        monkeypatch.setenv(BUDGET_ENV, raw)
-        with pytest.raises(ValueError, match=BUDGET_ENV):
-            Budget(default=600.0)
-    Budget(5)  # an explicit value does not read the variable
+    for raw in ("abc", ""):
+        with pytest.raises(ValueError):
+            Budget(raw)

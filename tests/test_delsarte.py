@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from aldkit import delsarte
 from aldkit.core import BudgetExceeded
 from aldkit.delsarte import (
-    BUDGET_ENV,
     Q5,
     chi,
     coefficient_column,
@@ -552,47 +551,23 @@ def test_argument_validation():
             delsarte_bound(*bad)
 
 
-def test_large_n_requires_a_budget(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
-    with pytest.raises(BudgetExceeded):
+def test_large_n_requires_a_budget():
+    with pytest.raises(BudgetExceeded, match="budget_secs"):
         delsarte_bound(4, 9, 1)
 
 
-def test_exhausted_budget_refuses(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
-    with pytest.raises(BudgetExceeded):
-        delsarte_bound(4, 9, 1, budget_secs=-1)
+def test_exhausted_budget_refuses():
+    # an explicit budget applies at every n, not only where one is required
+    for n in (3, 4):
+        with pytest.raises(BudgetExceeded):
+            delsarte_bound(n, 9, 1, budget_secs=-1)
 
 
-def test_env_budget_is_honoured(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "-1")
-    with pytest.raises(BudgetExceeded):
-        delsarte_bound(4, 9, 1)
-
-
-def test_env_budget_applies_at_every_n(monkeypatch):
-    # one precedence for library and CLI: the variable is read below n = 4 too
-    monkeypatch.setenv(BUDGET_ENV, "-1")
-    with pytest.raises(BudgetExceeded):
-        delsarte_bound(3, 9, 1)
-
-
-def test_nan_budget_is_rejected(monkeypatch):
+def test_nan_budget_is_rejected():
     # NaN never expires, so it would lift the mandatory n >= 4 budget
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
     with pytest.raises(ValueError):
         delsarte_bound(4, 16, 1, budget_secs=float("nan"))
-    monkeypatch.setenv(BUDGET_ENV, "nan")
-    with pytest.raises(ValueError, match=BUDGET_ENV):
-        delsarte_bound(4, 16, 1)
 
 
-def test_infinite_budget_means_no_limit(monkeypatch):
-    monkeypatch.delenv(BUDGET_ENV, raising=False)
+def test_infinite_budget_means_no_limit():
     assert delsarte_bound(4, 16, 1, budget_secs=math.inf).floored == 2
-
-
-def test_malformed_env_budget_names_the_variable(monkeypatch):
-    monkeypatch.setenv(BUDGET_ENV, "abc")
-    with pytest.raises(ValueError, match=BUDGET_ENV):
-        delsarte_bound(4, 16, 1)

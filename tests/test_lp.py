@@ -412,27 +412,28 @@ def test_integer_certificate_matches_lu_on_covering_lps(monkeypatch):
 
 def test_redundant_equation_is_dropped(monkeypatch):
     # min x + 2y  st  x + y = 1, 2x + 2y = 2: after phase 1 the second
-    # row's artificial cannot leave the basis, so the exact simplex
-    # drops the row.  It runs whether or not the float simplex is asked
-    # first, as the perturbed float rows are inconsistent.
+    # row's artificial cannot leave the basis, so the simplex drops the
+    # row.  Equations are not perturbed, so the float rows stay
+    # consistent and the float proposal is the one certified; the exact
+    # simplex drops the row the same way when it runs alone.
     lp = LinearProgram(objective=[1, 2], sense="min")
     lp.add([1, 1], "=", 1)
     lp.add([2, 2], "=", 2)
-    tights = []
+    calls = []
     simplex = lp_module._simplex
 
     def traced_simplex(*args, **kwargs):
         outcome = simplex(*args, **kwargs)
-        tights.append(outcome[2])
+        calls.append(("float" if kwargs.get("tol") else "exact", outcome[2]))
         return outcome
 
     monkeypatch.setattr(lp_module, "_simplex", traced_simplex)
     res = solve_lp(lp)
-    assert tights[-1] == [0]
-    tights.clear()
+    assert calls == [("float", [0])]
+    calls.clear()
     monkeypatch.setattr(lp_module, "_float_basis", lambda *args: None)
     exact = solve_lp(lp)
-    assert tights == [[0]]
+    assert calls == [("exact", [0])]
     for got in (res, exact):
         assert got.status is LPStatus.OPTIMAL
         assert got.value == 1 and got.x == [1, 0]

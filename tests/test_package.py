@@ -23,8 +23,8 @@ def test_every_exported_name_resolves(name):
 
 def test_benchmark_call_surface():
     # benchmark/workloads.py and benchmark/tracing.py (not collected here)
-    # call these keywords and wrap these module attributes by name.
-    from aldkit import cli, codes, delsarte, hyperbound, lp, search_verify
+    # call these keywords and call or wrap these module attributes by name.
+    from aldkit import cli, codes, core, delsarte, hyperbound, lp, search_verify
 
     assert "budget_secs" in inspect.signature(delsarte.delsarte_bound).parameters
     assert "on_step" in inspect.signature(lp.solve_lp).parameters
@@ -33,8 +33,11 @@ def test_benchmark_call_surface():
               "weights1_bound", "main"],
         hyperbound: ["lp_hypergraph_bound", "class_matrix", "ball_size", "solve_lp"],
         delsarte: ["delsarte_bound", "coefficient_column", "solve_lp"],
-        search_verify: ["exact_max_code", "distance_graph", "min_distance"],
-        codes: ["build_cl", "build_cp", "best_cn_coset", "decode_cl"],
+        search_verify: ["exact_max_code", "distance_graph", "min_distance",
+                        "symbol_distance_table"],
+        codes: ["build_cl", "build_cp", "best_cn_coset", "decode_cl",
+                "OddPrimeField", "DetectionFlag"],
+        core: ["ald_distance", "PairedWord"],
     }
     missing = [f"{module.__name__}.{attr}" for module, attrs in wrapped.items()
                for attr in attrs if not callable(getattr(module, attr, None))]
