@@ -557,10 +557,20 @@ def test_large_n_requires_a_budget():
 
 
 def test_exhausted_budget_refuses():
-    # an explicit budget applies at every n, not only where one is required
-    for n in (3, 4):
-        with pytest.raises(BudgetExceeded):
-            delsarte_bound(n, 9, 1, budget_secs=-1)
+    with pytest.raises(BudgetExceeded):
+        delsarte_bound(4, 9, 1, budget_secs=-1)
+
+
+def test_env_budget_applies_at_every_n(monkeypatch):
+    # the budget argument applies below n = 4 too, where none is required;
+    # a leftover ALDKIT_BUDGET_SECS is read at no n
+    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "-1")
+    assert delsarte_bound(3, 9, 1).floored == 2
+    with pytest.raises(BudgetExceeded):
+        delsarte_bound(3, 9, 1, budget_secs=-1)
+    monkeypatch.setenv("ALDKIT_BUDGET_SECS", "inf")
+    with pytest.raises(BudgetExceeded, match="budget_secs"):
+        delsarte_bound(4, 9, 1)
 
 
 def test_nan_budget_is_rejected():
