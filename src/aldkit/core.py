@@ -133,8 +133,7 @@ class PairedWord:
     b: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("word length must be at least 1")
+        _check_int(self.n, "word length", 1)
         top = 1 << self.n
         if not (0 <= self.a < top and 0 <= self.b < top):
             raise ValueError("bit masks out of range for word length")
@@ -201,7 +200,8 @@ def pair_weight(x: PairedWord) -> int:
 
 def canonical_weight_word(n: int, w: int) -> PairedWord:
     """The canonical weight-w word: a = 0^n, b with ones in the first w positions."""
-    if not (0 <= w <= n):
+    _check_int(n, "n", 1)
+    if not (0 <= _check_int(w, "w") <= n):
         raise ValueError("weight out of range")
     return PairedWord(n, 0, (1 << w) - 1)
 
@@ -287,6 +287,7 @@ class Automorphism:
     s: int = 0
 
     def __post_init__(self):
+        _check_int(self.n, "n", 1)
         if sorted(self.sigma) != list(range(self.n)):
             raise ValueError("sigma is not a permutation of range(n)")
         if not (0 <= self.z < (1 << self.n)):

@@ -173,11 +173,13 @@ def _dantzig(tab: list, basis: list, ncols: int, on_step, cap: int) -> str:
     return "stalled"
 
 
+_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
+
+
 def _normalized(rows: list) -> list:
     """Rows with a nonnegative right-hand side (negative ones flipped)."""
-    flip = {"<=": ">=", ">=": "<=", "=": "="}
     return [
-        ([-c for c in coeffs], flip[relation], -rhs) if rhs < 0 else (coeffs, relation, rhs)
+        ([-c for c in coeffs], _FLIPPED[relation], -rhs) if rhs < 0 else (coeffs, relation, rhs)
         for coeffs, relation, rhs in rows
     ]
 
@@ -282,9 +284,14 @@ def _float_basis(rows, obj, minimize, on_step):
     to the exact simplex.
     """
     try:
-        frows = [
-            ([float(c) for c in coeffs], rel, float(b)) for coeffs, rel, b in _normalized(rows)
-        ]
+        frows = []
+        for coeffs, rel, b in rows:
+            fcoeffs, fb = [float(c) for c in coeffs], float(b)
+            # Flipped on the exact sign: float(-c) == -float(c), and
+            # 0.0 - c keeps zeros unsigned as the exact flip does.
+            if b < 0:
+                fcoeffs, rel, fb = [0.0 - c for c in fcoeffs], _FLIPPED[rel], -fb
+            frows.append((fcoeffs, rel, fb))
         fobj = [float(c) for c in obj]
     except (OverflowError, TypeError):
         return None

@@ -11,10 +11,12 @@ Three layers of certainty, all exact:
   constructive lower bounds and every applicable upper bound, reporting
   any violation as an implementation bug.
 
+Symbols are the digits of ``PairedWord.to_digits``: 2x + y for (x;y).
 ``min_distance`` and the orbit pruning of ``_max_clique`` read a
 per-position index ``have[k][s]``, the bitmask of list indices whose
-symbol at position k is s.  ``distance_graph`` builds every row at once
-by a recursion over positions on distance thresholds.  Both it and
+digit at position k is s.  ``distance_graph`` builds every row at once
+by a recursion over positions on distance thresholds, with the words
+in the order the clique search wants them.  Both it and
 ``min_distance`` take the 4x4 per-position costs from
 ``core.ald_distance``.
 """
@@ -42,8 +44,8 @@ WORD_BUDGET = 4 ** ENUM_LIMIT_N
 # Exhaustive clique search caps at 4^4 = 256 vertices.
 SEARCH_LIMIT_N = 4
 # Levels of the clique search that drop a whole orbit after each branch.
-# For (4,6,1): about 1.1 s with one level, 0.24 s with two, 0.07 s with
-# three and 0.15 s with all, where orbits cost more than they save.
+# For (4,6,1): about 0.8 s with one level, 0.11 s with two, 0.05 s with
+# three and 0.16 s with all, where orbits cost more than they save.
 ORBIT_LEVELS = 3
 
 
@@ -68,32 +70,45 @@ def symbol_distance_table(lam: int) -> tuple:
     return tuple(table)
 
 
+@lru_cache(maxsize=None)
 def _position_costs(lam: int) -> tuple:
-    """``costs[s][t]``: the distance one position contributes, symbol s against t.
+    """``costs[s][t]``: the distance one position contributes, digit s against t."""
+    words = [PairedWord(1, s >> 1, s & 1) for s in range(4)]
+    return tuple(tuple(ald_distance(x, y, lam) for y in words) for x in words)
 
-    Read from ``symbol_distance_table``, at chunks whose second
-    position holds (0;0) in both words and so adds nothing.
-    """
-    table = symbol_distance_table(lam)
-    nibble = [(s & 1) | ((s >> 1) << 2) for s in range(4)]
-    return tuple(tuple(table[(x << 4) | y] for y in nibble) for x in nibble)
+
+# The digits in the order the clique search takes them at each position:
+# the pure symbols 0 = (0;0) and 3 = (1;1) first.  A pure symbol costs
+# more to leave: 1 + λ to either mixed symbol and 2(1 + λ) to the other
+# pure one, where a mixed symbol costs 1 + λ to either pure one and λ to
+# the other mixed one.  So words heavy in pure symbols have the most
+# neighbours, and putting them first keeps the greedy colourings tight.
+SEARCH_DIGITS = (0, 3, 1, 2)
 
 
 @lru_cache(maxsize=None)
-def _digit_order(n: int) -> tuple:
-    """Every word of length n, in the order of ``PairedWord.to_digits``.
-
-    Digit 2x + y stands for the symbol (x;y), and position 0 is the
-    leading digit, so words are built from the last position forward.
-    """
+def _search_order(n: int) -> tuple:
+    """Every word of length n, in search order: sorted by digits,
+    position 0 leading, each digit read through ``SEARCH_DIGITS``.
+    Words are built from the last position forward."""
     strands = [(0, 0)]
     for k in range(n - 1, -1, -1):
         strands = [
             (a | ((digit >> 1) << k), b | ((digit & 1) << k))
-            for digit in range(4)
+            for digit in SEARCH_DIGITS
             for a, b in strands
         ]
     return tuple(PairedWord(n, a, b) for a, b in strands)
+
+
+@lru_cache(maxsize=None)
+def _search_index(n: int) -> tuple:
+    """For each word of length n in digit order, its index in search order."""
+    rank = [SEARCH_DIGITS.index(digit) for digit in range(4)]
+    index = [0]
+    for _ in range(n):
+        index = [4 * i + r for i in index for r in rank]
+    return tuple(index)
 
 
 # _BIT_DIGITS[k][v]: bit k of the byte v, as the digit b"0" or b"1".
@@ -111,21 +126,21 @@ def _strand_columns(values, n: int) -> list:
 
 
 def _symbol_index(words, n: int) -> list:
-    """``have[k][s]``: bitmask of list indices whose symbol at position k is s."""
+    """``have[k][s]``: bitmask of list indices whose digit at position k is s."""
     full = (1 << len(words)) - 1
     a_cols = _strand_columns([w.a for w in words], n)
     b_cols = _strand_columns([w.b for w in words], n)
     return [
-        (full & ~(a | b), a & ~b, b & ~a, a & b)
+        (full & ~(a | b), b & ~a, a & ~b, a & b)
         for a, b in zip(a_cols, b_cols)
     ]
 
 
 def _symbols(word: PairedWord) -> list:
-    """Symbol per position: first-strand bit low, second-strand bit high,
-    so 0 = (0;0), 1 = (1;0), 2 = (0;1), 3 = (1;1)."""
+    """Digit per position, as ``PairedWord.to_digits`` writes it:
+    0 = (0;0), 1 = (0;1), 2 = (1;0), 3 = (1;1)."""
     a, b = word.a, word.b
-    return [((a >> k) & 1) | (((b >> k) & 1) << 1) for k in range(word.n)]
+    return [(((a >> k) & 1) << 1) | ((b >> k) & 1) for k in range(word.n)]
 
 
 def min_distance(c: Codebook, lam: int):
@@ -197,18 +212,20 @@ class DistanceGraph:
 
 
 def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
-    """Distinguishability graph on all 4^n words in digit order.
+    """Distinguishability graph on all 4^n words in search order.
 
-    Built by a recursion over positions, as the distance is a sum of
-    per-position costs.  ``far[t][x]`` is the bitmask, in digit order,
-    of the length-k words at distance >= t from the length-k word x
-    (every word once t <= 0).  A word's index is its leading digit
-    times 4^(k-1) plus its tail's index, so the words far from
-    x = (s, tail) are, for each leading digit u, the words far by
-    t - cost(s, u) from the tail, shifted up by u·4^(k-1).  A level
-    with m positions above it is asked only for d minus a sum of m
-    costs, at most C(m+3, 3) thresholds whatever d and λ are; row x is
-    ``far[d][x]`` at length n.
+    ``vertices`` lists the words sorted by their digits, position 0
+    leading, each digit read through ``SEARCH_DIGITS``; ``exact_max_code``
+    searches the rows in this order as they are.  Built by a recursion
+    over positions, as the distance is a sum of per-position costs.
+    ``far[t][x]`` is the bitmask, in search order, of the length-k words
+    at distance >= t from the length-k word x (every word once t <= 0).
+    A word's index is the rank of its leading digit times 4^(k-1) plus
+    its tail's index, so the words far from x = (s, tail) are, for each
+    leading digit u, the words far by t - cost(s, u) from the tail,
+    shifted up by rank(u)·4^(k-1).  A level with m positions above it is
+    asked only for d minus a sum of m costs, at most C(m+3, 3)
+    thresholds whatever d and λ are; row x is ``far[d][x]`` at length n.
     """
     _check_int(n, "n", 1)
     _check_int(d, "d", 1)
@@ -216,9 +233,8 @@ def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
         raise BudgetExceeded(
             f"graph on 4^{n} vertices exceeds the 4^{SEARCH_LIMIT_N} search budget"
         )
-    # Digit 2x + y is the symbol x | (y << 1) with its strands swapped, an
-    # isometry of each position, so the costs read the same by digit.
     costs = _position_costs(lam)
+    costs = [[costs[s][t] for t in SEARCH_DIGITS] for s in SEARCH_DIGITS]
     cost_values = {c for row in costs for c in row}
     # wanted[m]: the thresholds asked with m positions above, clamped at 0
     wanted = [{d}]
@@ -241,7 +257,7 @@ def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
                 rows += [w | x | y | z for w, x, y, z in zip(*parts)]
             longer[t] = rows
         far = longer
-    return DistanceGraph(n, d, lam, _digit_order(n), tuple(far[d]))
+    return DistanceGraph(n, d, lam, _search_order(n), tuple(far[d]))
 
 
 def _color_order(cand: int, adj) -> list:
@@ -320,10 +336,6 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None) -> tuple:
     return best, members
 
 
-def _swap_strands(symbol: int) -> int:
-    return ((symbol & 1) << 1) | (symbol >> 1)
-
-
 @lru_cache(maxsize=None)
 def _column_parts(fixed: tuple) -> tuple:
     """The four symbols, grouped by the class of the column ``fixed``
@@ -337,7 +349,7 @@ def _column_parts(fixed: tuple) -> tuple:
     groups = {}
     for t in range(4):
         column = fixed + (t,)
-        swapped = tuple(map(_swap_strands, column))
+        swapped = tuple((0, 2, 1, 3)[s] for s in column)  # digits 1 and 2 trade
         name = min(column, tuple(s ^ 3 for s in column), swapped,
                    tuple(s ^ 3 for s in swapped))
         groups.setdefault(name, []).append(t)
@@ -413,28 +425,6 @@ def _lowest_max_clique(adj, order, witness: int) -> list:
     return chosen
 
 
-def _renumber(rows, pos) -> list:
-    """The graph with vertex v renamed ``pos[v]``, rows as bitmasks.
-
-    A row is read a byte at a time: the table of each 8-vertex chunk
-    holds, for every byte value, the OR of ``1 << pos[v]`` over the
-    chunk's vertices v whose bits it sets.  The chunks' images are
-    disjoint, so the OR of their entries is their sum.
-    """
-    tables = []
-    for base in range(0, len(rows), 8):
-        table = [0]
-        for p in pos[base:base + 8]:
-            bit = 1 << p
-            table += [t | bit for t in table]
-        tables.append(table)
-    out = [0] * len(rows)
-    for v, row in enumerate(rows):
-        chunks = row.to_bytes(len(tables), "little")
-        out[pos[v]] = sum(map(list.__getitem__, tables, chunks))
-    return out
-
-
 def exact_max_code(n: int, d: int, lam: int):
     """Exact largest code size, with a reproducible maximizing codebook.
 
@@ -442,32 +432,26 @@ def exact_max_code(n: int, d: int, lam: int):
     group (``core.Automorphism``), whose n + 1 orbits are the words with
     a given number of mixed positions, and at the next two levels once
     per orbit of the isometries fixing the words chosen so far: the one
-    ``_max_clique`` call given ``words``.  (4,6,1) = 11 takes about
-    0.1 s this way.  The witness is the lexicographically lowest
-    maximum codebook in digit order, found by greedy extension
-    (``_lowest_max_clique``), whose queries search without orbit
-    pruning: their candidate sets are not unions of orbits.
+    ``_max_clique`` call given ``words``.  It searches the graph's rows
+    in search order as ``distance_graph`` builds them; (4,6,1) = 11
+    takes about 0.05 s this way.  The witness is the lexicographically
+    lowest maximum codebook in digit order, found by greedy extension
+    (``_lowest_max_clique``) over the words in digit order, whose
+    queries search without orbit pruning: their candidate sets are not
+    unions of orbits.
     """
     graph = distance_graph(n, d, lam)
-    nv = len(graph.vertices)
-    # Search in degree-descending order (ties by index) for tight colorings.
-    perm = sorted(range(nv), key=lambda v: (-graph.degree(v), v))
-    pos = [0] * nv
-    for k, v in enumerate(perm):
-        pos[v] = k
-    padj = _renumber(graph.adjacency, pos)
-    ordered = [graph.vertices[v] for v in perm]
-    _, witness = _max_clique(padj, (1 << nv) - 1, words=ordered)
-    chosen = _lowest_max_clique(padj, pos, witness)
+    adj, words = graph.adjacency, graph.vertices
+    _, witness = _max_clique(adj, (1 << len(words)) - 1, words=words)
+    chosen = _lowest_max_clique(adj, _search_index(n), witness)
     size = len(chosen)
-    words = tuple(ordered[k] for k in chosen)
     book = Codebook(
         n=n,
         lam=lam,
         design_distance=d,
         construction="exact_search",
-        params={"vertices": nv},
-        words=words,
+        params={"vertices": len(words)},
+        words=tuple(words[k] for k in chosen),
     )
     got = min_distance(book, lam)
     assert got >= d or size <= 1, f"witness distance {got} below {d}"

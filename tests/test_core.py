@@ -209,6 +209,19 @@ def test_isometry_group_orbits_are_the_mixed_position_counts(n):
     assert len(orbits) == n + 1
 
 
+def test_lengths_and_weights_must_be_ints():
+    # One float and one bool for each checked argument.
+    for bad in (2.0, True):
+        with pytest.raises(ValueError):
+            PairedWord(bad, 0, 1)
+        with pytest.raises(ValueError):
+            canonical_weight_word(bad, 1)
+        with pytest.raises(ValueError):
+            canonical_weight_word(2, bad)
+        with pytest.raises(ValueError):
+            Automorphism(bad, (0,), 0)
+
+
 def test_automorphism_validation():
     with pytest.raises(ValueError):
         Automorphism(2, (0, 0), 0)

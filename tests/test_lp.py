@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from aldkit import hyperbound, lp as lp_module
 from aldkit.cli import _load_reference
-from aldkit.delsarte import delsarte_bound
+from aldkit.delsarte import Q5, delsarte_bound
 from aldkit.hyperbound import lp_hypergraph_bound
 from aldkit.lp import (
     LinearProgram,
@@ -438,6 +438,26 @@ def test_redundant_equation_is_dropped(monkeypatch):
         assert got.status is LPStatus.OPTIMAL
         assert got.value == 1 and got.x == [1, 0]
         assert_certified(lp, got)
+
+
+@pytest.mark.parametrize("make", [int, lambda v: Fraction(v, 3), lambda v: Q5(v, Fraction(v, 2))],
+                         ids=["int", "Fraction", "Q5"])
+def test_float_rows_are_the_exactly_flipped_rows(monkeypatch, make):
+    # _float_basis floats each row, then flips it on its exact sign; the
+    # tableau handed to the float simplex is, bit for bit and with its
+    # zeros unsigned, the one from the rows flipped in exact arithmetic.
+    rows = [
+        ([make(v) for v in coeffs], rel, make(rhs))
+        for coeffs, rel, rhs in [([1, 0, -3], ">=", -2), ([0, 2, 1], "<=", 5),
+                                 ([-1, 1, 0], "=", -1), ([0, -4, 2], "<=", -7)]
+    ]
+    tableaus = []
+    monkeypatch.setattr(lp_module, "_simplex",
+                        lambda rows, *args, **kwargs: tableaus.append(repr(rows)) or ("stalled", None, None))
+    for given in (rows, lp_module._normalized(rows)):
+        assert lp_module._float_basis(given, [make(1)] * 3, True, lambda: None) is None
+    assert "-0.0" not in tableaus[0]
+    assert tableaus[0] == tableaus[1]
 
 
 def test_float_step_cap_hands_over_to_the_exact_simplex(monkeypatch):

@@ -56,13 +56,22 @@ def test_position_costs_match_the_metric():
         costs = sv._position_costs(lam)
         for s in range(4):
             for t in range(4):
-                x, y = PairedWord(1, s & 1, s >> 1), PairedWord(1, t & 1, t >> 1)
+                x, y = PairedWord.from_digits(str(s)), PairedWord.from_digits(str(t))
                 assert costs[s][t] == ald_distance(x, y, lam)
 
 
 def test_digit_order_sorts_every_word_by_its_digits():
+    # Search order reads each digit through SEARCH_DIGITS, pure symbols
+    # first; _search_index maps digit order onto it.
+    assert sv.SEARCH_DIGITS == (0, 3, 1, 2)
     for n in range(1, 6):
-        assert sv._digit_order(n) == tuple(sorted(all_words(n), key=PairedWord.to_digits))
+        words = sv._search_order(n)
+        assert words == tuple(sorted(
+            all_words(n), key=lambda w: [sv.SEARCH_DIGITS.index(int(c)) for c in w.to_digits()]
+        ))
+        where = {w: i for i, w in enumerate(words)}
+        by_digits = sorted(all_words(n), key=PairedWord.to_digits)
+        assert sv._search_index(n) == tuple(where[w] for w in by_digits)
 
 
 def test_symbol_index_matches_each_words_symbols():
@@ -73,6 +82,7 @@ def test_symbol_index_matches_each_words_symbols():
             words = [PairedWord(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(count)]
             want = [[0] * 4 for _ in range(n)]
             for i, w in enumerate(words):
+                assert sv._symbols(w) == [int(c) for c in w.to_digits()]
                 for k, s in enumerate(sv._symbols(w)):
                     want[k][s] |= 1 << i
             assert sv._symbol_index(words, n) == [tuple(row) for row in want]
@@ -157,10 +167,10 @@ def test_min_distance_refuses_oversized_scans():
 def test_graph_structure_at_one_position():
     g = distance_graph(1, 2, 1)
     assert isinstance(g, DistanceGraph)
-    assert [w.to_digits() for w in g.vertices] == ["0", "1", "2", "3"]
-    assert [g.degree(i) for i in range(4)] == [3, 2, 2, 3]
-    assert not g.adjacent(1, 2)  # the two mixed symbols sit at distance 1
-    assert g.adjacent(0, 3)
+    assert [w.to_digits() for w in g.vertices] == ["0", "3", "1", "2"]
+    assert [g.degree(i) for i in range(4)] == [3, 3, 2, 2]
+    assert not g.adjacent(2, 3)  # the two mixed symbols sit at distance 1
+    assert g.adjacent(0, 1)
 
 
 def test_graph_is_symmetric_and_loop_free():
@@ -227,16 +237,19 @@ def test_graph_adjacency_matches_pairwise_distances():
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_graph_degree_depends_only_on_pair_weight(n):
     # The isometries move any word to any other with as many mixed
-    # positions; exact_max_code's orbit pruning and degree order rely on it.
-    words = sv._digit_order(n)
+    # positions; exact_max_code's orbit pruning relies on it.  Words with
+    # fewer mixed positions have at least as many neighbours, which is
+    # why the search order takes the pure symbols first.
     for lam in (1, 2):
         for d in (1, lam + 1, 3, 2 * (1 + lam), 2 * (1 + lam) * n):
             g = distance_graph(n, d, lam)
             degrees = {}
-            for i, w in enumerate(words):
+            for i, w in enumerate(g.vertices):
                 degrees.setdefault(pair_weight(w), set()).add(g.degree(i))
             assert sorted(degrees) == list(range(n + 1))
             assert all(len(seen) == 1 for seen in degrees.values()), (n, d, lam, degrees)
+            by_weight = [degrees[w].pop() for w in range(n + 1)]
+            assert by_weight == sorted(by_weight, reverse=True), (n, d, lam)
 
 
 def test_graph_budget_and_validation():
@@ -297,6 +310,22 @@ def test_exact_search_builds_its_graph_through_the_module_attribute(monkeypatch)
     assert calls == [(2, 3, 1)]
     assert size == want_size == 5
     assert book.words == want_book.words
+
+
+def test_exact_search_work_is_pinned(monkeypatch):
+    # A deterministic work count: every search node colours its
+    # candidates once.  Search order needs about 34,000 colourings at
+    # (4,5,1), where degree order needed about 114,000.
+    colour = sv._color_order
+    calls = [0]
+
+    def counting(cand, adj):
+        calls[0] += 1
+        return colour(cand, adj)
+
+    monkeypatch.setattr(sv, "_color_order", counting)
+    assert exact_max_code(4, 5, 1)[0] == 16
+    assert calls[0] <= 40_000
 
 
 def test_exact_witnesses_are_lexicographically_lowest():
@@ -445,32 +474,6 @@ def test_max_clique_agrees_with_brute_force(graph):
             assert (size, members) == (k - 1, 0)
 
 
-def _renumber_bit_by_bit(rows, pos):
-    out = [0] * len(rows)
-    for v, row in enumerate(rows):
-        out[pos[v]] = sum(1 << pos[w] for w in range(len(rows)) if (row >> w) & 1)
-    return out
-
-
-@st.composite
-def renamed_graphs(draw):
-    """Random rows on 1..40 vertices (any count, not only multiples of
-    8) and a random renaming of their vertices."""
-    rng = draw(st.randoms(use_true_random=False))
-    nv = draw(st.integers(1, 40))
-    rows = [rng.getrandbits(nv) for _ in range(nv)]
-    pos = list(range(nv))
-    rng.shuffle(pos)
-    return rows, pos
-
-
-@settings(max_examples=60, deadline=None)
-@given(renamed_graphs())
-def test_renumber_agrees_with_a_bit_by_bit_remap(graph):
-    rows, pos = graph
-    assert sv._renumber(rows, pos) == _renumber_bit_by_bit(rows, pos)
-
-
 # The cells PINNED_WITNESSES leaves out; at those it pins, the size of
 # exact_max_code already checks the orbit-reduced search.
 ORBIT_CELLS = [
@@ -481,16 +484,14 @@ ORBIT_CELLS = [
 
 
 def test_orbit_reduced_search_finds_a_maximum_clique():
-    # Against the unreduced search, in the degree order exact_max_code
-    # uses.  For n = 1 and d past the diameter every neighbourhood is
-    # empty, and the answer is a single word.
+    # Against the unreduced search, on the graph as distance_graph
+    # builds it and exact_max_code searches it.  For n = 1 and d past
+    # the diameter every neighbourhood is empty, and the answer is a
+    # single word.
     for n, d, lam in ORBIT_CELLS:
         graph = distance_graph(n, d, lam)
-        nv = len(graph.vertices)
-        perm = sorted(range(nv), key=lambda v: (-graph.degree(v), v))
-        pos = {v: k for k, v in enumerate(perm)}
-        adj = sv._renumber(graph.adjacency, [pos[v] for v in range(nv)])
-        _, clique = sv._max_clique(adj, (1 << nv) - 1, words=[graph.vertices[v] for v in perm])
+        adj, nv = graph.adjacency, len(graph.vertices)
+        _, clique = sv._max_clique(adj, (1 << nv) - 1, words=graph.vertices)
         members = [v for v in range(nv) if (clique >> v) & 1]
         assert all((adj[v] >> w) & 1 for v, w in combinations(members, 2))
         assert len(members) == sv._max_clique(adj, (1 << nv) - 1)[0], (n, d, lam)
