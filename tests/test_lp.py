@@ -440,8 +440,10 @@ def test_redundant_equation_is_dropped(monkeypatch):
         assert_certified(lp, got)
 
 
-@pytest.mark.parametrize("make", [int, lambda v: Fraction(v, 3), lambda v: Q5(v, Fraction(v, 2))],
-                         ids=["int", "Fraction", "Q5"])
+@pytest.mark.parametrize(
+    "make", [int, lambda v: Fraction(v, 3), lambda v: Q5(v, Fraction(v, 2))],
+    ids=["int", "Fraction", "Q5"],
+)
 def test_float_rows_are_the_exactly_flipped_rows(monkeypatch, make):
     # _float_basis floats each row, then flips it on its exact sign; the
     # tableau handed to the float simplex is, bit for bit and with its
@@ -454,8 +456,8 @@ def test_float_rows_are_the_exactly_flipped_rows(monkeypatch, make):
     tableaus = []
     monkeypatch.setattr(lp_module, "_simplex",
                         lambda rows, *args, **kwargs: tableaus.append(repr(rows)) or ("stalled", None, None))
-    for given in (rows, lp_module._normalized(rows)):
-        assert lp_module._float_basis(given, [make(1)] * 3, True, lambda: None) is None
+    for program in (rows, lp_module._normalized(rows)):
+        assert lp_module._float_basis(program, [make(1)] * 3, True, lambda: None) is None
     assert "-0.0" not in tableaus[0]
     assert tableaus[0] == tableaus[1]
 

@@ -314,8 +314,7 @@ def test_exact_search_builds_its_graph_through_the_module_attribute(monkeypatch)
 
 def test_exact_search_work_is_pinned(monkeypatch):
     # A deterministic work count: every search node colours its
-    # candidates once.  Search order needs about 34,000 colourings at
-    # (4,5,1), where degree order needed about 114,000.
+    # candidates once, and search order takes 33,618 at (4,5,1).
     colour = sv._color_order
     calls = [0]
 
