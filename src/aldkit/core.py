@@ -226,7 +226,8 @@ def ald_distance(x: PairedWord, y: PairedWord, lam: int) -> int:
     which strand bits flipped and whether the strands of x disagree
     there.
     """
-    _check_lambda(lam)
+    if type(lam) is not int or lam < 1:  # a plain int needs no further check
+        _check_lambda(lam)
     if x.n != y.n:
         raise ValueError("word lengths differ")
     da = x.a ^ y.a

@@ -83,10 +83,18 @@ def test_distance_rejects_bad_inputs():
     y = PairedWord(3, 0, 0)
     with pytest.raises(ValueError):
         ald_distance(x, y, 1)
-    with pytest.raises(ValueError):
-        ald_distance(x, PairedWord(2, 1, 1), 0)
-    with pytest.raises(ValueError):
-        ald_distance(x, PairedWord(2, 1, 1), 1.5)
+    for bad in (0, 1.5, True, "1"):
+        with pytest.raises(ValueError):
+            ald_distance(x, PairedWord(2, 1, 1), bad)
+
+
+def test_distance_accepts_an_int_subclass():
+    class Lam(int):
+        pass
+
+    x, y = PairedWord.from_digits("0123"), PairedWord.from_digits("3102")
+    for lam in (1, 2, 3):
+        assert ald_distance(x, y, Lam(lam)) == ald_distance(x, y, lam)
 
 
 def test_word_constructors_roundtrip():

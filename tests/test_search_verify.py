@@ -1,6 +1,9 @@
 import hashlib
 import math
+import os
 import random
+import subprocess
+import sys
 from functools import lru_cache
 from itertools import combinations, permutations
 from types import SimpleNamespace
@@ -312,19 +315,60 @@ def test_exact_search_builds_its_graph_through_the_module_attribute(monkeypatch)
     assert book.words == want_book.words
 
 
-def test_exact_search_work_is_pinned(monkeypatch):
-    # A deterministic work count: every search node colours its
-    # candidates once, and search order takes 33,618 at (4,5,1).
+def _count_colourings(monkeypatch):
+    """Count ``_color_order`` calls: one per search node."""
     colour = sv._color_order
     calls = [0]
 
-    def counting(cand, adj):
+    def counting(cand, inv, floor):
         calls[0] += 1
-        return colour(cand, adj)
+        return colour(cand, inv, floor)
 
     monkeypatch.setattr(sv, "_color_order", counting)
+    return calls
+
+
+def test_exact_search_work_is_pinned(monkeypatch):
+    # A deterministic work count: every search node colours its
+    # candidates once, and search order takes 33,618 at (4,5,1).
+    calls = _count_colourings(monkeypatch)
     assert exact_max_code(4, 5, 1)[0] == 16
     assert calls[0] <= 40_000
+
+
+# The exact_max_code cells of the exact-search benchmark workload.
+BENCHMARK_EXACT_CELLS = [
+    (n, d, lam) for n in (1, 2, 3) for lam in (1, 2) for d in range(1, 11)
+] + [
+    (4, 2, 1), (4, 4, 1), (4, 7, 1), (4, 8, 1), (4, 9, 1), (4, 10, 1),
+    (4, 3, 2), (4, 6, 2), (4, 10, 2), (4, 12, 2),
+]
+
+
+def test_benchmark_cells_work_is_pinned(monkeypatch):
+    # The same count over the 70 benchmark cells: 3,296 in search order.
+    calls = _count_colourings(monkeypatch)
+    for cell in BENCHMARK_EXACT_CELLS:
+        exact_max_code(*cell)
+    assert len(BENCHMARK_EXACT_CELLS) == 70
+    assert calls[0] <= 3_296
+
+
+def test_exact_search_checks_its_witness_under_optimisation():
+    # The witness re-check is an explicit raise, so ``python -O`` keeps it.
+    src = os.path.dirname(os.path.dirname(sv.__file__))
+    script = (
+        "import sys; sys.path.insert(0, sys.argv[1]);"
+        "import aldkit.search_verify as sv;"
+        "sv.min_distance = lambda book, lam: book.design_distance - 1;"
+        "sv.exact_max_code(2, 3, 1)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, src],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode != 0
+    assert "RuntimeError: witness distance 2 below 3" in proc.stderr
 
 
 def test_exact_witnesses_are_lexicographically_lowest():
@@ -427,6 +471,36 @@ def small_graphs(draw):
     edges = [p for p in pairs if draw(st.booleans())]
     order = draw(st.permutations(range(nv)))
     return _adjacency(nv, edges), order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_color_order_is_greedy_first_fit(data):
+    nv = data.draw(st.integers(1, 16))
+    pairs = [(i, j) for i in range(nv) for j in range(i + 1, nv)]
+    adj = _adjacency(nv, [p for p in pairs if data.draw(st.booleans())])
+    cand = data.draw(st.integers(0, (1 << nv) - 1))
+    full = (1 << nv) - 1
+    inv = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
+    classes = sv._color_order(cand, inv, 0)
+    assert all(classes)
+    # disjoint, covering exactly the candidates, and independent
+    assert sum(map(int.bit_count, classes)) == cand.bit_count()
+    union = 0
+    for cls in classes:
+        union |= cls
+    assert union == cand
+    for cls in classes:
+        assert all(not cls & adj[v] for v in range(nv) if (cls >> v) & 1)
+    # first fit: each vertex meets a lower-indexed neighbour in every
+    # earlier class, and none in its own (independence)
+    for k, cls in enumerate(classes):
+        for v in range(nv):
+            if (cls >> v) & 1:
+                below = (1 << v) - 1
+                assert all(earlier & adj[v] & below for earlier in classes[:k]), (v, k)
+    for floor in range(len(classes) + 2):
+        assert sv._color_order(cand, inv, floor) == classes[floor:]
 
 
 @settings(max_examples=150, deadline=None)
