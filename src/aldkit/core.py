@@ -236,7 +236,7 @@ def ald_distance(x: PairedWord, y: PairedWord, lam: int) -> int:
     mixed = x.a ^ x.b  # positions where x holds (1;0) or (0;1)
     c1 = (both & mixed).bit_count()
     c2 = (da ^ db).bit_count()
-    c3 = (both & ~mixed & ((1 << x.n) - 1)).bit_count()
+    c3 = both.bit_count() - c1
     return lam * c1 + (1 + lam) * c2 + 2 * (1 + lam) * c3
 
 

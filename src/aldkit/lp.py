@@ -15,8 +15,9 @@ basis for the primal point x and the dual multipliers y (the block of
 basic variables and tight rows, and its transpose), and one routine
 checks the pair: x >= 0, every row, the sign of every y_i for its
 relation, every reduced cost and c.x == b.y.  Only the solve depends
-on the field.  Rational programs (field ``Fraction``) are solved in
-integers: each row and the objective are cleared of denominators,
+on the field.  Rational programs (field ``Fraction``) stay in
+integers: int coefficients are never lifted to ``Fraction`` on the way
+in, each row and the objective are cleared of denominators,
 fraction-free (Bareiss) elimination gives x and y as integer
 numerators over the basis determinant D > 0, and the checks run on
 those numerators against right-hand sides and costs scaled by D;
@@ -24,9 +25,11 @@ those numerators against right-hand sides and costs scaled by D;
 factorisation in the field.  Those checks prove optimality whatever
 produced the basis.  Third, when the float simplex gives up or its
 basis fails the checks, a dense two-phase simplex with Bland's rule
-runs in the exact field, and its final basis passes the same checks.
-Only that exact simplex ever reports INFEASIBLE or UNBOUNDED, and
-every OPTIMAL result carries its checked dual as ``LPResult.y``.
+runs in the exact field (a rational program's ints become
+``Fraction``s for it, as it divides), and its final basis passes the
+same checks.  Only that exact simplex ever reports INFEASIBLE or
+UNBOUNDED, and every OPTIMAL result carries its checked dual as
+``LPResult.y``.
 ``solve_linear_system`` uses the same integer elimination.
 """
 
@@ -468,9 +471,18 @@ def _bareiss_solve(augmented, on_step):
     input; back substitution then yields the integer numerators X of
     x = X / D, where D = |det B|.  Returns ``(X, D)``, or None when B
     is singular.  ``augmented`` is consumed.
+
+    A row whose entry in the pivot column is zero would only be
+    multiplied by piv_c / piv_(c-1), and over consecutive such steps
+    those factors telescope.  So such a row is left alone, and
+    ``scale`` records the pivot s it was last brought up to: its next
+    update is (v piv - f t) / s, or, when it becomes the pivot row,
+    v prev / s.  Both quotients are exact, and every value read is the
+    minor that plain Bareiss would hold.
     """
     a = augmented
     k = len(a)
+    scale = [1] * k  # the pivot each row was last brought up to
     prev = 1
     for c in range(k):
         on_step()
@@ -478,16 +490,20 @@ def _bareiss_solve(augmented, on_step):
         if p < 0:
             return None
         a[c], a[p] = a[p], a[c]
+        scale[c], scale[p] = scale[p], scale[c]
         top = a[c]
+        if scale[c] != prev:
+            s = scale[c]
+            top[c:] = [v * prev // s for v in top[c:]]
         piv = top[c]
         tail = top[c + 1:]
         for r in range(c + 1, k):
             row = a[r]
             f = row[c]
             if f:
-                row[c + 1:] = [(v * piv - f * t) // prev for v, t in zip(row[c + 1:], tail)]
-            else:
-                row[c + 1:] = [v * piv // prev for v in row[c + 1:]]
+                s = scale[r]
+                row[c + 1:] = [(v * piv - f * t) // s for v, t in zip(row[c + 1:], tail)]
+                scale[r] = piv
         prev = piv
     # row i now reads a[i][i] x_i + sum_{j>i} a[i][j] x_j = a[i][k] and
     # prev = +-det B, so each X_i = prev * x_i is an exact quotient
@@ -553,14 +569,29 @@ def _no_step() -> None:
     pass
 
 
+def _rational(v):
+    """``Fraction`` lift that keeps ints, already exact rationals, as they are."""
+    return v if type(v) is int else Fraction(v)
+
+
+def _lifted(rows, objective, lift):
+    """The rows and the objective with every number passed through ``lift``."""
+    return (
+        [([lift(c) for c in coeffs], relation, lift(rhs)) for coeffs, relation, rhs in rows],
+        [lift(c) for c in objective],
+    )
+
+
 def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     """Solve exactly; x >= 0 is implicit for every variable.
 
     ``convert`` lifts plain numbers into the working field and is also
     applied to the supplied coefficients, so callers may mix ints with
-    field scalars.  ``float()`` of a field element, where defined, must
-    approximate it; a field without it is solved by the exact simplex
-    alone.
+    field scalars.  With ``convert=Fraction`` ints are used as they
+    are, already exact rationals; only the exact simplex, which
+    divides, works on their ``Fraction`` lifts.  ``float()`` of a field
+    element, where defined, must approximate it; a field without it is
+    solved by the exact simplex alone.
     ``on_step``, when given, runs before every float and exact pivot,
     once per elimination column of each exact basis solve (for a
     ``Fraction`` program two eliminations, the basis and its transpose;
@@ -572,17 +603,17 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     minimize = lp.sense == "min"
     on_step = on_step or _no_step
     zero = convert(0)
-    rows = [
-        ([convert(c) for c in coeffs], relation, convert(rhs))
-        for coeffs, relation, rhs in lp.rows
-    ]
-    obj = [convert(c) for c in lp.objective]
+    lift = _rational if convert is Fraction else convert
+    rows, obj = _lifted(lp.rows, lp.objective, lift)
 
     proposal = _float_basis(rows, obj, minimize, on_step)
     if proposal is not None:
         result = _certify(rows, obj, minimize, *proposal, zero, on_step)
         if result is not None:
             return result
+    if lift is not convert:
+        # the simplex divides, and int / int would give floats
+        rows, obj = _lifted(rows, obj, convert)
     outcome, basic, tight = _simplex(
         rows, obj, minimize, zero, convert(1),
         lambda tab, basis, ncols: _bland(tab, basis, ncols, zero, on_step),

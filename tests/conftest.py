@@ -1,6 +1,11 @@
-from hypothesis import strategies as st
+from hypothesis import settings, strategies as st
 
 from aldkit.core import PairedWord
+
+# A test's verdict must not depend on how fast the machine is, so no
+# example runs under a deadline.
+settings.register_profile("aldkit", deadline=None)
+settings.load_profile("aldkit")
 
 
 @st.composite

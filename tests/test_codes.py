@@ -132,7 +132,7 @@ def test_f2_layer_matches_brute_force():
             assert _cl_syndrome(v, w) == closed
 
     @given(parity_checks())
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=200)
     def kernel_and_distance(check):
         null_space = set()
         for x in range(1 << check.ncols):

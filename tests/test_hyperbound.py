@@ -81,7 +81,7 @@ class TestClassMatrix:
                             assert mat.entry(i, j) == count
 
     @given(st.integers(1, 4), st.integers(0, 8), st.integers(1, 2))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40)
     def test_entries_nonnegative_and_centre_counted(self, n, r, lam):
         mat = class_matrix(n, r, lam)
         for i in range(n + 1):

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 
@@ -197,7 +198,7 @@ def brute_force_max(c, rows, ub):
 
 
 @given(st.data())
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 def test_against_vertex_enumeration(data):
     n = data.draw(st.integers(1, 3))
     m = data.draw(st.integers(1, 3))
@@ -224,7 +225,7 @@ def test_against_vertex_enumeration(data):
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_mixed_relations_carry_a_dual_certificate(data):
     # any sense and relation; the float oracle switched off must give the
     # same status and value (the point may differ between optimal vertices)
@@ -263,7 +264,7 @@ def _both_certificates(lp, basic, tight):
 
 
 @given(st.data())
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 def test_a_wrong_proposal_never_changes_the_answer(data):
     # Propose every square basis (structural columns x tight rows) in
     # place of the float simplex: the exact checks must reject each one
@@ -626,3 +627,169 @@ def test_linear_system_random_roundtrip(data):
         return
     for row, rhs in zip(mat, b):
         assert sum(Fraction(a) * v for a, v in zip(row, x)) == rhs
+
+
+def _fraction_solve(matrix, rhs):
+    """(x, det) of B.x = b by Gaussian elimination in Fraction, or None
+    when B is singular."""
+    a = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
+    k = len(a)
+    det = Fraction(1)
+    for c in range(k):
+        p = next((r for r in range(c, k) if a[r][c]), None)
+        if p is None:
+            return None
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, k):
+            f = a[r][c] / a[c][c]
+            a[r] = [v - f * t for v, t in zip(a[r], a[c])]
+    x = [Fraction(0)] * k
+    for i in reversed(range(k)):
+        x[i] = (a[i][k] - sum(a[i][j] * x[j] for j in range(i + 1, k))) / a[i][i]
+    return x, det
+
+
+def _check_bareiss(matrix, rhs):
+    steps = []
+    got = lp_module._bareiss_solve(
+        [list(row) + [b] for row, b in zip(matrix, rhs)], lambda: steps.append(1)
+    )
+    want = _fraction_solve(matrix, rhs)
+    if want is None:
+        assert got is None
+        assert len(steps) <= len(matrix)
+        return
+    x, det = want
+    assert got is not None
+    numer, d = got
+    assert all(type(v) is int for v in numer) and type(d) is int
+    assert d == abs(det)
+    assert [Fraction(v, d) for v in numer] == x
+    assert len(steps) == len(matrix)
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        # upper triangular: row r sits untouched (zero in every pivot
+        # column before r) for r steps, then becomes the pivot row
+        [[2, 1, 3, 1], [0, 3, 1, 2], [0, 0, 5, 1], [0, 0, 0, 7]],
+        # tridiagonal: row r waits r - 1 steps, then one update catches
+        # it up over all of them at once
+        [[2, 1, 0, 0, 0], [1, 3, 1, 0, 0], [0, 1, 4, 1, 0], [0, 0, 1, 5, 1], [0, 0, 0, 1, 6]],
+        # rows swap first; the last row waits, is updated at step 2,
+        # waits again at step 3, then pivots
+        [[0, 2, 1, 0, 0], [3, 1, 0, 2, 1], [0, 0, 2, 0, 1], [0, 0, 0, 5, 1], [0, 0, 4, 0, 3]],
+        # at step 1 the last row, which waited, swaps with row 1, which
+        # step 0 updated: each row keeps its own scale
+        [[3, 0, 2, 1], [1, 0, 2, 0], [2, 0, 1, -1], [0, 2, 0, 1]],
+        # singular at the last column, after rows that waited
+        [[1, 2, 0], [0, 1, 3], [0, 2, 6]],
+    ],
+)
+def test_bareiss_rows_catch_up_after_waiting(matrix):
+    _check_bareiss(matrix, list(range(1, len(matrix) + 1)))
+
+
+@given(st.data())
+def test_bareiss_matches_fraction_elimination(data):
+    # Sparse, banded, triangular and singular integer systems up to
+    # 8 x 8, rows optionally shuffled so that pivots swap.
+    k = data.draw(st.integers(1, 8))
+    shape = data.draw(st.sampled_from(["sparse", "banded", "upper", "lower", "singular"]))
+    width = data.draw(st.integers(0, 2))
+    entry = st.integers(-4, 4)  # small, so that entries often cancel
+
+    def cell(i, j):
+        if shape == "sparse" and not data.draw(st.integers(0, 3)):
+            return data.draw(entry)
+        if shape == "banded" and abs(i - j) <= width:
+            return data.draw(entry)
+        if shape in ("upper", "singular") and j >= i or shape == "lower" and j <= i:
+            return data.draw(entry)
+        return 0
+
+    matrix = [[cell(i, j) for j in range(k)] for i in range(k)]
+    if shape == "singular" and k > 1:
+        # one row becomes a combination of two others
+        i, j, l = data.draw(st.permutations(range(k)))[:3] if k > 2 else (0, 1, 1)
+        u, v = data.draw(entry), data.draw(entry)
+        matrix[i] = [u * a + v * b for a, b in zip(matrix[j], matrix[l])]
+    matrix = [matrix[i] for i in data.draw(st.permutations(range(k)))]
+    rhs = [data.draw(entry) for _ in range(k)]
+    _check_bareiss(matrix, rhs)
+
+
+def _covering_program(n, d, lam):
+    """The covering LP that ``lp_hypergraph_bound(n, d, lam)`` solves."""
+    programs = []
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(hyperbound, "solve_lp", lambda lp: programs.append(lp) or solve_lp(lp))
+        lp_hypergraph_bound(n, d, lam)
+    return programs[0]
+
+
+def test_all_int_programs_stay_int_until_the_result(monkeypatch):
+    # An all-int program reaches the float simplex with its ints as they
+    # are; the exact simplex still runs in Fraction, and every number of
+    # the result is a Fraction, whichever route it took.
+    seen = []
+    float_basis, bland = lp_module._float_basis, lp_module._bland
+
+    def traced_float_basis(rows, obj, *args):
+        seen.extend(c for coeffs, _, b in rows for c in (*coeffs, b))
+        seen.extend(obj)
+        return float_basis(rows, obj, *args)
+
+    def traced_bland(tab, *args):
+        outcome = bland(tab, *args)
+        assert not any(type(v) is float for row in tab for v in row)
+        return outcome
+
+    monkeypatch.setattr(lp_module, "_float_basis", traced_float_basis)
+    monkeypatch.setattr(lp_module, "_bland", traced_bland)
+    programs = _named_programs()[:3] + [_covering_program(5, 5, 1)]
+    for lp in programs:
+        assert all(type(c) is int for coeffs, _, b in lp.rows for c in (*coeffs, b))
+        proposed = solve_lp(lp)
+        assert seen and all(type(v) is int for v in seen)
+        seen.clear()
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(lp_module, "_float_basis", lambda *args: None)
+            exact = solve_lp(lp)
+        for res in (proposed, exact):
+            assert res.status is LPStatus.OPTIMAL
+            assert type(res.value) is Fraction
+            assert all(type(v) is Fraction for v in (*res.x, *res.y))
+            assert_certified(lp, res)
+        assert exact == proposed
+
+
+# SHA-256 over the covering LP's value, weights and dual at lam 1-3,
+# n <= 8 and every d, and over weights1_bound(n, 2) for n = 2..15.
+COVERING_DIGEST = "0a940cd3209e98578c4568c64ae8959fd0572be2b3ab322988eb8f6c6276fec9"
+
+
+def test_covering_lp_answers_are_pinned(monkeypatch):
+    duals = []
+
+    def traced(lp):
+        res = solve_lp(lp)
+        duals.append(res.y)
+        return res
+
+    monkeypatch.setattr(hyperbound, "solve_lp", traced)
+    lines = []
+    for lam in (1, 2, 3):
+        for n in range(1, 9):
+            for d in range(2, 2 * (1 + lam) * n + 3):
+                rep = lp_hypergraph_bound(n, d, lam)
+                lines.append(f"lp {n} {d} {lam} {rep.exact} {rep.weights} {tuple(duals.pop())}")
+    for n in range(2, 16):
+        rep = hyperbound.weights1_bound(n, 2)
+        lines.append(f"weights1 {n} {rep.exact} {rep.weights}")
+    assert len(lines) == 686
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COVERING_DIGEST

@@ -119,7 +119,7 @@ def word_lists(draw):
 
 # Codebook refuses repeated words; the scan reads only ``words``, so a
 # plain namespace carries lists with repeats, whose distance must be 0.
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(word_lists(), st.integers(1, 3))
 def test_min_distance_agrees_with_direct_scan_on_random_lists(words, lam):
     direct = min(
@@ -473,7 +473,7 @@ def small_graphs(draw):
     return _adjacency(nv, edges), order
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.data())
 def test_color_order_is_greedy_first_fit(data):
     nv = data.draw(st.integers(1, 16))
@@ -503,7 +503,7 @@ def test_color_order_is_greedy_first_fit(data):
         assert sv._color_order(cand, inv, floor) == classes[floor:]
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(small_graphs())
 def test_lowest_max_clique_agrees_with_brute_force(graph):
     adj, order = graph
@@ -520,7 +520,7 @@ def test_lowest_max_clique_agrees_with_brute_force(graph):
     assert _lowest(adj, order) == want
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150)
 @given(small_graphs())
 def test_max_clique_agrees_with_brute_force(graph):
     adj, _ = graph
