@@ -19,6 +19,7 @@ import io
 import json
 import math
 import sys
+from functools import cache
 from importlib import resources
 
 from .balls import ball_size, enumerate_ball
@@ -502,9 +503,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built once per process: parsing leaves
+    it unchanged, and each build leaves thousands of cyclic objects."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ValueError as err:

@@ -18,21 +18,25 @@ that ordered field, with no dropped constraints; floating point only
 proposes the basis, and the reported optimum comes with exactly checked
 dual multipliers.
 
-Assembly.  ``coefficient_column`` expands one column a factor at a time
-on packed integers: a profile key is one int with a byte per digit (n
-<= 20 < 256), and its counts are one int with ten slots, one per power
-of zeta.  Multiplying by zeta^c moves slot k to slot k + c mod 10, a
-cyclic shift of the int, and adding two terms is one int addition.  A
-count at profile p never exceeds multinomial(p) <= n!, so every slot is
-the smallest of 1, 2, 4 or 8 bytes that holds n!, and no slot can carry
-into its neighbour; the counts are unpacked once, at the end, with
-``struct``.  The rows come from one pass over the profiles.  The
-coefficient at reverse_profile(p) is the conjugate of the one at p, so
-both give the same real entry in every symmetrised column and the same
-multinomial right-hand side: only the lexicographically first profile of
-each reverse pair is visited, and it is the one that names the row.
-Entries are computed once per distinct ``(counts, orbit)`` within a
-call.
+Assembly.  Columns are expanded a factor at a time on packed integers:
+a profile key is one int with a byte per digit (n <= 20 < 256), and its
+counts are one int with ten slots, one per power of zeta.  Multiplying
+by zeta^c moves slot k to slot k + c mod 10, a cyclic shift of the int,
+and adding two terms is one int addition.  A count at profile p never
+exceeds multinomial(p) <= n!, so every slot is the smallest of 1, 2, 4
+or 8 bytes that holds n!, and no slot can carry into its neighbour.
+The coefficient at reverse_profile(p) is the conjugate of the one at p,
+so both give the same real entry in every symmetrised column and the
+same multinomial right-hand side: only the lexicographically first
+profile of each reverse pair names a row.  So the LP never expands a
+column in full.  It expands the head of each column, every factor but
+the last one, at the column's highest nonzero digit j (through
+``coefficient_column`` with ``packed_for=n``), and pulls that last
+factor straight into the rows: the coefficient at a first profile
+p is the sum, over the nonzero digits i of p, of the head's counts at p
+minus one i, each rotated by chi(i, j).  Entries are computed once per
+distinct ``(packed counts, orbit)`` within a call, and only then are
+the counts unpacked, with ``struct``.
 """
 
 from __future__ import annotations
@@ -69,7 +73,9 @@ class Q5:
     Stored as integers, (p + q*sqrt(5)) / r with r > 0 and gcd(p, q, r)
     = 1, so each element has one representation; ``a`` and ``b`` give
     its rational parts.  Instances are immutable.  Comparisons use the
-    real embedding with sqrt(5) > 0.
+    real embedding with sqrt(5) > 0: a - b has the sign of the integer
+    pair (p*r' - p'*r, q*r' - q'*r), read off by ``_sign`` without
+    building the difference.
     """
 
     __slots__ = ("p", "q", "r")
@@ -104,19 +110,9 @@ class Q5:
         v = Fraction(v)
         return _q5(v.numerator, 0, v.denominator)
 
-    def _sign(self) -> int:
-        p, q = self.p, self.q
-        if p >= 0 and q >= 0:
-            return 0 if p == q == 0 else 1
-        if p <= 0 and q <= 0:
-            return -1
-        # p*p == 5*q*q is impossible for q != 0, since sqrt(5) is irrational
-        if p > 0:  # q < 0
-            return 1 if p * p > 5 * q * q else -1
-        return 1 if 5 * q * q > p * p else -1
-
     def __add__(self, o):
-        o = Q5.lift(o)
+        if type(o) is not Q5:
+            o = Q5.lift(o)
         if self.r == o.r:
             return _q5(self.p + o.p, self.q + o.q, self.r)
         return _q5(self.p * o.r + o.p * self.r, self.q * o.r + o.q * self.r, self.r * o.r)
@@ -124,7 +120,8 @@ class Q5:
     __radd__ = __add__
 
     def __sub__(self, o):
-        o = Q5.lift(o)
+        if type(o) is not Q5:
+            o = Q5.lift(o)
         if self.r == o.r:
             return _q5(self.p - o.p, self.q - o.q, self.r)
         return _q5(self.p * o.r - o.p * self.r, self.q * o.r - o.q * self.r, self.r * o.r)
@@ -136,7 +133,8 @@ class Q5:
         return _q5(-self.p, -self.q, self.r)
 
     def __mul__(self, o):
-        o = Q5.lift(o)
+        if type(o) is not Q5:
+            o = Q5.lift(o)
         return _q5(
             self.p * o.p + 5 * self.q * o.q, self.p * o.q + self.q * o.p, self.r * o.r
         )
@@ -159,20 +157,26 @@ class Q5:
         return self.p != 0 or self.q != 0
 
     def __eq__(self, o):
-        o = Q5.lift(o)
+        if type(o) is not Q5:
+            o = Q5.lift(o)
         return self.p == o.p and self.q == o.q and self.r == o.r
 
+    def __ne__(self, o):
+        if type(o) is not Q5:
+            o = Q5.lift(o)
+        return self.p != o.p or self.q != o.q or self.r != o.r
+
     def __lt__(self, o):
-        return (self - o)._sign() < 0
+        return _compare(self, o) < 0
 
     def __le__(self, o):
-        return (self - o)._sign() <= 0
+        return _compare(self, o) <= 0
 
     def __gt__(self, o):
-        return (self - o)._sign() > 0
+        return _compare(self, o) > 0
 
     def __ge__(self, o):
-        return (self - o)._sign() >= 0
+        return _compare(self, o) >= 0
 
     def __hash__(self):
         return hash((self.p, self.q, self.r))
@@ -182,9 +186,9 @@ class Q5:
 
     def __floor__(self) -> int:
         est = math.floor(float(self))
-        while (self - est)._sign() < 0:
+        while _compare(self, est) < 0:
             est -= 1
-        while (self - (est + 1))._sign() >= 0:
+        while _compare(self, est + 1) >= 0:
             est += 1
         return est
 
@@ -207,6 +211,31 @@ def _q5(p: int, q: int, r: int) -> Q5:
     _set(out, "q", q // g)
     _set(out, "r", r // g)
     return out
+
+
+def _sign(p: int, q: int) -> int:
+    """Sign of p + q*sqrt(5) for integers p and q."""
+    if p >= 0 and q >= 0:
+        return 0 if p == q == 0 else 1
+    if p <= 0 and q <= 0:
+        return -1
+    # p*p == 5*q*q is impossible for q != 0, since sqrt(5) is irrational
+    if p > 0:  # q < 0
+        return 1 if p * p > 5 * q * q else -1
+    return 1 if 5 * q * q > p * p else -1
+
+
+def _compare(a: Q5, o) -> int:
+    """Sign of a - o, for o in Q5 or a rational; r, r' > 0 keep the sign
+    of the cross-multiplied numerator."""
+    if type(o) is int:
+        return _sign(a.p - o * a.r, a.q)
+    if type(o) is not Q5:
+        o = Q5.lift(o)
+    r, s = a.r, o.r
+    if r == s:
+        return _sign(a.p - o.p, a.q - o.q)
+    return _sign(a.p * s - o.p * r, a.q * s - o.q * r)
 
 
 # ---------------------------------------------------------------- profiles
@@ -244,33 +273,29 @@ def profile_cost(m: tuple, lam: int) -> int:
 _SLOT_CODES = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
 
 
-def _count_slot(n: int) -> tuple:
-    """Bytes and struct code of one zeta-power count slot at length n.
+def _slot_layout(n: int) -> tuple:
+    """``(size, width, full, fmt)`` of the packed counts at length n.
 
-    A count at profile p never exceeds multinomial(p) <= n!, so the
-    smallest struct size with room for n! holds every count of every
-    intermediate state; 20! is the largest factorial below 2^64.
+    A count at profile p never exceeds multinomial(p) <= n!, so each of
+    the ten zeta-power slots is the smallest struct size with room for
+    n!: ``size`` bytes, ``width`` bits, ``full`` the mask of all ten
+    slots and ``fmt`` their ``struct`` format.  20! is the largest
+    factorial below 2^64.  Multiplying by zeta^c rotates the slots,
+    ``((v << c * width) & full) | (v >> (10 - c) * width)``, which the
+    expansion loops write inline.
     """
     need = math.factorial(n).bit_length()
     for size, code in _SLOT_CODES:
         if 8 * size >= need:
-            return size, code
+            return size, 8 * size, (1 << 80 * size) - 1, f"<10{code}"
     raise ValueError(f"n={n} is too long: column counts need n <= 20")
 
 
-def coefficient_column(m: tuple, budget: Budget | None = None) -> dict:
-    """Monomial-profile coefficients of prod_j (sum_i z_i chi(i,j))^m_j.
-
-    Returns {p: counts} where p records the multidegree of the
-    z-monomial as a profile and counts[k] is how many of its terms equal
-    zeta^k, so the coefficient is sum_k counts[k] zeta^k.  Cross-checkable
-    against the direct sum of chi over words with a fixed difference
-    profile.  The expansion runs on packed ints, as the module docstring
-    describes under "Assembly".
-    """
-    size, code = _count_slot(sum(m))
-    width = 8 * size
-    full = (1 << 10 * width) - 1
+def _packed_column(m: tuple, budget: Budget | None, n: int) -> dict:
+    """``{packed profile: packed counts}`` of the column of m, with count
+    slots laid out for length n >= sum(m); see "Assembly" in the module
+    docstring."""
+    _, width, full, _ = _slot_layout(n)
     state = {0: 1}  # the empty monomial, one term equal to zeta^0
     for j in range(10):
         # one (down, up, digit steps) move per distinct value c = chi(i, j)
@@ -285,15 +310,36 @@ def coefficient_column(m: tuple, budget: Budget | None = None) -> dict:
             get = nxt.get
             for p, v in state.items():
                 for down, up, digit_steps in moves:
-                    w = ((v << up) & full) | (v >> down)  # slot k -> k + c
+                    w = ((v << up) & full) | (v >> down)  # slot k -> k + c, see _slot_layout
                     for step in digit_steps:
                         q = p + step
                         nxt[q] = get(q, 0) + w
             state = nxt
-    fmt = f"<10{code}"
+    return state
+
+
+def coefficient_column(
+    m: tuple, budget: Budget | None = None, *, packed_for: int | None = None
+) -> dict:
+    """Monomial-profile coefficients of prod_j (sum_i z_i chi(i,j))^m_j.
+
+    Returns {p: counts} where p records the multidegree of the
+    z-monomial as a profile and counts[k] is how many of its terms equal
+    zeta^k, so the coefficient is sum_k counts[k] zeta^k.  Cross-checkable
+    against the direct sum of chi over words with a fixed difference
+    profile.
+
+    With ``packed_for=n`` (n >= sum(m)) the column is returned as the
+    LP's assembly reads it, ``{packed profile: packed counts}`` with the
+    count slots of length n; see "Assembly" in the module docstring.
+    """
+    if packed_for is not None:
+        return _packed_column(m, budget, packed_for)
+    n = sum(m)
+    size, _, _, fmt = _slot_layout(n)
     return {
         tuple(p.to_bytes(10, "little")): unpack(fmt, v.to_bytes(10 * size, "little"))
-        for p, v in state.items()
+        for p, v in _packed_column(m, budget, n).items()
     }
 
 
@@ -368,28 +414,45 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
 
     # Column of the identity profile is the plain multinomial expansion
     # (all characters against digit 0 equal 1), handled as constants.
-    columns = []
+    size, width, full, fmt = _slot_layout(n)
+    # per first profile p: (i, packed p - e_i) for every nonzero digit i
+    preds = []
+    for p in firsts:
+        key = int.from_bytes(bytes(p), "little")
+        preds.append([(i, key - (1 << 8 * i)) for i in range(10) if p[i]])
+
+    entry_of = {}  # (packed counts, orbit) -> column_entry(counts, orbit)
+    columns = []  # each survivor's entries, one per first profile
     for m, orbit in survivors:
         budget.check("column assembly")
-        columns.append((coefficient_column(m, budget), orbit))
-
-    absent = (0,) * 10
-    fact = [math.factorial(k) for k in range(n + 1)]
-    entry_of = {}  # (counts, orbit) -> column_entry(counts, orbit)
-    rows = {}  # distinct row -> the first profile that gives it
-    for p in firsts:
-        budget.check("row assembly")
-        entries = []
-        for col, orbit in columns:
-            key = (col.get(p, absent), orbit)
+        j = max(i for i in range(10) if m[i])
+        head = m[:j] + (m[j] - 1,) + m[j + 1:]
+        get = coefficient_column(head, budget, packed_for=n).get
+        shifts = [((10 - c) * width, c * width) for c in (chi(i, j) for i in range(10))]
+        column = []
+        for digits in preds:
+            w = 0
+            for i, q in digits:
+                v = get(q)
+                if v:
+                    down, up = shifts[i]
+                    w += ((v << up) & full) | (v >> down)  # slot k -> k + chi(i, j)
+            key = (w, orbit)
             entry = entry_of.get(key)
             if entry is None:
-                entry = entry_of[key] = column_entry(*key)
-            entries.append(entry)
+                counts = unpack(fmt, w.to_bytes(10 * size, "little"))
+                entry = entry_of[key] = column_entry(counts, orbit)
+            column.append(entry)
+        columns.append(column)
+
+    fact = [math.factorial(k) for k in range(n + 1)]
+    rows = {}  # distinct row -> the first profile that gives it
+    for p, entries in zip(firsts, zip(*columns)):
+        budget.check("row assembly")
         if not any(entries):
             continue  # 0 >= -multinomial holds vacuously
         rhs = Q5.lift(-(fact[n] // math.prod(map(fact.__getitem__, p))))
-        rows.setdefault(tuple(entries) + (rhs,), p)
+        rows.setdefault(entries + (rhs,), p)
     return survivors, rows
 
 
@@ -411,7 +474,7 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     _check_int(n, "n", 1)
     _check_int(d, "d", 1)
     _check_lambda(lam)
-    _count_slot(n)  # refuses n > 20 before any profile is listed
+    _slot_layout(n)  # refuses n > 20 before any profile is listed
     budget = Budget(budget_secs)
     if n >= 4 and budget.seconds is None:
         raise BudgetExceeded(

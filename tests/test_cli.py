@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from aldkit import cli
 from aldkit.cli import CSV_HEADER, main, read_codebook, write_codebook
 from aldkit.codes import build_cl, build_cp
 from aldkit.core import PairedWord
@@ -428,6 +429,24 @@ def test_table_csv_bytes_are_pinned(capsys, argv):
     rc, out, _ = run(capsys, "table", *argv)
     assert rc == 0
     assert hashlib.sha256(out.encode()).hexdigest() == TABLE_CSV_SHA256[argv]
+
+
+SHARED_PARSER_CALLS = (
+    ("table", "5", "--max-n", "2", "--format", "json"),
+    ("table", "5", "--max-n", "2"),
+    ("bound", "lp", "--n", "3", "--d", "3"),
+)
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    # main parses with one parser per process; no option of one call may
+    # leak into the next (the json table must not turn the next into json)
+    shared = [run(capsys, *argv) for argv in SHARED_PARSER_CALLS]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    fresh = [run(capsys, *argv) for argv in SHARED_PARSER_CALLS]
+    assert shared == fresh
+    assert shared[0][1].startswith("{") and shared[1][1].startswith(",".join(CSV_HEADER))
 
 
 def test_table_json_format(capsys):

@@ -1,13 +1,15 @@
 import cmath
+import hashlib
 import math
 from functools import cache
 from fractions import Fraction
+from struct import unpack
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from aldkit import delsarte
-from aldkit.core import BudgetExceeded
+from aldkit.core import Budget, BudgetExceeded
 from aldkit.delsarte import (
     Q5,
     chi,
@@ -177,6 +179,39 @@ def test_q5_floor_brackets_the_value(a, b):
     q = Q5(a, b)
     f = math.floor(q)
     assert Q5.lift(f) <= q < Q5.lift(f + 1)
+
+
+def float_sign(x, y):
+    """Sign of x + y*sqrt(5) for the small rationals drawn here.  Their
+    denominators divide 56 and |x|, |y| <= 10, so a nonzero value,
+    |x^2 - 5y^2| / |x - y*sqrt(5)|, is at least 1 / (56^2 * 33) > 9e-6
+    away from 0, far past float error."""
+    v = float(x) + float(y) * math.sqrt(5)
+    return (v > 0) - (v < 0)
+
+
+def assert_orders_by(a, b, s):
+    """Every comparison of a with b reads as the sign s of a - b."""
+    assert (a < b, a <= b, a > b, a >= b, a == b, a != b) == (
+        s < 0, s <= 0, s > 0, s >= 0, s == 0, s != 0), (a, b, s)
+
+
+q5_values = st.builds(Q5, small_fractions, small_fractions)
+
+
+def q5_parts(x):
+    """Rational and sqrt(5) parts of a Q5, an int or a Fraction."""
+    return (x.a, x.b) if isinstance(x, Q5) else (x, 0)
+
+
+@given(q5_values, st.one_of(q5_values, st.integers(-6, 6), small_fractions))
+@settings(max_examples=400)
+def test_q5_comparisons_follow_the_sign_of_the_difference(a, b):
+    (p, q), (p2, q2) = q5_parts(a), q5_parts(b)
+    s = float_sign(p - p2, q - q2)
+    assert_orders_by(a, b, s)
+    assert_orders_by(b, a, -s)
+    assert_orders_by(a, Q5(a.a, a.b), 0)
 
 
 # ---------------------------------------------------------------- profiles
@@ -432,6 +467,48 @@ def test_assembly_matches_the_one_factor_oracle(monkeypatch, n, lam):
             assert assembled_lp(monkeypatch, n, d, lam) == oracle_lp(n, d, lam), d
 
 
+def test_pulled_rows_match_full_columns_past_one_byte_slots():
+    # The assembly pulls each column's last factor into the rows, on count
+    # slots sized by n.  At n = 6 a slot needs two bytes (5! < 256 < 6!),
+    # and the all-fives column reaches 6! = 720 at (1, 1, 1, 1, 1, 1, 0, ...).
+    n, d, lam = 6, 21, 1
+    survivors, rows = delsarte._assemble(n, d, lam, Budget())
+    assert survivors[-1] == ((0,) * 5 + (6,) + (0,) * 4, 1)
+    columns = [(coefficient_column(m), orbit) for m, orbit in survivors]
+    assert max(map(max, columns[-1][0].values())) == 720
+    want = {}
+    for p in profiles(n):
+        if reverse_profile(p) < p:
+            continue
+        entries = tuple(column_entry(col[p], orbit) for col, orbit in columns)
+        if any(entries):
+            want.setdefault(entries + (Q5.lift(-multinomial(p)),), p)
+    assert list(rows.items()) == list(want.items())
+
+
+def test_assembly_expands_each_head_through_the_public_column(monkeypatch):
+    # Profilers and the benchmark's tracer wrap delsarte.coefficient_column,
+    # so the assembly calls it by that name, once per surviving column.
+    calls = []
+    original = delsarte.coefficient_column
+
+    def counting(m, budget=None, **kwargs):
+        calls.append(kwargs)
+        return original(m, budget, **kwargs)
+
+    monkeypatch.setattr(delsarte, "coefficient_column", counting)
+    survivors, _ = delsarte._assemble(3, 9, 1, Budget())
+    assert survivors and calls == [{"packed_for": 3}] * len(survivors)
+    # the packed form holds the same counts, in slots of any wider layout
+    m = (0, 1, 2, 0, 0, 1, 0, 0, 0, 0)
+    size, _, _, fmt = delsarte._slot_layout(6)
+    packed = original(m, packed_for=6)
+    assert {
+        tuple(p.to_bytes(10, "little")): unpack(fmt, v.to_bytes(10 * size, "little"))
+        for p, v in packed.items()
+    } == coefficient_column(m)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_reverse_profile_rows_are_equal(n):
     # The assembly visits only the first profile of each reverse pair:
@@ -581,3 +658,28 @@ def test_nan_budget_is_rejected():
 
 def test_infinite_budget_means_no_limit():
     assert delsarte_bound(4, 16, 1, budget_secs=math.inf).floored == 2
+
+
+# SHA-256 over every report at the 22 table-3 cells the character-lp
+# benchmark times (lambda = 1, n = 4 with an unlimited budget) and at
+# every n <= 3 cell with lambda = 2 up to d = 2(1 + lambda)n + 1.  It was
+# computed with the assembly that expanded every column through its last
+# factor and the Q5 comparisons that built each difference, so any change
+# to a value, a floor or a dual multiplier shows.
+REPORT_CELLS = (
+    [(1, d, 1) for d in range(1, 5)]
+    + [(2, d, 1) for d in range(1, 9)]
+    + [(3, d, 1) for d in range(7, 13)]
+    + [(4, d, 1) for d in range(13, 17)]
+    + [(n, d, 2) for n in (1, 2, 3) for d in range(1, 6 * n + 2)]
+)
+REPORT_SHA256 = "84f953a3306ae78c056d1f507b65d80e37e784e66661763af72918c8f12fefe9"
+
+
+def test_reports_are_pinned():
+    digest = hashlib.sha256()
+    for n, d, lam in REPORT_CELLS:
+        rep = delsarte_bound(n, d, lam, budget_secs=math.inf if n >= 4 else None)
+        dual = tuple((p, u.p, u.q, u.r) for p, u in rep.dual)
+        digest.update(repr((n, d, lam, rep.exact, rep.sqrt5_part, rep.floored, dual)).encode())
+    assert digest.hexdigest() == REPORT_SHA256
