@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import BudgetExceeded, PairedWord, _check_int, _check_lambda, classify_position
+from .core import BudgetExceeded, PairedWord, _check_int, _check_lambda, _position_costs
 
 __all__ = ["ClassMatrix", "class_matrix", "sphere_size", "ball_size", "enumerate_ball"]
 
@@ -109,31 +109,28 @@ def sphere_size(n: int, w: int, lam: int, r: int) -> int:
 def enumerate_ball(centre: PairedWord, r: int, lam: int) -> set[PairedWord]:
     """All words within distance r of a centre, by pruned enumeration.
 
-    Walks positions left to right, trying each of the four symbols and
+    Walks positions left to right, trying each of the four digits and
     abandoning any prefix whose cost already exceeds the radius, so the
-    work is proportional to the result size rather than 4^n.
+    work is proportional to the result size rather than 4^n.  The cost
+    of digit t at position i is ``core._position_costs(lam)[s][t]``, s
+    the centre's digit there.
     """
     _check_int(r, "r", 0)
     if centre.n > _ENUM_MAX_N:
         raise BudgetExceeded(
             f"ball enumeration refused for n={centre.n} (limit {_ENUM_MAX_N})"
         )
-    symbols = [(0, 0), (0, 1), (1, 0), (1, 1)]
-    costs = []
-    for i in range(centre.n):
-        s = centre.symbol(i)
-        costs.append([classify_position(s, t).edge_weight(lam) for t in symbols])
+    costs = _position_costs(lam)
+    rows = [costs[s] for s in centre.digits()]
     out: set[PairedWord] = set()
 
     def walk(i: int, a: int, b: int, left: int) -> None:
         if i == centre.n:
             out.add(PairedWord(centre.n, a, b))
             return
-        row = costs[i]
-        for sym_idx, (x, y) in enumerate(symbols):
-            c = row[sym_idx]
+        for t, c in enumerate(rows[i]):
             if c <= left:
-                walk(i + 1, a | (x << i), b | (y << i), left - c)
+                walk(i + 1, a | ((t >> 1) << i), b | ((t & 1) << i), left - c)
 
     walk(0, 0, 0, r)
     return out

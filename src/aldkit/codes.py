@@ -38,7 +38,6 @@ from .core import (
     _check_int,
     _check_lambda,
     all_words,
-    map_symbols,
     pair_weight,
 )
 
@@ -245,6 +244,9 @@ class Codebook:
     membership: object = field(default=None, repr=False)
 
     def __post_init__(self):
+        _check_int(self.n, "n", 1)
+        _check_lambda(self.lam)
+        _check_int(self.design_distance, "design_distance", 1)
         if self.words is not None:
             self.words = tuple(self.words)
             keys = {(w.a, w.b) for w in self.words}
@@ -303,8 +305,7 @@ def _syndrome_coset(construction, params, d, columns, u, size) -> Codebook:
 def build_H01(v: int) -> BinaryParityCheck:
     """The v x (2^v - 2) matrix whose columns are every nonzero
     vector except all-ones, ordered as increasing binary integers."""
-    if v < 2:
-        raise ValueError("need v >= 2")
+    _check_int(v, "v", 2)
     return BinaryParityCheck(
         rows=v, columns=tuple(range(1, (1 << v) - 1)), claimed_distance=3
     )
@@ -312,9 +313,8 @@ def build_H01(v: int) -> BinaryParityCheck:
 
 def _check_cl_params(v: int, u: int) -> int:
     """Length n = 2^v - 2 of the strand-sum code with coset label u."""
-    if v < 2:
-        raise ValueError("need v >= 2")
-    if not (0 <= u < (1 << v)):
+    _check_int(v, "v", 2)
+    if not (0 <= _check_int(u, "u") < (1 << v)):
         raise ValueError("coset label out of range")
     return (1 << v) - 2
 
@@ -529,7 +529,7 @@ class OddPrimeField:
 
     def __init__(self, q: int, l: int = 1, alpha: int | None = None,
                  modulus: tuple | None = None):
-        if not _is_odd_prime(q):
+        if not _is_odd_prime(_check_int(q, "q")):
             raise ValueError("q must be an odd prime")
         _check_int(l, "l", 1)
         self.q = q
@@ -632,10 +632,6 @@ class OddPrimeField:
         return self._alpha_powers[k % (self.size - 1)]
 
 
-def _digit_values(word: PairedWord) -> tuple[int, ...]:
-    return map_symbols(word, "nat4")
-
-
 def _cn_signature(field: OddPrimeField, d: int, phis) -> tuple:
     """(sum of phis mod d, power sums sum_i phi_i * alpha^(i*k) for
     k = 1..floor(d/2)), positions i from 1; phis are integers, so an
@@ -666,19 +662,19 @@ def build_cn(field: OddPrimeField, d: int, u: int, z: tuple) -> Codebook:
     floor(d/2) power sums over the field.  Minimum distance >= d at
     unit weighting; the cosets over all (u, z) partition the space."""
     _check_cn_params(field, d)
-    if not (0 <= u < d):
+    if not (0 <= _check_int(u, "u") < d):
         raise ValueError("congruence class out of range")
     z = tuple(z)
     if len(z) != d // 2:
         raise ValueError("need exactly floor(d/2) power-sum targets")
-    if any(not (0 <= zk < field.size) for zk in z):
+    if any(not (0 <= _check_int(zk, "z entry") < field.size) for zk in z):
         raise ValueError("power-sum target out of field range")
     n = field.size - 1
     _check_enumerable(n)
     params = {"q": field.q, "l": field.l, "alpha": field.alpha,
               "u": u, "z": z}
     return _book(n, 1, d, "cn", params,
-                 lambda w: _cn_signature(field, d, _digit_values(w)) == (u, z))
+                 lambda w: _cn_signature(field, d, w.digits()) == (u, z))
 
 
 def best_cn_coset(field: OddPrimeField, d: int):
@@ -691,7 +687,7 @@ def best_cn_coset(field: OddPrimeField, d: int):
     _check_enumerable(n)
     buckets: dict = {}
     for w in all_words(n):
-        sig = _cn_signature(field, d, _digit_values(w))
+        sig = _cn_signature(field, d, w.digits())
         buckets.setdefault(sig, []).append(w)
     u, z = min(buckets, key=lambda sig: (-len(buckets[sig]), sig))
     params = {"q": field.q, "l": field.l, "alpha": field.alpha,
@@ -729,7 +725,7 @@ def decode_cn(field: OddPrimeField, d: int, u: int, z: tuple,
         if key in table and table[key] != lift:
             raise ArithmeticError("syndrome collision inside the error set")
         table[key] = lift
-    phis = _digit_values(received)
+    phis = received.digits()
     got_u, got_z = _cn_signature(field, d, phis)
     delta = (
         (got_u - u) % d,
@@ -742,7 +738,7 @@ def decode_cn(field: OddPrimeField, d: int, u: int, z: tuple,
     if any(not (0 <= p <= 3) for p in fixed):
         raise DecodingError("uncorrectable pattern")
     out = PairedWord.from_bits([p >> 1 for p in fixed], [p & 1 for p in fixed])
-    if _cn_signature(field, d, _digit_values(out)) != (u, z):
+    if _cn_signature(field, d, out.digits()) != (u, z):
         raise DecodingError("uncorrectable pattern")
     return out
 
@@ -758,14 +754,13 @@ def distance_decomposition(x: PairedWord, y: PairedWord) -> tuple[int, int, int]
     2*(1+lam)*J."""
     if x.n != y.n:
         raise ValueError("word lengths differ")
-    full = (1 << x.n) - 1
-    mixed_x = x.a ^ x.b
-    mixed_y = y.a ^ y.b
-    first_diff = x.a ^ y.a
-    i_count = (mixed_x & mixed_y & first_diff).bit_count()
-    j_count = (~mixed_x & ~mixed_y & first_diff & full).bit_count()
-    total = ((x.a ^ y.a) | (x.b ^ y.b)).bit_count()
-    return i_count, j_count, total - i_count - j_count
+    # the masks of core.ald_distance: a position where both strand bits
+    # flip is a swap when x is mixed there, and a double flip otherwise
+    da = x.a ^ y.a
+    db = x.b ^ y.b
+    both = da & db
+    i_count = (both & (x.a ^ x.b)).bit_count()
+    return i_count, both.bit_count() - i_count, (da ^ db).bit_count()
 
 
 def _l1(x, y) -> int:

@@ -20,6 +20,7 @@ import math
 import time
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 __all__ = [
     "Budget",
@@ -65,22 +66,22 @@ class Budget:
             raise BudgetExceeded(f"time budget exhausted during {stage}")
 
 
-_DIGIT_TO_SYMBOL = {"0": (0, 0), "1": (0, 1), "2": (1, 0), "3": (1, 1)}
-_SYMBOL_TO_DIGIT = {v: k for k, v in _DIGIT_TO_SYMBOL.items()}
+# A symbol (a;b) is the digit 2a + b; each alphabet string below, and
+# each row of the tables after it, is indexed by digit.
+_DIGITS = "0123"
+_DNA = "GCTA"
 
-_DNA_TO_SYMBOL = {"G": (0, 0), "C": (0, 1), "T": (1, 0), "A": (1, 1)}
-_SYMBOL_TO_DNA = {v: k for k, v in _DNA_TO_SYMBOL.items()}
-
-# Symbol-to-integer maps.  gray4 walks the confusion graph so that
+# Digit-to-integer maps.  gray4 walks the confusion graph so that
 # adjacent integers are cheap transitions; nat4 is the plain binary
 # reading used for wire formats; z10 spreads the symbols over Z_10 so
 # that class-1 pairs land distance +-2 apart, class-2 pairs +-1 or +-4,
 # and the class-3 pair exactly 5 apart.
-_MAPS = {
-    "gray4": {(0, 0): 1, (1, 0): 0, (0, 1): 2, (1, 1): 3},
-    "nat4": {(0, 0): 0, (0, 1): 1, (1, 0): 2, (1, 1): 3},
-    "z10": {(0, 0): 0, (0, 1): 1, (1, 0): 9, (1, 1): 5},
-}
+_MAPS = {"gray4": (1, 2, 0, 3), "nat4": (0, 1, 2, 3), "z10": (0, 1, 9, 5)}
+
+# The four isometries of one position, as digit permutations: identity,
+# complement, strand swap, and both.  Row k is ``Automorphism``'s map at
+# a position whose complement bit is k & 1 and strand-swap bit k >> 1.
+_POSITION_MAPS = ((0, 1, 2, 3), (3, 2, 1, 0), (0, 2, 1, 3), (3, 1, 2, 0))
 
 
 def _check_int(value, name: str, least=None) -> int:
@@ -156,24 +157,23 @@ class PairedWord:
     @classmethod
     def from_digits(cls, text: str) -> "PairedWord":
         """Parse a word from quaternary digits, '0'=(0;0) '1'=(0;1) '2'=(1;0) '3'=(1;1)."""
-        return cls._parse(text, _DIGIT_TO_SYMBOL, "quaternary digit")
+        return cls._parse(text, _DIGITS, "quaternary digit")
 
     @classmethod
     def from_dna(cls, text: str) -> "PairedWord":
         """Parse a word from DNA letters, G=(0;0) C=(0;1) T=(1;0) A=(1;1)."""
-        return cls._parse(text.upper(), _DNA_TO_SYMBOL, "DNA letter")
+        return cls._parse(text.upper(), _DNA, "DNA letter")
 
     @classmethod
-    def _parse(cls, text: str, table: dict, what: str) -> "PairedWord":
+    def _parse(cls, text: str, alphabet: str, what: str) -> "PairedWord":
         a = 0
         b = 0
         for i, ch in enumerate(text):
-            try:
-                x, y = table[ch]
-            except KeyError:
-                raise ValueError(f"invalid {what} {ch!r} at position {i}") from None
-            a |= x << i
-            b |= y << i
+            s = alphabet.find(ch)
+            if s < 0:
+                raise ValueError(f"invalid {what} {ch!r} at position {i}")
+            a |= (s >> 1) << i
+            b |= (s & 1) << i
         if not text:
             raise ValueError("empty word")
         return cls(len(text), a, b)
@@ -186,11 +186,16 @@ class PairedWord:
     def symbols(self) -> tuple[tuple[int, int], ...]:
         return tuple(self.symbol(i) for i in range(self.n))
 
+    def digits(self) -> tuple[int, ...]:
+        """The digit 2a + b of each position's symbol (a;b), position 0 first."""
+        a, b = self.a, self.b
+        return tuple([((a >> i) & 1) << 1 | ((b >> i) & 1) for i in range(self.n)])
+
     def to_digits(self) -> str:
-        return "".join(_SYMBOL_TO_DIGIT[s] for s in self.symbols())
+        return "".join([_DIGITS[s] for s in self.digits()])
 
     def to_dna(self) -> str:
-        return "".join(_SYMBOL_TO_DNA[s] for s in self.symbols())
+        return "".join([_DNA[s] for s in self.digits()])
 
 
 def pair_weight(x: PairedWord) -> int:
@@ -240,6 +245,17 @@ def ald_distance(x: PairedWord, y: PairedWord, lam: int) -> int:
     return lam * c1 + (1 + lam) * c2 + 2 * (1 + lam) * c3
 
 
+def _position_costs(lam: int) -> tuple:
+    """``costs[s][t]``: the distance one position contributes, digit s against t."""
+    return _cost_table(_check_lambda(lam))
+
+
+@lru_cache(maxsize=None)
+def _cost_table(lam: int) -> tuple:
+    words = [PairedWord(1, s >> 1, s & 1) for s in range(4)]
+    return tuple(tuple(ald_distance(x, y, lam) for y in words) for x in words)
+
+
 def map_symbols(x: PairedWord, target: str) -> tuple[int, ...]:
     """Render a word as integers under one of the symbol maps.
 
@@ -250,11 +266,12 @@ def map_symbols(x: PairedWord, target: str) -> tuple[int, ...]:
         table = _MAPS[target]
     except KeyError:
         raise ValueError(f"unknown symbol map {target!r}") from None
-    return tuple(table[s] for s in x.symbols())
+    return tuple([table[s] for s in x.digits()])
 
 
 def lee_distance(u, v, q: int = 4) -> int:
     """Lee distance between integer sequences over Z_q."""
+    _check_int(q, "q", 1)
     u = tuple(u)
     v = tuple(v)
     if len(u) != len(v):

@@ -201,11 +201,7 @@ def packing_comparison(v: int) -> dict:
     radius 2, and the 4^n/(2n+2)^2 lower bound for the doubled-column
     kernel construction.
     """
-    if v < 3:
-        raise ValueError("need v >= 3")
-    if (2 ** v - 2) % 2:
-        raise ValueError("column count must be even")
-    n = (2 ** v - 2) // 2
+    n = (2 ** _check_int(v, "v", 3) - 2) // 2
     binary = Fraction(2 ** (2 * n), sum(comb(2 * n, j) for j in range(5)))
     quaternary = Fraction(
         4 ** n, sum(comb(n, j) * 3 ** j for j in range(3))

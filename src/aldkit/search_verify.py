@@ -11,14 +11,15 @@ Three layers of certainty, all exact:
   constructive lower bounds and every applicable upper bound, reporting
   any violation as an implementation bug.
 
-Symbols are the digits of ``PairedWord.to_digits``: 2x + y for (x;y).
+Symbols are the digits of ``PairedWord.digits``: 2x + y for (x;y).
 ``min_distance`` and the orbit pruning of ``_max_clique`` read a
 per-position index ``have[k][s]``, the bitmask of list indices whose
 digit at position k is s.  ``distance_graph`` builds every row at once
 by a recursion over positions on distance thresholds, with the words
 in the order the clique search wants them.  Both it and
 ``min_distance`` take the 4x4 per-position costs from
-``core.ald_distance``.
+``core._position_costs``, and the orbit pruning takes the four
+isometries of one position from ``core._POSITION_MAPS``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ from functools import lru_cache
 
 from .codes import (ENUM_LIMIT_N, Codebook, best_cn_coset, build_cl, build_cp,
                     OddPrimeField)
-from .core import BudgetExceeded, PairedWord, _check_int, ald_distance
+from .core import (_POSITION_MAPS, BudgetExceeded, PairedWord, _check_int,
+                   _position_costs)
 from .delsarte import delsarte_bound
 from .hyperbound import (
     lp_hypergraph_bound,
@@ -61,20 +63,10 @@ def symbol_distance_table(lam: int) -> tuple:
     second-strand bits (high) of positions 2k and 2k+1; entry
     ``(x << 4) | y`` holds the distance those two positions contribute.
     """
-    table = []
-    for x in range(16):
-        xw = PairedWord(2, x & 3, x >> 2)
-        for y in range(16):
-            yw = PairedWord(2, y & 3, y >> 2)
-            table.append(ald_distance(xw, yw, lam))
-    return tuple(table)
-
-
-@lru_cache(maxsize=None)
-def _position_costs(lam: int) -> tuple:
-    """``costs[s][t]``: the distance one position contributes, digit s against t."""
-    words = [PairedWord(1, s >> 1, s & 1) for s in range(4)]
-    return tuple(tuple(ald_distance(x, y, lam) for y in words) for x in words)
+    costs = _position_costs(lam)
+    # the digits of each nibble's positions 2k and 2k+1
+    pairs = [((x & 1) << 1 | (x >> 2) & 1, x & 2 | (x >> 3) & 1) for x in range(16)]
+    return tuple(costs[s][t] + costs[u][v] for s, u in pairs for t, v in pairs)
 
 
 # The digits in the order the clique search takes them at each position:
@@ -136,13 +128,6 @@ def _symbol_index(words, n: int) -> list:
     ]
 
 
-def _symbols(word: PairedWord) -> list:
-    """Digit per position, as ``PairedWord.to_digits`` writes it:
-    0 = (0;0), 1 = (0;1), 2 = (1;0), 3 = (1;1)."""
-    a, b = word.a, word.b
-    return [(((a >> k) & 1) << 1) | ((b >> k) & 1) for k in range(word.n)]
-
-
 def min_distance(c: Codebook, lam: int):
     """Minimum pairwise distance over an explicit codebook.
 
@@ -159,11 +144,11 @@ def min_distance(c: Codebook, lam: int):
         raise BudgetExceeded(
             f"{len(words)} words exceed the {WORD_BUDGET}-word pair-scan budget"
         )
+    costs = _position_costs(lam)
     if len(words) <= 1:
         return math.inf
     n = words[0].n
     have = _symbol_index(words, n)
-    costs = _position_costs(lam)
     # Branches are pushed dearest first, so the cheapest is tried first.
     dearest = [sorted(range(4), key=row.__getitem__, reverse=True) for row in costs]
     best = math.inf
@@ -172,7 +157,7 @@ def min_distance(c: Codebook, lam: int):
         later &= later - 1  # drop this word and every earlier one
         if not later:
             break
-        steps = [(have[k], costs[s], dearest[s]) for k, s in enumerate(_symbols(word))]
+        steps = [(have[k], costs[s], dearest[s]) for k, s in enumerate(word.digits())]
         stack = [(0, later, 0)]
         while stack:
             k, mask, spent = stack.pop()
@@ -347,7 +332,7 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None) -> tuple:
                     cand ^= bit
                     continue
                 if orbits is None:
-                    fixed = [_symbols(words[u]) for u in range(len(adj)) if (clique >> u) & 1]
+                    fixed = [words[u].digits() for u in range(len(adj)) if (clique >> u) & 1]
                     orbits = _stabilizer_orbits(have, list(zip(*fixed)) or [()] * len(have))
                 cand &= ~next(o for o in orbits if o & bit)
             color -= 1
@@ -369,15 +354,13 @@ def _column_parts(fixed: tuple) -> tuple:
 
     ``fixed`` holds the symbols some words have at one position.  Two
     columns are in one class when one of the four maps a position
-    allows (identity, complement, strand swap, both) carries one onto
-    the other; each class is named by its smallest member.
+    allows (``core._POSITION_MAPS``) carries one onto the other; each
+    class is named by its smallest member.
     """
     groups = {}
     for t in range(4):
         column = fixed + (t,)
-        swapped = tuple((0, 2, 1, 3)[s] for s in column)  # digits 1 and 2 trade
-        name = min(column, tuple(s ^ 3 for s in column), swapped,
-                   tuple(s ^ 3 for s in swapped))
+        name = min(tuple([m[s] for s in column]) for m in _POSITION_MAPS)
         groups.setdefault(name, []).append(t)
     return tuple((name, tuple(symbols)) for name, symbols in groups.items())
 

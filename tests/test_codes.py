@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from aldkit.codes import (
     BinaryParityCheck,
+    Codebook,
     DecodingError,
     DetectionFlag,
     OddPrimeField,
@@ -249,6 +250,21 @@ def test_cl_validation():
         build_cl(2, 4)
 
 
+def test_strand_sum_coset_label_is_not_a_bool():
+    for call in (lambda: build_cl(3, True), lambda: build_partition_code(3, True),
+                 lambda: decode_cl(3, True, PairedWord(6, 0, 0), "detect_class2")):
+        with pytest.raises(ValueError, match="u must"):
+            call()
+
+
+def test_float_degrees_and_orders_are_refused_as_values():
+    for call, name in ((lambda: build_cl(3.0), "v"), (lambda: build_H01(3.0), "v"),
+                       (lambda: build_partition_code(3.0), "v"),
+                       (lambda: OddPrimeField(5.0), "q")):
+        with pytest.raises(ValueError, match=f"{name} must"):
+            call()
+
+
 def test_decode_cl_corrects_every_single_swap():
     book = build_cl(3, 0)
     cases = 0
@@ -488,6 +504,14 @@ def test_cn_parameter_validation():
         build_cn(f, 3, 0, (5,))  # target outside the field
 
 
+def test_cn_class_and_targets_are_not_bools():
+    f = OddPrimeField(5)
+    with pytest.raises(ValueError, match="u must"):
+        build_cn(f, 3, True, (0,))
+    with pytest.raises(ValueError, match="z entry must"):
+        build_cn(f, 3, 0, (False,))
+
+
 def test_cn_cosets_partition_and_hold_distance():
     f = OddPrimeField(5, 1, alpha=2)
     total = 0
@@ -671,6 +695,16 @@ def test_codebook_guards():
             n=3, lam=1, design_distance=2, construction="cp", params={},
             words=(PairedWord(2, 0, 0),),
         )
+
+
+def test_codebook_checks_its_integer_fields():
+    base = dict(n=2, lam=1, design_distance=2, construction="manual", params={})
+    for field, value in (("n", True), ("n", 0), ("lam", 0), ("lam", 1.0),
+                         ("design_distance", 0), ("design_distance", True)):
+        with pytest.raises(ValueError, match=f"{field} must"):
+            Codebook(**{**base, field: value}, words=())
+        with pytest.raises(ValueError, match=f"{field} must"):
+            Codebook(**{**base, field: value}, membership=lambda w: True)
 
 
 # ------------------------------------------------------------ pinned codebooks

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from aldkit.core import (
+    _POSITION_MAPS,
     Automorphism,
     Budget,
     BudgetExceeded,
@@ -18,6 +19,7 @@ from aldkit.core import (
     lee_distance,
     map_symbols,
     pair_weight,
+    _position_costs,
 )
 
 from conftest import lambdas, word_tuples, words
@@ -45,6 +47,37 @@ def test_symbol_pair_costs_exhaustive(lam):
         want = expected_symbol_cost(s, t, lam)
         assert ald_distance(x, y, lam) == want
         assert classify_position(s, t).edge_weight(lam) == want
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 4])
+def test_position_costs_match_classify_position(lam):
+    # SYMBOLS lists the symbols in digit order
+    costs = _position_costs(lam)
+    for s, t in itertools.product(range(4), repeat=2):
+        assert costs[s][t] == classify_position(SYMBOLS[s], SYMBOLS[t]).edge_weight(lam)
+
+
+def test_position_costs_refuse_bad_lam_even_with_1_cached():
+    _position_costs(1)  # True and 1.0 equal the cached 1 but are refused
+    for bad in (True, 1.0, 0):
+        with pytest.raises(ValueError, match="lam must"):
+            _position_costs(bad)
+
+
+def test_position_maps_are_the_one_position_automorphisms():
+    for k, row in enumerate(_POSITION_MAPS):
+        pi = Automorphism(1, (0,), k & 1, k >> 1)
+        for s in range(4):
+            image = apply_automorphism(PairedWord(1, s >> 1, s & 1), pi)
+            assert image.digits() == (row[s],)
+
+
+@given(words(max_n=40))
+def test_digits_agree_with_symbols_and_renderings(w):
+    digits = w.digits()
+    assert digits == tuple(2 * a + b for a, b in w.symbols())
+    assert digits == tuple(int(c) for c in w.to_digits())
+    assert digits == map_symbols(w, "nat4")
 
 
 def test_classify_position_classes():
@@ -150,6 +183,12 @@ def test_lee_distance_basics():
         lee_distance((0, 1), (0,))
     with pytest.raises(ValueError):
         lee_distance((0, 4), (0, 0))
+
+
+def test_lee_distance_needs_an_integer_modulus():
+    for q in (2.5, True, 0):
+        with pytest.raises(ValueError, match="q must"):
+            lee_distance((0, 1), (1, 0), q)
 
 
 @given(word_tuples(2, max_n=8), lambdas)

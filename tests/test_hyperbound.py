@@ -259,3 +259,8 @@ class TestPackingComparison:
     def test_rejects_tiny_v(self):
         with pytest.raises(ValueError):
             packing_comparison(2)
+
+    def test_rejects_non_integer_v(self):
+        for v in (3.0, True):
+            with pytest.raises(ValueError, match="v must"):
+                packing_comparison(v)

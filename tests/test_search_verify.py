@@ -85,8 +85,7 @@ def test_symbol_index_matches_each_words_symbols():
             words = [PairedWord(n, rng.getrandbits(n), rng.getrandbits(n)) for _ in range(count)]
             want = [[0] * 4 for _ in range(n)]
             for i, w in enumerate(words):
-                assert sv._symbols(w) == [int(c) for c in w.to_digits()]
-                for k, s in enumerate(sv._symbols(w)):
+                for k, s in enumerate(w.digits()):
                     want[k][s] |= 1 << i
             assert sv._symbol_index(words, n) == [tuple(row) for row in want]
 
@@ -145,6 +144,14 @@ def test_min_distance_degenerate_sizes():
         words=(),
     )
     assert min_distance(empty, 1) == math.inf
+
+
+def test_min_distance_checks_lam_below_two_words():
+    for words in ((), (PairedWord(2, 0, 0),)):
+        book = Codebook(n=2, lam=1, design_distance=1, construction="manual",
+                        params={}, words=words)
+        with pytest.raises(ValueError, match="lam must"):
+            min_distance(book, 0)
 
 
 def test_min_distance_refuses_implicit_codebooks():
@@ -597,7 +604,7 @@ def test_stabilizer_orbits_match_the_enumerated_group(n):
     for fixed in [()] + singles + pairs:
         stabilizer = [g for g in images if all(g[f] == f for f in fixed)]
         want = {frozenset(g[v] for g in stabilizer) for v in range(nv)}
-        columns = list(zip(*(sv._symbols(words[f]) for f in fixed))) or [()] * n
+        columns = list(zip(*(words[f].digits() for f in fixed))) or [()] * n
         got = sv._stabilizer_orbits(have, columns)
         assert sum(map(int.bit_count, got)) == nv, fixed
         assert {frozenset(v for v in range(nv) if (o >> v) & 1) for o in got} == want, fixed
