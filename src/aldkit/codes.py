@@ -17,14 +17,18 @@ Six families, all at desk scale with exhaustively verifiable distance:
 
 Codebooks are explicit word lists while n <= ENUM_LIMIT_N (4**n stays
 enumerable) and membership predicates above that; _book makes that choice
-for every construction.  Binary component codewords are int bitmasks
-(bit j = symbol at kept position j); ternary words are tuples.
+for every construction, and lists the words in ``all_words`` order.
+Binary component codewords are int bitmasks (bit j = symbol at kept
+position j); ternary words are tuples.
 
 Syndromes: a paired word is the 2n-bit vector a | b << n, so the syndrome
 of a word under 2n check columns (ints, bit r = row r) is the XOR of
 columns[:n] at the first strand's set bits and columns[n:] at the
 second's.  The strand-sum code and the doubled parity-check code are
-cosets of such checks.
+cosets of such checks.  The syndrome is linear, so it is first[a] ^
+second[b] for two tables of 2^n syndromes, one per strand:
+_syndrome_coset lists a coset's own 4^n / 2^rank words from those
+tables and hands only them to _book, which still checks each one.
 """
 
 from __future__ import annotations
@@ -279,24 +283,56 @@ class Codebook:
         return iter(self.words)
 
 
-def _book(n, lam, d, construction, params, member, size=None) -> Codebook:
+def _book(n, lam, d, construction, params, member, size=None,
+          candidates=None) -> Codebook:
     """The explicit list of words passing member while n <= ENUM_LIMIT_N,
-    else the predicate itself.  A given size must match the enumeration."""
+    else the predicate itself.  A given size must match the enumeration.
+
+    candidates, words in ``all_words`` order that include every member,
+    narrows the enumeration (``all_words(n)`` when None); it is read only
+    for an explicit list, so a generator costs nothing above the cap.
+    """
     if n > ENUM_LIMIT_N:
         return Codebook(n, lam, d, construction, params, size=size,
                         membership=member)
-    words = tuple(w for w in all_words(n) if member(w))
+    if candidates is None:
+        candidates = all_words(n)
+    words = tuple(w for w in candidates if member(w))
     book = Codebook(n, lam, d, construction, params, words=words)
     if size is not None and book.size != size:
         raise AssertionError("kernel size does not match enumeration")
     return book
 
 
+def _strand_syndromes(columns) -> list:
+    """The syndrome of every mask of len(columns) bits, indexed by mask."""
+    table = [0]
+    for c in columns:
+        table += [s ^ c for s in table]
+    return table
+
+
+def _coset_words(columns, u):
+    """Every word whose syndrome under columns is u, in ``all_words``
+    order: the syndrome of (a; b) is first[a] ^ second[b], so for each
+    first strand a the second strands b are those with second[b] equal
+    to first[a] ^ u, listed in increasing order."""
+    n = len(columns) // 2
+    by_syndrome = {}
+    for b, s in enumerate(_strand_syndromes(columns[n:])):
+        by_syndrome.setdefault(s, []).append(b)
+    for a, s in enumerate(_strand_syndromes(columns[:n])):
+        for b in by_syndrome.get(s ^ u, ()):
+            yield PairedWord(n, a, b)
+
+
 def _syndrome_coset(construction, params, d, columns, u, size) -> Codebook:
     """Words of length len(columns) // 2 whose syndrome is u; size is the
-    caller's count of them, checked against the enumeration."""
+    caller's count of them, checked against the enumeration.  Only the
+    coset's own words are enumerated, each still checked by syndrome."""
     return _book(len(columns) // 2, 1, d, construction, params,
-                 lambda w: _syndrome(w, columns) == u, size=size)
+                 lambda w: _syndrome(w, columns) == u, size=size,
+                 candidates=_coset_words(columns, u))
 
 
 # -------------------------------------------- strand-sum coset code, distance 3
@@ -656,11 +692,9 @@ def _check_cn_params(field: OddPrimeField, d: int):
         raise ValueError("need q >= d + 1")
 
 
-def build_cn(field: OddPrimeField, d: int, u: int, z: tuple) -> Codebook:
-    """Power-sum congruence code on n = q^l - 1 positions: the word's
-    digit values must sum to u modulo d and match the prescribed first
-    floor(d/2) power sums over the field.  Minimum distance >= d at
-    unit weighting; the cosets over all (u, z) partition the space."""
+def _check_cn_coset(field: OddPrimeField, d: int, u: int, z) -> tuple:
+    """The power-sum targets z as a tuple, once d, the congruence class
+    u and every target are checked."""
     _check_cn_params(field, d)
     if not (0 <= _check_int(u, "u") < d):
         raise ValueError("congruence class out of range")
@@ -669,6 +703,15 @@ def build_cn(field: OddPrimeField, d: int, u: int, z: tuple) -> Codebook:
         raise ValueError("need exactly floor(d/2) power-sum targets")
     if any(not (0 <= _check_int(zk, "z entry") < field.size) for zk in z):
         raise ValueError("power-sum target out of field range")
+    return z
+
+
+def build_cn(field: OddPrimeField, d: int, u: int, z: tuple) -> Codebook:
+    """Power-sum congruence code on n = q^l - 1 positions: the word's
+    digit values must sum to u modulo d and match the prescribed first
+    floor(d/2) power sums over the field.  Minimum distance >= d at
+    unit weighting; the cosets over all (u, z) partition the space."""
+    z = _check_cn_coset(field, d, u, z)
     n = field.size - 1
     _check_enumerable(n)
     params = {"q": field.q, "l": field.l, "alpha": field.alpha,
@@ -702,8 +745,7 @@ def decode_cn(field: OddPrimeField, d: int, u: int, z: tuple,
     weight at most floor(d/2) over F_q by matching the syndrome against
     a precomputed table.  Desk scale only; algebraic decoding of the
     power sums is out of scope."""
-    _check_cn_params(field, d)
-    z = tuple(z)
+    z = _check_cn_coset(field, d, u, z)
     n = field.size - 1
     if received.n != n:
         raise ValueError("received word length does not match the field")

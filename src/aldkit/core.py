@@ -278,7 +278,7 @@ def lee_distance(u, v, q: int = 4) -> int:
         raise ValueError("sequence lengths differ")
     total = 0
     for s, t in zip(u, v):
-        if not (0 <= s < q and 0 <= t < q):
+        if not (0 <= _check_int(s, "entry") < q and 0 <= _check_int(t, "entry") < q):
             raise ValueError("entries out of alphabet range")
         d = (s - t) % q
         total += min(d, q - d)

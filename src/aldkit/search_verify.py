@@ -2,8 +2,9 @@
 
 Three layers of certainty, all exact:
 
-* ``min_distance`` finds the closest pair of an explicit codebook by a
-  branch-and-bound walk over positions, every later word at once.
+* ``min_distance`` finds the closest pair of an explicit codebook by
+  one branch and bound over pairs of word sets, position by position:
+  every pair of words is walked at once.
 * ``exact_max_code`` finds the true largest code by branch-and-bound
   maximum-clique search on the distinguishability graph, branching
   once per orbit of the metric's isometry group at its top levels.
@@ -25,6 +26,7 @@ isometries of one position from ``core._POSITION_MAPS``.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -128,14 +130,41 @@ def _symbol_index(words, n: int) -> list:
     ]
 
 
+@lru_cache(maxsize=None)
+def _move_lists(costs: tuple) -> tuple:
+    """The moves ``(cost, s, t)`` of a pair state, then those of a same
+    state (s < t only), each as ``(move_costs, cheapest)``.
+
+    ``move_costs`` is ascending and ``cheapest[m]`` holds the m cheapest
+    moves, dearest first, so the moves costing less than b are
+    ``cheapest[bisect_left(move_costs, b)]``, ready to be pushed with
+    the cheapest on top.
+    """
+    lists = []
+    for pair in (True, False):
+        moves = sorted((costs[s][t], s, t) for s in range(4) for t in range(4)
+                       if pair or s < t)
+        lists.append((tuple(move[0] for move in moves),
+                      tuple(moves[:m][::-1] for m in range(len(moves) + 1))))
+    return tuple(lists)
+
+
 def min_distance(c: Codebook, lam: int):
     """Minimum pairwise distance over an explicit codebook.
 
     Returns ``math.inf`` below two words; refuses implicit codebooks
-    and word counts past the pair-scan budget.  For each word the later
-    words are walked position by position as bitmasks of the per-position
-    symbol index, trying symbols cheapest first; a branch ends once its
-    distance so far reaches the best found or no word is left in it.
+    and word counts past the pair-scan budget.  One branch and bound
+    walks pairs of word sets position by position, reading the sets
+    from the per-position symbol index.  A same state holds the words
+    sharing a prefix; it splits into a same state per symbol s and a
+    pair state (X_s, X_t) per two symbols s < t, at cost
+    ``costs[s][t]``.  A pair state (X, Y) moves to (X_s, Y_t) for all
+    16 (s, t), adding ``costs[s][t]``; the costs are symmetric, so each
+    pair of prefixes is walked once, one way round.  Moves are tried
+    cheapest first, and a state ends once its cost reaches the best
+    found or a side is empty.  A pair state with both sides non-empty
+    at the last position is a closer pair; a same state left with two
+    words there is a repeated word, at distance 0.
     """
     if c.words is None:
         raise BudgetExceeded("codebook is implicit; pair scan needs explicit words")
@@ -149,30 +178,35 @@ def min_distance(c: Codebook, lam: int):
         return math.inf
     n = words[0].n
     have = _symbol_index(words, n)
-    # Branches are pushed dearest first, so the cheapest is tried first.
-    dearest = [sorted(range(4), key=row.__getitem__, reverse=True) for row in costs]
+    pair_moves, split_moves = _move_lists(costs)
     best = math.inf
-    later = (1 << len(words)) - 1
-    for word in words:
-        later &= later - 1  # drop this word and every earlier one
-        if not later:
-            break
-        steps = [(have[k], costs[s], dearest[s]) for k, s in enumerate(word.digits())]
-        stack = [(0, later, 0)]
-        while stack:
-            k, mask, spent = stack.pop()
-            if spent >= best:
-                continue
-            if k == n:
-                best = spent
-                continue
-            col, cost, order = steps[k]
-            for t in order:
-                total = spent + cost[t]
-                if total < best:
-                    sub = mask & col[t]
-                    if sub:
-                        stack.append((k + 1, sub, total))
+    # (position, X, Y, cost so far): a pair state, or a same state when Y is 0
+    stack = [(0, (1 << len(words)) - 1, 0, 0)]
+    while stack:
+        k, x, y, spent = stack.pop()
+        if spent >= best:
+            continue
+        c0, c1, c2, c3 = have[k]
+        xs = (x & c0, x & c1, x & c2, x & c3)
+        k += 1
+        if y:
+            ys = (y & c0, y & c1, y & c2, y & c3)
+            move_costs, moves = pair_moves
+        else:
+            ys = xs
+            move_costs, moves = split_moves
+        for cost, s, t in moves[bisect_left(move_costs, best - spent)]:
+            if xs[s] and ys[t]:
+                if k == n:
+                    best = spent + cost
+                else:
+                    stack.append((k, xs[s], ys[t], spent + cost))
+        if not y:
+            for part in xs:
+                if part & (part - 1):  # two words or more
+                    if k == n:
+                        return 0
+                    stack.append((k, part, 0, 0))
     return best
 
 

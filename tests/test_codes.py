@@ -15,6 +15,7 @@ from aldkit.codes import (
     _cl_syndrome,
     _kernel_basis,
     _span,
+    _syndrome,
     bch_parity_check,
     best_cn_coset,
     build_H01,
@@ -197,6 +198,8 @@ def test_cl_cosets_partition_the_space(v):
     seen = set()
     for u in range(1 << v):
         coset = build_cl(v, u)
+        # listed from per-strand syndrome tables, in all_words order
+        assert coset.words == tuple(w for w in all_words(n) if _cl_syndrome(v, w) == u)
         assert len(coset) == 4**n // (1 << v)
         assert exhaustive_min_ald(coset) >= 3
         for w in coset:
@@ -331,6 +334,15 @@ def test_cL_closed_under_addition():
     for x in book:
         for y in book:
             assert (x.a ^ y.a, x.b ^ y.b) in keys
+
+
+def test_cL_lists_its_kernel_in_all_words_order():
+    check = bch_parity_check(4, 5)
+    n = check.ncols // 2
+    cols = check.columns
+    effective = cols[:n] + tuple(cols[i] ^ cols[n + i] for i in range(n))
+    want = tuple(w for w in all_words(n) if _syndrome(w, effective) == 0)
+    assert build_cL(n, check).words == want
 
 
 def test_cL_rejects_wrong_shapes_and_low_distance():
@@ -510,6 +522,17 @@ def test_cn_class_and_targets_are_not_bools():
         build_cn(f, 3, True, (0,))
     with pytest.raises(ValueError, match="z entry must"):
         build_cn(f, 3, 0, (False,))
+
+
+def test_decode_cn_checks_its_class_and_targets():
+    f = OddPrimeField(5)
+    w = next(iter(build_cn(f, 3, 0, (0,))))
+    assert decode_cn(f, 3, 0, (0,), w) == w
+    for u, z, message in ((3, (0,), "congruence class"), (True, (0,), "u must"),
+                          (-1, (0,), "congruence class"), (0, (False,), "z entry must"),
+                          (0, (5,), "power-sum target"), (0, (0, 0), "floor")):
+        with pytest.raises(ValueError, match=message):
+            decode_cn(f, 3, u, z, w)
 
 
 def test_cn_cosets_partition_and_hold_distance():

@@ -57,6 +57,15 @@ def test_position_costs_match_classify_position(lam):
         assert costs[s][t] == classify_position(SYMBOLS[s], SYMBOLS[t]).edge_weight(lam)
 
 
+@pytest.mark.parametrize("lam", [1, 2, 3, 4])
+def test_position_costs_are_symmetric_with_a_zero_diagonal(lam):
+    # min_distance walks each pair of prefixes one way round only
+    costs = _position_costs(lam)
+    for s, t in itertools.product(range(4), repeat=2):
+        assert costs[s][t] == costs[t][s]
+        assert (costs[s][t] == 0) == (s == t)
+
+
 def test_position_costs_refuse_bad_lam_even_with_1_cached():
     _position_costs(1)  # True and 1.0 equal the cached 1 but are refused
     for bad in (True, 1.0, 0):
@@ -183,6 +192,12 @@ def test_lee_distance_basics():
         lee_distance((0, 1), (0,))
     with pytest.raises(ValueError):
         lee_distance((0, 4), (0, 0))
+
+
+def test_lee_distance_refuses_float_and_bool_entries():
+    for u, v in (((0.5, 1), (0, 1)), ((0, 1), (0, True)), ((0, 1.0), (0, 1))):
+        with pytest.raises(ValueError, match="entry must"):
+            lee_distance(u, v, 4)
 
 
 def test_lee_distance_needs_an_integer_modulus():

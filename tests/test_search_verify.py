@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import aldkit.search_verify as sv
-from aldkit.codes import Codebook, build_cl, build_cp
+from aldkit.codes import Codebook, OddPrimeField, best_cn_coset, build_cl, build_cp
 from aldkit.core import (
     Automorphism,
     BudgetExceeded,
@@ -110,27 +110,56 @@ def test_min_distance_agrees_with_direct_scan():
 
 @st.composite
 def word_lists(draw):
-    """Random lists of 0..150 words of one length; repeats are allowed."""
+    """Random lists of 0..300 distinct words of one length, then up to
+    three of them repeated, each at a drawn place."""
     n = draw(st.integers(1, 7))
-    picks = draw(st.lists(st.integers(0, 4**n - 1), max_size=150))
+    count = draw(st.integers(0, min(300, 4**n)))
+    picks = draw(st.lists(st.integers(0, 4**n - 1), min_size=count,
+                          max_size=count, unique=True))
+    if picks:
+        for _ in range(draw(st.integers(0, 3))):
+            word = draw(st.sampled_from(picks))
+            picks.insert(draw(st.integers(0, len(picks))), word)
     return tuple(PairedWord(n, c & ((1 << n) - 1), c >> n) for c in picks)
 
 
 # Codebook refuses repeated words; the scan reads only ``words``, so a
 # plain namespace carries lists with repeats, whose distance must be 0.
-@settings(max_examples=60)
-@given(word_lists(), st.integers(1, 3))
+@settings(max_examples=80)
+@given(word_lists(), st.integers(1, 4))
 def test_min_distance_agrees_with_direct_scan_on_random_lists(words, lam):
     direct = min(
         (ald_distance(x, y, lam) for x, y in combinations(words, 2)),
         default=math.inf,
     )
-    assert min_distance(SimpleNamespace(words=words), lam) == direct
+    got = min_distance(SimpleNamespace(words=words), lam)
+    assert got == direct
+    assert (got == 0) == (len(set(words)) < len(words))
 
 
 def test_min_distance_of_a_repeated_word_is_zero():
     words = tuple(PairedWord.from_digits(t) for t in ("0123", "3210", "0123"))
     assert min_distance(SimpleNamespace(words=words), 1) == 0
+    words = build_cp(4).words
+    assert min_distance(SimpleNamespace(words=words + words[-1:]), 1) == 0
+    assert min_distance(SimpleNamespace(words=words[7:8] + words), 2) == 0
+
+
+# SHA-256 of the scan books of the exact-search benchmark: per book a
+# line with its name and min_distance at lam = 1, 2, 3, then a line of
+# its words' digit strings in book order.
+SCAN_BOOKS_DIGEST = "7e072d48ca94ca6a04b963989c04d7d9dd92cd2bd71fc56b0d4f3562025cb769"
+
+
+def test_scan_books_match_their_pinned_digest():
+    books = {"cl3": build_cl(3, 0), "cp5": build_cp(5), "cp6": build_cp(6),
+             "cn5": best_cn_coset(OddPrimeField(5), 3)[2]}
+    lines = []
+    for name, book in books.items():
+        lines.append(f"{name} " + " ".join(str(min_distance(book, lam)) for lam in (1, 2, 3)))
+        lines.append(" ".join(w.to_digits() for w in book.words))
+    assert lines[::2] == ["cl3 3 5 7", "cp5 2 3 4", "cp6 2 3 4", "cn5 4 6 8"]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == SCAN_BOOKS_DIGEST
 
 
 def test_min_distance_degenerate_sizes():
