@@ -7,136 +7,14 @@ constructions with decoders, and brute-force search utilities used to
 sandwich the optimal code sizes at small lengths.
 """
 
-from .core import (
-    Automorphism,
-    BudgetExceeded,
-    ErrorClass,
-    PairedWord,
-    ald_distance,
-    all_words,
-    apply_automorphism,
-    canonical_weight_word,
-    classify_position,
-    lee_distance,
-    map_symbols,
-    pair_weight,
-)
-from .balls import ball_size, enumerate_ball, sphere_size
-from .lp import LinearProgram, LPResult, LPStatus, solve_lp, solve_linear_system
-from .hyperbound import (
-    BoundReport,
-    class_matrix,
-    lp_hypergraph_bound,
-    naive_weight_bound,
-    optimal1_bound,
-    packing_comparison,
-    simple_bound,
-    weights1_bound,
-)
-from .delsarte import (
-    DelsarteReport,
-    Q5,
-    chi,
-    coefficient_column,
-    delsarte_bound,
-)
-from .codes import (
-    BinaryParityCheck,
-    Codebook,
-    DecodingError,
-    DetectionFlag,
-    OddPrimeField,
-    bch_parity_check,
-    best_cn_coset,
-    build_H01,
-    build_cL,
-    build_cl,
-    build_clambda,
-    build_cn,
-    build_cp,
-    build_partition_code,
-    decode_cl,
-    decode_cn,
-    distance_decomposition,
-    greedy_manhattan_code,
-    hamming_component,
-    min_hamming_distance,
-    min_l1_distance,
-    s_subsequence,
-)
-from .search_verify import (
-    DistanceGraph,
-    SandwichReport,
-    averaging_lower_bound,
-    distance_graph,
-    exact_max_code,
-    min_distance,
-    sandwich_check,
-    symbol_distance_table,
-)
+from .core import *
+from .balls import *
+from .lp import *
+from .hyperbound import *
+from .delsarte import *
+from .codes import *
+from .search_verify import *
+from . import balls, codes, core, delsarte, hyperbound, lp, search_verify
 
-__all__ = [
-    "DistanceGraph",
-    "SandwichReport",
-    "averaging_lower_bound",
-    "distance_graph",
-    "exact_max_code",
-    "min_distance",
-    "sandwich_check",
-    "symbol_distance_table",
-    "Automorphism",
-    "BudgetExceeded",
-    "ErrorClass",
-    "PairedWord",
-    "ald_distance",
-    "all_words",
-    "apply_automorphism",
-    "canonical_weight_word",
-    "classify_position",
-    "lee_distance",
-    "map_symbols",
-    "pair_weight",
-    "ball_size",
-    "enumerate_ball",
-    "sphere_size",
-    "LinearProgram",
-    "LPResult",
-    "LPStatus",
-    "solve_lp",
-    "solve_linear_system",
-    "BoundReport",
-    "class_matrix",
-    "lp_hypergraph_bound",
-    "naive_weight_bound",
-    "optimal1_bound",
-    "packing_comparison",
-    "simple_bound",
-    "weights1_bound",
-    "DelsarteReport",
-    "Q5",
-    "chi",
-    "coefficient_column",
-    "delsarte_bound",
-    "BinaryParityCheck",
-    "Codebook",
-    "DecodingError",
-    "DetectionFlag",
-    "OddPrimeField",
-    "bch_parity_check",
-    "best_cn_coset",
-    "build_H01",
-    "build_cL",
-    "build_cl",
-    "build_clambda",
-    "build_cn",
-    "build_cp",
-    "build_partition_code",
-    "decode_cl",
-    "decode_cn",
-    "distance_decomposition",
-    "greedy_manhattan_code",
-    "hamming_component",
-    "min_hamming_distance",
-    "min_l1_distance",
-    "s_subsequence",
-]
+__all__ = (core.__all__ + balls.__all__ + lp.__all__ + hyperbound.__all__
+           + delsarte.__all__ + codes.__all__ + search_verify.__all__)

@@ -61,14 +61,6 @@ TABLE_DEFAULT_MAX_N = {1: 10, 2: 15, 3: 3, 4: 5, 5: 10}
 # ------------------------------------------------------------- codebook files
 
 
-def _to_jsonable(value):
-    if isinstance(value, tuple):
-        return [_to_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _to_jsonable(v) for k, v in value.items()}
-    return value
-
-
 def _from_jsonable(value):
     if isinstance(value, list):
         return tuple(_from_jsonable(v) for v in value)
@@ -88,7 +80,7 @@ def write_codebook(path: str, book: Codebook) -> None:
         "lambda": book.lam,
         "design_distance": book.design_distance,
         "construction": book.construction,
-        "params": _to_jsonable(book.params),
+        "params": book.params,
         "words": [w.to_digits() for w in book.words],
     }
     with open(path, "w") as fh:

@@ -45,6 +45,31 @@ from .core import (
     pair_weight,
 )
 
+__all__ = [
+    "BinaryParityCheck",
+    "Codebook",
+    "DecodingError",
+    "DetectionFlag",
+    "OddPrimeField",
+    "bch_parity_check",
+    "best_cn_coset",
+    "build_H01",
+    "build_cL",
+    "build_cl",
+    "build_clambda",
+    "build_cn",
+    "build_cp",
+    "build_partition_code",
+    "decode_cl",
+    "decode_cn",
+    "distance_decomposition",
+    "greedy_manhattan_code",
+    "hamming_component",
+    "min_hamming_distance",
+    "min_l1_distance",
+    "s_subsequence",
+]
+
 ENUM_LIMIT_N = 8  # explicit enumeration cap: 4**8 words
 
 

@@ -51,6 +51,14 @@ from struct import unpack
 from .core import Budget, BudgetExceeded, _check_int, _check_lambda
 from .lp import LinearProgram, LPStatus, solve_lp
 
+__all__ = [
+    "DelsarteReport",
+    "Q5",
+    "chi",
+    "coefficient_column",
+    "delsarte_bound",
+]
+
 
 # 2cos(2 pi k / 10) = (_COS_A[k] + _COS_B[k] * sqrt 5) / 2.
 _COS_A = (4, 1, -1, 1, -1, -4, -1, 1, -1, 1)
@@ -365,7 +373,9 @@ def column_entry(v, orbit: int) -> Q5:
 
 @dataclass(frozen=True)
 class DelsarteReport:
-    """Outcome of the character LP: either an exact optimum or Unbounded.
+    """Outcome of the character LP.  ``delsarte_bound`` reports an
+    optimum only; ``status`` and ``unbounded`` are kept for callers that
+    build reports themselves.
 
     ``dual`` holds the dual multipliers that certify an optimum, as
     ``(profile, u)`` pairs with u > 0 in Q(sqrt 5), one per LP row with a
@@ -459,14 +469,14 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
 def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport:
     """Exact character-LP upper bound on the largest (d, lam) code.
 
-    Unbounded is a distinguished status, never a large number, but
-    this LP is always bounded: every non-identity column sums to 0 over
+    This LP is always bounded: every non-identity column sums to 0 over
     all profiles (sum_i zeta^(-ij) = 0 for j != 0), and the row of the
     profile (n, 0, ..., 0) equals the objective, so adding all other
     rows gives objective <= 10^n - 1 and a reported value <= 10^n.
     That holds at low design distances too, where the reference tables
     print no value; the number there is still a valid upper bound (the
     LP relaxes a true-code constraint system), just not a tabulated one.
+    Any solver status other than optimal raises ``ArithmeticError``.
 
     The time budget is ``budget_secs``, else none.  From n = 4 on, cells
     can take hours, so there one is required.
@@ -495,8 +505,6 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
     result = solve_lp(
         lp, convert=Q5.lift, on_step=lambda: budget.check("solve")
     )
-    if result.status is LPStatus.UNBOUNDED:
-        return DelsarteReport("delsarte", n, d, lam, LPStatus.UNBOUNDED)
     if result.status is not LPStatus.OPTIMAL:
         raise ArithmeticError(f"unexpected LP status {result.status}")
     total = Q5.lift(1) + result.value

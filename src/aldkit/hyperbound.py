@@ -29,9 +29,7 @@ from .core import _check_int, _check_lambda
 from .lp import LinearProgram, LPStatus, _cleared, solve_linear_system, solve_lp
 
 __all__ = [
-    "ClassMatrix",
     "BoundReport",
-    "class_matrix",
     "lp_hypergraph_bound",
     "naive_weight_bound",
     "optimal1_bound",
@@ -115,10 +113,9 @@ def optimal1_bound(n: int, lam: int = 1) -> BoundReport:
     """
     _check_lambda(lam)
     _check_int(n, "n", 1)
-    exact = Fraction(2 ** n * (2 ** (n + 1) - 1), n + 1)
     weights = tuple(Fraction(1, i + 1) for i in range(n + 1))
     _check_feasible(class_matrix(n, lam, lam), weights)
-    return _report("optimal1", n, 2 * lam + 1, lam, exact, weights)
+    return _report("optimal1", n, 2 * lam + 1, lam, _class_objective(n, weights), weights)
 
 
 def naive_weight_bound(n: int, d: int, lam: int, strict: bool = False) -> BoundReport:

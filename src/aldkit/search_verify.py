@@ -43,6 +43,17 @@ from .hyperbound import (
     weights1_bound,
 )
 
+__all__ = [
+    "DistanceGraph",
+    "SandwichReport",
+    "averaging_lower_bound",
+    "distance_graph",
+    "exact_max_code",
+    "min_distance",
+    "sandwich_check",
+    "symbol_distance_table",
+]
+
 # Explicit pair scans refuse beyond this many words (about 4.3e9 pairs).
 WORD_BUDGET = 4 ** ENUM_LIMIT_N
 # Exhaustive clique search caps at 4^4 = 256 vertices.
@@ -514,15 +525,8 @@ def averaging_lower_bound(n: int, d: int) -> int:
 def _lower_candidates(n: int, d: int, lam: int):
     """Verified constructive lower bounds applicable at these parameters."""
     yield 1, "singleton"
-    extremes = Codebook(
-        n=n,
-        lam=lam,
-        design_distance=d,
-        construction="extremes",
-        params={},
-        words=(PairedWord(n, 0, 0), PairedWord(n, (1 << n) - 1, (1 << n) - 1)),
-    )
-    if min_distance(extremes, lam) >= d:
+    # the all-0 and all-3 words differ by n inversions, each 2(1 + lam)
+    if 2 * (1 + lam) * n >= d:
         yield 2, "all-same-symbol pair"
     if d <= lam:
         # any two distinct words already differ by at least one cheap swap
@@ -530,7 +534,7 @@ def _lower_candidates(n: int, d: int, lam: int):
     candidates = [(build_cp(n), "single-parity")]
     if n == 2:
         candidates.append((build_cl(2, 0), "strand-sum kernel"))
-    if n == 4 and d % 2 == 1 and d >= 3 and 5 >= d + 1:
+    if n == 4 and d == 3:
         _, _, coset = best_cn_coset(OddPrimeField(5), d)
         candidates.append((coset, "power-sum coset"))
     for book, source in candidates:
@@ -548,7 +552,8 @@ def _upper_candidates(n: int, d: int, lam: int, delsarte_budget_secs):
         uppers.append(("lp", lp_hypergraph_bound(n, d, lam).floored))
         uppers.append(("naive", naive_weight_bound(n, d, lam).floored))
         uppers.append(("simple", simple_bound(n, d, lam).floored))
-        if lam == 1 and d % 2 == 1:
+        if lam == 1 and d >= 3:
+            # the radius-(d-1)//2 cover bounds even distances d too
             try:
                 uppers.append(("weights1", weights1_bound(n, (d - 1) // 2).floored))
             except ArithmeticError:

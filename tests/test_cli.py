@@ -35,6 +35,18 @@ def test_codebook_round_trip(tmp_path):
     ]
 
 
+def test_cn_codebook_file_is_pinned(capsys, tmp_path):
+    # cn's params hold a tuple (z): written as a list, read back as a tuple
+    path = tmp_path / "cn5.json"
+    rc, _, _ = run(capsys, "construct", "cn", "--q", 5, "--d", 3, "--out", path)
+    assert rc == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "bb0678ad1920fe0d6d95dddf4659cb3205b70bae9c5eaa77be2fee107dd16e0b")
+    assert json.loads(path.read_text())["params"]["z"] == [0]
+    assert read_codebook(path).params["z"] == (0,)
+    assert run(capsys, "verify", "mindist", "--in", path)[:2] == (0, "4\n")
+
+
 def test_codebook_file_is_digit_strings(tmp_path):
     path = tmp_path / "cl.json"
     write_codebook(path, build_cl(2, 0))

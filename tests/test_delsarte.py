@@ -613,6 +613,18 @@ def test_dual_multipliers_certify_the_value(n, d, lam):
     assert rep.exact is None or total == Q5.lift(rep.exact)
 
 
+def test_unbounded_solver_status_raises(monkeypatch, capsys):
+    from aldkit import cli
+    from aldkit.lp import LPResult
+
+    monkeypatch.setattr(delsarte, "solve_lp",
+                        lambda lp, **kw: LPResult(LPStatus.UNBOUNDED))
+    with pytest.raises(ArithmeticError, match="unexpected LP status"):
+        delsarte_bound(2, 3, 1)
+    assert cli.main(["bound", "delsarte", "--n", "2", "--d", "3"]) == 1
+    assert "internal error" in capsys.readouterr().err
+
+
 def test_report_flags_unbounded_status():
     from aldkit.delsarte import DelsarteReport
 

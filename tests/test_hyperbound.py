@@ -172,6 +172,13 @@ class TestClosedFormBounds:
             lp = lp_hypergraph_bound(4, 2 * lam + 1, lam)
             assert rep.exact == lp.exact
 
+    def test_optimal1_matches_its_closed_form(self):
+        for lam in (1, 2, 3):
+            for n in range(1, 41):
+                rep = optimal1_bound(n, lam)
+                assert rep.exact == Fraction(2 ** n * (2 ** (n + 1) - 1), n + 1)
+                assert (rep.d, rep.lam) == (2 * lam + 1, lam)
+
     def test_simple_bound_values(self):
         assert simple_bound(1, 3, 1).exact == Fraction(3)
         for n, want in zip(range(5, 16), TABLE2_SIMPLE):

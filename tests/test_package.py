@@ -21,6 +21,20 @@ def test_every_exported_name_resolves(name):
     assert [n for n in exported if not hasattr(module, n)] == []
 
 
+def test_root_exports_are_the_module_lists():
+    # each public name is listed by exactly one module and re-exported
+    # from the package root as that module's object
+    owners = {}
+    for name in MODULES[1:]:
+        module = importlib.import_module(name)
+        for export in getattr(module, "__all__", []):
+            assert export not in owners, (export, owners.get(export), name)
+            owners[export] = module
+    assert sorted(aldkit.__all__) == sorted(owners)
+    for export in aldkit.__all__:
+        assert getattr(aldkit, export) is getattr(owners[export], export)
+
+
 def test_benchmark_call_surface():
     # benchmark/workloads.py and benchmark/tracing.py (not collected here)
     # call these keywords and call or wrap these module attributes by name.

@@ -776,6 +776,34 @@ def test_sandwich_flags_planted_inconsistencies(monkeypatch):
     assert any("exceeds exact value" in v for v in rep.violations)
 
 
+def test_lower_candidates_include_the_power_sum_coset():
+    found = {source: size for size, source in sv._lower_candidates(4, 3, 2)}
+    assert found["power-sum coset"] == 18
+    _, _, book = best_cn_coset(OddPrimeField(5), 3)
+    assert book.size == 18 and min_distance(book, 2) >= 3
+
+
+def test_lower_candidates_pair_the_constant_words_by_their_distance():
+    # the all-0 and all-3 words are 2(1 + lam)n apart
+    for n, lam in ((1, 1), (2, 1), (3, 2)):
+        far = 2 * (1 + lam) * n
+        pairs = [size for size, source in sv._lower_candidates(n, far, lam)
+                 if source == "all-same-symbol pair"]
+        assert pairs == [2]
+        assert all(source != "all-same-symbol pair"
+                   for _, source in sv._lower_candidates(n, far + 1, lam))
+
+
+def test_sandwich_checks_weights1_at_even_distance(capsys):
+    from aldkit.cli import main
+
+    rep = sandwich_check(3, 4, 1)
+    assert rep.ok
+    assert dict(rep.uppers)["weights1"] == 30
+    assert main(["bound", "weights1", "--n", "3", "--d", "4"]) == 0
+    assert capsys.readouterr().out.strip() == "30"
+
+
 def test_sandwich_skips_infeasible_weight_recipe():
     rep = sandwich_check(3, 9, 1, delsarte_budget_secs=0.001)
     assert rep.ok
