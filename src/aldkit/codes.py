@@ -497,8 +497,12 @@ def build_cp(n: int) -> Codebook:
     2^(2n-1) + 2^(n-1) words, minimum distance 2 at unit weighting."""
     _check_int(n, "n", 1)
     _check_enumerable(n)
+    # every b for an even-parity a, b = a alone for an odd one
+    words = (PairedWord(n, a, b) for a in range(1 << n)
+             for b in (range(1 << n) if a.bit_count() % 2 == 0 else (a,)))
     return _book(n, 1, 2, "cp", {},
-                 lambda w: w.a == w.b or w.a.bit_count() % 2 == 0)
+                 lambda w: w.a == w.b or w.a.bit_count() % 2 == 0,
+                 size=2 ** (2 * n - 1) + 2 ** (n - 1), candidates=words)
 
 
 # -------------------------------------- weight-partitioned union code, distance 3

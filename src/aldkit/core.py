@@ -120,7 +120,7 @@ class ErrorClass(Enum):
         return 2 * (1 + lam)
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PairedWord:
     """A length-n word of paired bits, stored as two bit masks.
 

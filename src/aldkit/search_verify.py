@@ -8,6 +8,8 @@ Three layers of certainty, all exact:
 * ``exact_max_code`` finds the true largest code by branch-and-bound
   maximum-clique search on the distinguishability graph, branching
   once per orbit of the metric's isometry group at its top levels.
+  The search starts from the greedy lexicode in digit order and only
+  has to beat it; when it cannot, the lexicode is the witness.
 * ``sandwich_check`` squeezes the exact value between verified
   constructive lower bounds and every applicable upper bound, reporting
   any violation as an implementation bug.
@@ -59,8 +61,9 @@ WORD_BUDGET = 4 ** ENUM_LIMIT_N
 # Exhaustive clique search caps at 4^4 = 256 vertices.
 SEARCH_LIMIT_N = 4
 # Levels of the clique search that drop a whole orbit after each branch.
-# For (4,6,1): about 0.38 s with one level, 0.055 s with two, 0.024 s
-# with three and 0.05 s with all, where orbits cost more than they save.
+# For (4,6,1), measured in October 2026 on one core of a 2-core machine
+# (Python 3.11): about 0.33 s with one level, 0.043 s with two, 0.019 s
+# with three and 0.023 s with all four, where orbits cost more than they save.
 ORBIT_LEVELS = 3
 
 
@@ -314,15 +317,18 @@ def _color_order(cand: int, inv, floor: int) -> list:
     return classes
 
 
-def _max_clique(adj, cand: int, stop_at: int = None, words=None) -> tuple:
+def _max_clique(adj, cand: int, stop_at: int = None, words=None,
+                incumbent: int = 0) -> tuple:
     """Largest clique inside ``cand``, as ``(size, members)``.
 
-    ``members`` is a bitmask.  Tomita-style search (Tomita and Kameda,
-    2007): a greedy colouring of the candidate set upper bounds any
-    clique through it, so branches that cannot beat the incumbent are
-    cut.  The colouring is bit-parallel as in BBMC (San Segundo,
-    Rodríguez-Losada and Jiménez, 2011): each colour class is one
-    bitmask, grown by masking the still-available vertices with
+    ``members`` is a bitmask.  ``incumbent``, a clique inside ``cand``
+    as a bitmask, is the clique to beat: the search looks only for
+    larger ones and returns it when there is none.  Tomita-style search
+    (Tomita and Kameda, 2007): a greedy colouring of the candidate set
+    upper bounds any clique through it, so branches that cannot beat
+    the incumbent are cut.  The colouring is bit-parallel as in BBMC
+    (San Segundo, Rodríguez-Losada and Jiménez, 2011): each colour class
+    is one bitmask, grown by masking the still-available vertices with
     ``inv[v]``, the vertices neither v nor adjacent to it, built once
     per call.  A node at depth ``size`` keeps only the classes above
     ``floor = best - size``: a vertex of a lower class can never be
@@ -330,7 +336,8 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None) -> tuple:
     from the highest colour down, and each from its highest vertex
     down, rechecking the bound before every vertex.  ``stop_at = k``
     (k >= 1) answers whether a k-clique exists: it returns the first
-    one found, or ``(k - 1, 0)`` when there is none.
+    one found, or ``(k - 1, 0)`` when there is none; an incumbent of
+    at least k vertices is that answer at once.
 
     Given ``words``, the word of each vertex, ``cand`` must be a union
     of word orbits of the metric's isometry group.  Then in the first
@@ -343,8 +350,11 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None) -> tuple:
     top, where nothing is fixed, that leaves n + 1 branches, one per
     value of ``pair_weight``.
     """
-    best = 0 if stop_at is None else stop_at - 1
-    members = 0
+    best, members = incumbent.bit_count(), incumbent
+    if stop_at is not None:
+        if best >= stop_at:
+            return best, members
+        best, members = stop_at - 1, 0
     full = (1 << len(adj)) - 1
     inv = [full & ~(row | 1 << v) for v, row in enumerate(adj)]
     if words is not None:
@@ -440,6 +450,22 @@ def _stabilizer_orbits(have, columns) -> list:
     return list(classes.values())
 
 
+def _lexicode(adj, order, cand: int) -> list:
+    """The greedy clique of ``cand`` in ``order``, as a list in that order.
+
+    Each vertex of ``cand`` is kept when it is adjacent to all those
+    kept before it (Conway and Sloane, *Lexicographic codes*, 1986).
+    """
+    kept = []
+    for v in order:
+        if not cand:
+            break
+        if (cand >> v) & 1:
+            kept.append(v)
+            cand &= adj[v]
+    return kept
+
+
 def _lowest_max_clique(adj, order, witness: int) -> list:
     """The maximum clique that comes first in ``order``, as a list in that order.
 
@@ -448,7 +474,19 @@ def _lowest_max_clique(adj, order, witness: int) -> list:
     candidates contains it.  What is left of the witness answers most
     of these questions: a vertex in it, or one non-adjacent to exactly
     one of its members (which it then replaces), is taken without a
-    search.
+    search.  Before a query on a vertex k, the lexicode (``_lexicode``)
+    of k's remaining neighbours over the vertices after k in ``order``
+    is tried; when it has ``need - 1`` vertices, k and it end the list.
+
+    That ending is the one the greedy extension would build.  Every
+    vertex of ``cand`` before k lies on no maximum clique with those
+    chosen, so k is next in the first maximum clique once any contains
+    k, and the completion g shows that one does.  Let m be the rest of
+    another maximum clique through k, both in order, and i the first
+    place where they differ.  ``m[i]`` comes after ``m[i - 1] = g[i - 1]``
+    (after k when i = 0), lies in ``rest`` and is adjacent to ``g[:i]``,
+    so the greedy scan met it and took ``g[i]`` no later: g comes first.
+    Both have ``need - 1`` vertices, so neither is a prefix of the other.
     """
     full = (1 << len(adj)) - 1
     size = witness.bit_count()
@@ -457,7 +495,7 @@ def _lowest_max_clique(adj, order, witness: int) -> list:
     chosen = []
     cand = full
     need = size
-    for k in order:
+    for i, k in enumerate(order):
         if need == 0:
             break
         if not (cand >> k) & 1:
@@ -466,6 +504,10 @@ def _lowest_max_clique(adj, order, witness: int) -> list:
         rest = cand & adj[k]
         misses = witness & ~bit & ~adj[k]
         if misses & (misses - 1):
+            completion = _lexicode(adj, order[i + 1:], rest)
+            if len(completion) == need - 1:
+                chosen += [k, *completion]
+                break
             found, members = _max_clique(adj, rest, need - 1)
             if found < need - 1:
                 continue
@@ -483,23 +525,34 @@ def _lowest_max_clique(adj, order, witness: int) -> list:
 def exact_max_code(n: int, d: int, lam: int):
     """Exact largest code size, with a reproducible maximizing codebook.
 
+    The witness is the lexicographically lowest maximum codebook in
+    digit order.  The lexicode of the whole graph over the words in
+    digit order (``_lexicode``) comes first, and the search only has to
+    beat it.  When nothing beats it, it is the witness: by the argument
+    of ``_lowest_max_clique``, a greedy clique in digit order that is
+    maximum comes first among the maximum ones.  Otherwise the larger
+    clique the search found starts the greedy extension
+    (``_lowest_max_clique``), whose queries search without orbit
+    pruning: their candidate sets are not unions of orbits.
+
     Optimality is proved once per word orbit of the metric's isometry
     group (``core.Automorphism``), whose n + 1 orbits are the words with
     a given number of mixed positions, and at the next two levels once
     per orbit of the isometries fixing the words chosen so far: the one
     ``_max_clique`` call given ``words``.  It searches the graph's rows
-    in search order as ``distance_graph`` builds them; (4,6,1) = 11
-    takes about 0.02 s this way.  The witness is the lexicographically
-    lowest maximum codebook in digit order, found by greedy extension
-    (``_lowest_max_clique``) over the words in digit order, whose
-    queries search without orbit pruning: their candidate sets are not
-    unions of orbits.
+    in search order as ``distance_graph`` builds them.
     """
     graph = distance_graph(n, d, lam)
     adj, words = graph.adjacency, graph.vertices
-    _, witness = _max_clique(adj, (1 << len(words)) - 1, words=words)
-    chosen = _lowest_max_clique(adj, _search_index(n), witness)
-    size = len(chosen)
+    order = _search_index(n)
+    full = (1 << len(words)) - 1
+    lexicode = _lexicode(adj, order, full)
+    incumbent = sum(1 << v for v in lexicode)
+    size, witness = _max_clique(adj, full, words=words, incumbent=incumbent)
+    if size == len(lexicode):
+        chosen = lexicode
+    else:
+        chosen = _lowest_max_clique(adj, order, witness)
     book = Codebook(
         n=n,
         lam=lam,

@@ -366,10 +366,10 @@ def _count_colourings(monkeypatch):
 
 def test_exact_search_work_is_pinned(monkeypatch):
     # A deterministic work count: every search node colours its
-    # candidates once, and search order takes 33,618 at (4,5,1).
+    # candidates once, and search order takes 27,775 at (4,5,1).
     calls = _count_colourings(monkeypatch)
     assert exact_max_code(4, 5, 1)[0] == 16
-    assert calls[0] <= 40_000
+    assert calls[0] <= 27_775
 
 
 # The exact_max_code cells of the exact-search benchmark workload.
@@ -382,12 +382,35 @@ BENCHMARK_EXACT_CELLS = [
 
 
 def test_benchmark_cells_work_is_pinned(monkeypatch):
-    # The same count over the 70 benchmark cells: 3,296 in search order.
+    # The same count over the 70 benchmark cells: 421 in search order.
     calls = _count_colourings(monkeypatch)
     for cell in BENCHMARK_EXACT_CELLS:
         exact_max_code(*cell)
     assert len(BENCHMARK_EXACT_CELLS) == 70
-    assert calls[0] <= 3_296
+    assert calls[0] <= 421
+
+
+def test_exact_search_keeps_a_maximum_lexicode(monkeypatch):
+    # (4,2,1): the lexicode has all 136 words of the parity code, so the
+    # search colours its root once, cuts it, and the lexicode is the
+    # witness.  (3,3,1): the lexicode has 15 words against 19, so the
+    # search beats it and the greedy extension finds the witness.
+    calls = _count_colourings(monkeypatch)
+    extend = sv._lowest_max_clique
+    extensions = []
+
+    def counting(adj, order, witness):
+        extensions.append(witness.bit_count())
+        return extend(adj, order, witness)
+
+    monkeypatch.setattr(sv, "_lowest_max_clique", counting)
+    assert exact_max_code(4, 2, 1)[0] == 136
+    assert (calls[0], extensions) == (1, [])
+    graph = distance_graph(3, 3, 1)
+    full = (1 << len(graph.vertices)) - 1
+    assert len(sv._lexicode(graph.adjacency, sv._search_index(3), full)) == 15
+    assert exact_max_code(3, 3, 1)[0] == 19
+    assert extensions == [19]
 
 
 def test_exact_search_checks_its_witness_under_optimisation():
@@ -477,6 +500,10 @@ def _adjacency(nv, edges):
     return adj
 
 
+def _mask(vertices):
+    return sum(1 << v for v in vertices)
+
+
 def _lowest(adj, order):
     """``_lowest_max_clique`` started from whichever maximum clique the search finds."""
     _, witness = sv._max_clique(adj, (1 << len(adj)) - 1)
@@ -554,6 +581,15 @@ def test_lowest_max_clique_agrees_with_brute_force(graph):
     top = max(len(c) for c in cliques)
     want = min((c for c in cliques if len(c) == top), key=lambda c: [rank[v] for v in c])
     assert _lowest(adj, order) == want
+    # exact_max_code's path: the lexicode, the search seeded with it, and
+    # the greedy extension only when the search beat it
+    lexicode = sv._lexicode(adj, order, (1 << nv) - 1)
+    assert lexicode in cliques
+    size, witness = sv._max_clique(adj, (1 << nv) - 1, incumbent=_mask(lexicode))
+    assert size == top
+    if size == len(lexicode):
+        assert lexicode == want
+    assert sv._lowest_max_clique(adj, order, witness) == want
 
 
 @settings(max_examples=150)
@@ -581,6 +617,57 @@ def test_max_clique_agrees_with_brute_force(graph):
             assert size == k and members_form_clique(members, k)
         else:
             assert (size, members) == (k - 1, 0)
+
+
+@settings(max_examples=150)
+@given(small_graphs(), st.data())
+def test_max_clique_beats_a_smaller_incumbent(graph, data):
+    # A maximum incumbent comes back as it is; a smaller one is beaten.
+    # With stop_at = k, an incumbent of k or more vertices is the answer,
+    # and otherwise the search answers as it does without one.
+    adj, _ = graph
+    nv = len(adj)
+    full = (1 << nv) - 1
+    cliques = [c for size in range(1, nv + 1) for c in combinations(range(nv), size)
+               if all((adj[i] >> j) & 1 for i, j in combinations(c, 2))]
+    top = max(map(len, cliques))
+    incumbent = data.draw(st.sampled_from(cliques))
+    size, members = sv._max_clique(adj, full, incumbent=_mask(incumbent))
+    assert size == top == members.bit_count()
+    assert tuple(v for v in range(nv) if (members >> v) & 1) in cliques
+    if len(incumbent) == top:
+        assert members == _mask(incumbent)
+    for k in range(1, nv + 2):
+        got = sv._max_clique(adj, full, stop_at=k, incumbent=_mask(incumbent))
+        if len(incumbent) >= k:
+            assert got == (len(incumbent), _mask(incumbent))
+        elif k <= top:
+            assert got[0] == k == got[1].bit_count()
+            assert tuple(v for v in range(nv) if (got[1] >> v) & 1) in cliques
+        else:
+            assert got == (k - 1, 0)
+
+
+def test_lowest_max_clique_completes_past_a_rejected_vertex(monkeypatch):
+    # Two 4-cliques, {1, 2, 3, 4} and the witness {5, 6, 7, 8}, and the
+    # triangle {0, 1, 2}.  Vertices 0 and 1 miss the whole witness.
+    # Vertex 0 lies on no 4-clique: its lexicode [1, 2] falls short and
+    # one query rejects it.  Vertex 1's lexicode over the vertices after
+    # it, [2, 3, 4], is maximum, so no second query runs; one scanning
+    # from the start would take the rejected 0 first and fall short.
+    adj = _adjacency(9, [(0, 1), (0, 2)]
+                     + list(combinations(range(1, 5), 2))
+                     + list(combinations(range(5, 9), 2)))
+    search = sv._max_clique
+    queries = []
+
+    def counting(adj, cand, stop_at=None, words=None, incumbent=0):
+        queries.append(cand)
+        return search(adj, cand, stop_at, words, incumbent)
+
+    monkeypatch.setattr(sv, "_max_clique", counting)
+    assert sv._lowest_max_clique(adj, range(9), _mask(range(5, 9))) == [1, 2, 3, 4]
+    assert queries == [0b110]
 
 
 # The cells PINNED_WITNESSES leaves out; at those it pins, the size of
