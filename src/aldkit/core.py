@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from numbers import Real
 
 __all__ = [
     "Budget",
@@ -46,11 +47,14 @@ class BudgetExceeded(RuntimeError):
 class Budget:
     """A time budget of ``seconds``.  ``self.seconds`` is None when no
     limit is given; the budget then never runs out, as with ``inf``.
-    NaN is rejected, since no clock reading would ever pass it.
+    Only real numbers are read: a bool or a string is rejected, and so
+    is NaN, since no clock reading would ever pass it.
     """
 
     def __init__(self, seconds=None):
         if seconds is not None:
+            if isinstance(seconds, bool) or not isinstance(seconds, Real):
+                raise ValueError(f"budget must be a number of seconds, got {seconds!r}")
             seconds = float(seconds)
             if math.isnan(seconds):
                 raise ValueError("budget must be a number of seconds")
@@ -134,10 +138,12 @@ class PairedWord:
     b: int
 
     def __post_init__(self):
-        _check_int(self.n, "word length", 1)
-        top = 1 << self.n
-        if not (0 <= self.a < top and 0 <= self.b < top):
-            raise ValueError("bit masks out of range for word length")
+        n, a, b = self.n, self.a, self.b
+        if type(n) is not int or n < 1:
+            _check_int(n, "word length", 1)  # raises unless n is an int subclass
+        top = 1 << n
+        if not (type(a) is int and type(b) is int and 0 <= a < top and 0 <= b < top):
+            raise ValueError("bit masks must be ints in range for the word length")
 
     @classmethod
     def from_bits(cls, a_bits, b_bits) -> "PairedWord":

@@ -37,6 +37,13 @@ p is the sum, over the nonzero digits i of p, of the head's counts at p
 minus one i, each rotated by chi(i, j).  Entries are computed once per
 distinct ``(packed counts, orbit)`` within a call, and only then are
 the counts unpacked, with ``struct``.
+
+What depends on n alone is built once per length and shared by every
+cell of it: ``_profile_layout(n)`` lists each first profile with its
+orbit, the packed keys of its predecessors p - e_i and its row's
+multinomial right-hand side.  It must never hold anything that depends
+on d or lam (a survivor, a column, an entry or a row), so no answer is
+ever read from an earlier cell.
 """
 
 from __future__ import annotations
@@ -44,7 +51,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
+from numbers import Number
 from operator import mul, sub
 from struct import unpack
 
@@ -166,12 +175,16 @@ class Q5:
 
     def __eq__(self, o):
         if type(o) is not Q5:
-            o = Q5.lift(o)
+            o = _operand(o)
+            if o is None:
+                return NotImplemented
         return self.p == o.p and self.q == o.q and self.r == o.r
 
     def __ne__(self, o):
         if type(o) is not Q5:
-            o = Q5.lift(o)
+            o = _operand(o)
+            if o is None:
+                return NotImplemented
         return self.p != o.p or self.q != o.q or self.r != o.r
 
     def __lt__(self, o):
@@ -187,6 +200,9 @@ class Q5:
         return _compare(self, o) >= 0
 
     def __hash__(self):
+        # a rational element hashes as the int or Fraction it equals
+        if self.q == 0:
+            return hash(self.p) if self.r == 1 else hash(Fraction(self.p, self.r))
         return hash((self.p, self.q, self.r))
 
     def __float__(self) -> float:
@@ -207,6 +223,18 @@ class Q5:
 
 
 _set = object.__setattr__
+
+
+def _operand(o) -> Q5 | None:
+    """``Q5.lift(o)``, or None when o is not a number lift can read."""
+    if type(o) is int:
+        return _q5(o, 0, 1)
+    if isinstance(o, Number):
+        try:
+            return Q5.lift(o)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    return None
 
 
 def _q5(p: int, q: int, r: int) -> Q5:
@@ -401,6 +429,34 @@ class DelsarteReport:
         return self.status is LPStatus.UNBOUNDED
 
 
+@lru_cache(maxsize=8)
+def _profile_layout(n: int) -> tuple:
+    """The part of the LP at length n that depends on neither d nor lam.
+
+    One ``(p, orbit, preds, rhs)`` per first profile p of a reverse pair
+    (reverse_profile(p) >= p), in lexicographic order: ``orbit`` is 1
+    when p is its own reverse and 2 otherwise, ``preds`` the
+    ``(i, packed p - e_i)`` pair of each nonzero digit i of p, and
+    ``rhs`` the row's right-hand side, -multinomial(p) in Q5.  See
+    "Assembly" in the module docstring.
+    """
+    fact = [math.factorial(k) for k in range(n + 1)]
+    # equal right-hand sides share one Q5, so equal rows match by identity
+    rhs_of = {}
+    layout = []
+    for p in profiles(n):
+        rev = reverse_profile(p)
+        if rev < p:
+            continue
+        key = int.from_bytes(bytes(p), "little")
+        preds = tuple((i, key - (1 << 8 * i)) for i in range(10) if p[i])
+        mult = fact[n] // math.prod(map(fact.__getitem__, p))
+        if mult not in rhs_of:
+            rhs_of[mult] = Q5.lift(-mult)
+        layout.append((p, 1 if rev == p else 2, preds, rhs_of[mult]))
+    return tuple(layout)
+
+
 def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
     """The LP's columns and rows: ``(survivors, rows)``.
 
@@ -410,27 +466,17 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
     profile that gives it.  The row of reverse_profile(p) equals the row
     of p, so only the first profile of each pair is visited.
     """
-    ident = identity_profile(n)
-    firsts = []  # p with reverse_profile(p) >= p, in lexicographic order
-    survivors = []
-    for m in profiles(n):
-        rev = reverse_profile(m)
-        if rev < m:
-            continue
-        firsts.append(m)
-        if m == ident or m[3] > 0 or m[7] > 0 or profile_cost(m, lam) < d:
-            continue
-        survivors.append((m, 1 if rev == m else 2))
-
+    size, width, full, fmt = _slot_layout(n)  # refuses n > 20 before the table
+    layout = _profile_layout(n)
     # Column of the identity profile is the plain multinomial expansion
     # (all characters against digit 0 equal 1), handled as constants.
-    size, width, full, fmt = _slot_layout(n)
-    # per first profile p: (i, packed p - e_i) for every nonzero digit i
-    preds = []
-    for p in firsts:
-        key = int.from_bytes(bytes(p), "little")
-        preds.append([(i, key - (1 << 8 * i)) for i in range(10) if p[i]])
+    ident = identity_profile(n)
+    survivors = [
+        (m, orbit) for m, orbit, _, _ in layout
+        if m != ident and m[3] == m[7] == 0 and profile_cost(m, lam) >= d
+    ]
 
+    preds = [digits for _, _, digits, _ in layout]
     entry_of = {}  # (packed counts, orbit) -> column_entry(counts, orbit)
     columns = []  # each survivor's entries, one per first profile
     for m, orbit in survivors:
@@ -455,13 +501,11 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
             column.append(entry)
         columns.append(column)
 
-    fact = [math.factorial(k) for k in range(n + 1)]
     rows = {}  # distinct row -> the first profile that gives it
-    for p, entries in zip(firsts, zip(*columns)):
+    for (p, _, _, rhs), entries in zip(layout, zip(*columns)):
         budget.check("row assembly")
         if not any(entries):
             continue  # 0 >= -multinomial holds vacuously
-        rhs = Q5.lift(-(fact[n] // math.prod(map(fact.__getitem__, p))))
         rows.setdefault(entries + (rhs,), p)
     return survivors, rows
 

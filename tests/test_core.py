@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -161,6 +162,15 @@ def test_word_validation():
         PairedWord(0, 0, 0)
     with pytest.raises(ValueError):
         PairedWord(2, 4, 0)
+    # masks are ints: a float or a bool fails here, not later in ald_distance
+    for a, b in ((1.0, 0), (0, 1.0), (True, False), (0, True)):
+        with pytest.raises(ValueError, match="bit masks"):
+            PairedWord(2, a, b)
+
+    class Length(int):
+        pass
+
+    assert PairedWord(Length(2), 3, 1) == PairedWord(2, 3, 1)
     with pytest.raises(IndexError):
         PairedWord(2, 0, 0).symbol(2)
 
@@ -341,6 +351,7 @@ def test_budget_check_and_remaining():
 def test_budget_rejects_nan_and_non_numbers():
     with pytest.raises(ValueError, match="budget must be a number"):
         Budget(float("nan"))
-    for raw in ("abc", ""):
+    for raw in ("abc", "", "5", True, False):
         with pytest.raises(ValueError):
             Budget(raw)
+    assert Budget(Fraction(3, 2)).seconds == 1.5 and Budget(2).seconds == 2.0

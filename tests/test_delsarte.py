@@ -166,6 +166,20 @@ def test_q5_field_identities():
         a / Q5.lift(0)
 
 
+def test_q5_keeps_the_eq_hash_contract():
+    # a rational element equals, and hashes as, the int or Fraction it is
+    half = Q5(Fraction(1, 2), 0)
+    for x, plain in ((Q5(1, 0), 1), (Q5(-7, 0), -7), (half, Fraction(1, 2)), (half, 0.5)):
+        assert x == plain and plain == x and not x != plain
+        assert hash(x) == hash(plain) and len({x, plain}) == 1
+    root = Q5(0, 1)
+    assert hash(root) == hash(Q5(0, 2) / 2) and root != 0 and len({root, 0}) == 2
+    # anything that is not a number compares unequal instead of raising
+    for other in ("x", "1", None, [], 1j, float("nan")):
+        assert not Q5(1, 0) == other and Q5(1, 0) != other
+        assert not other == Q5(1, 0) and other != Q5(1, 0)
+
+
 def test_q5_floor_anchors():
     assert math.floor(Q5(Fraction(0), Fraction(1))) == 2
     assert math.floor(Q5(Fraction(0), Fraction(-1))) == -3
@@ -663,9 +677,13 @@ def test_env_budget_applies_at_every_n(monkeypatch):
 
 
 def test_nan_budget_is_rejected():
-    # NaN never expires, so it would lift the mandatory n >= 4 budget
+    # NaN never expires, so it would lift the mandatory n >= 4 budget;
+    # True and "5" are not numbers of seconds either
     with pytest.raises(ValueError):
         delsarte_bound(4, 16, 1, budget_secs=float("nan"))
+    for bad in (True, "5"):
+        with pytest.raises(ValueError, match="budget"):
+            delsarte_bound(2, 3, 1, budget_secs=bad)
 
 
 def test_infinite_budget_means_no_limit():
@@ -688,10 +706,66 @@ REPORT_CELLS = (
 REPORT_SHA256 = "84f953a3306ae78c056d1f507b65d80e37e784e66661763af72918c8f12fefe9"
 
 
-def test_reports_are_pinned():
+def report_digest(fresh_tables):
+    """SHA-256 over the reports at REPORT_CELLS; with ``fresh_tables``
+    each cell builds its own per-length profile table."""
     digest = hashlib.sha256()
     for n, d, lam in REPORT_CELLS:
+        if fresh_tables:
+            delsarte._profile_layout.cache_clear()
         rep = delsarte_bound(n, d, lam, budget_secs=math.inf if n >= 4 else None)
         dual = tuple((p, u.p, u.q, u.r) for p, u in rep.dual)
         digest.update(repr((n, d, lam, rep.exact, rep.sqrt5_part, rep.floored, dual)).encode())
-    assert digest.hexdigest() == REPORT_SHA256
+    return digest.hexdigest()
+
+
+def test_reports_are_pinned():
+    # a table shared by every cell of a length answers as one built per cell
+    assert report_digest(fresh_tables=True) == REPORT_SHA256
+    assert report_digest(fresh_tables=False) == REPORT_SHA256
+
+
+# ------------------------------------------------- the per-length table
+
+
+def packed(p):
+    return sum(c << 8 * i for i, c in enumerate(p))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_profile_table_matches_its_definition(n):
+    want = []
+    for p in profiles_oracle(n):
+        rev = reverse_profile(p)
+        if rev < p:
+            continue
+        preds = tuple(
+            (i, packed(p[:i] + (p[i] - 1,) + p[i + 1:])) for i in range(10) if p[i]
+        )
+        want.append((p, 1 if rev == p else 2, preds, Q5.lift(-multinomial(p))))
+    assert delsarte._profile_layout(n) == tuple(want)
+
+
+def test_profile_table_is_built_once_per_length(monkeypatch):
+    builds = []
+    original = delsarte.profiles
+
+    def counting(n):
+        builds.append(n)
+        return original(n)
+
+    monkeypatch.setattr(delsarte, "profiles", counting)
+    delsarte._profile_layout.cache_clear()
+    for d, lam in ((7, 1), (9, 1), (12, 1), (8, 2), (13, 2), (19, 2)):
+        delsarte_bound(3, d, lam)
+    assert builds == [3]
+
+
+def test_long_words_are_refused_before_any_table():
+    before = delsarte._profile_layout.cache_info().currsize
+    for budget_secs in (None, math.inf):
+        with pytest.raises(ValueError, match="n <= 20"):
+            delsarte_bound(21, 3, 1, budget_secs=budget_secs)
+    with pytest.raises(ValueError, match="n <= 20"):
+        delsarte._assemble(21, 3, 1, Budget())
+    assert delsarte._profile_layout.cache_info().currsize == before
