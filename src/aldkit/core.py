@@ -53,11 +53,10 @@ class Budget:
 
     def __init__(self, seconds=None):
         if seconds is not None:
-            if isinstance(seconds, bool) or not isinstance(seconds, Real):
+            if (isinstance(seconds, bool) or not isinstance(seconds, Real)
+                    or math.isnan(seconds)):
                 raise ValueError(f"budget must be a number of seconds, got {seconds!r}")
             seconds = float(seconds)
-            if math.isnan(seconds):
-                raise ValueError("budget must be a number of seconds")
         self.seconds = seconds
         self.expiry = time.monotonic() + (math.inf if seconds is None else seconds)
 
