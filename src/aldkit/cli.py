@@ -166,7 +166,11 @@ def _weights1(n, d, lam, budget_secs):
         raise ValueError("weights1 weights are defined at lambda=1 only")
     if d < 3:
         raise ValueError("weights1 requires --d of at least 3")
-    return weights1_bound(n, (d - 1) // 2)
+    try:
+        return weights1_bound(n, (d - 1) // 2)
+    except ArithmeticError as err:
+        # the capped system's weights fail the cover check at some radii
+        raise ValueError(f"weights1 recipe is infeasible at n={n}, d={d}: {err}") from err
 
 
 # method -> bound(n, d, lam, budget_secs), a report or an exact int.

@@ -327,6 +327,18 @@ def _slot_layout(n: int) -> tuple:
     raise ValueError(f"n={n} is too long: column counts need n <= 20")
 
 
+def _digit_steps(j: int) -> tuple:
+    """``(c, steps)`` per distinct c = chi(i, j), in order of first
+    appearance: the packed profile steps 1 << 8i of the digits i with
+    character zeta^c against j."""
+    cs = [chi(i, j) for i in range(10)]
+    return tuple((c, tuple(1 << 8 * i for i in range(10) if cs[i] == c)) for c in dict.fromkeys(cs))
+
+
+# each digit's zeta-move groups, which depend on neither the column nor n
+_DIGIT_STEPS = tuple(map(_digit_steps, range(10)))
+
+
 def _packed_column(m: tuple, budget: Budget | None, n: int) -> dict:
     """``{packed profile: packed counts}`` of the column of m, with count
     slots laid out for length n >= sum(m); see "Assembly" in the module
@@ -335,10 +347,7 @@ def _packed_column(m: tuple, budget: Budget | None, n: int) -> dict:
     state = {0: 1}  # the empty monomial, one term equal to zeta^0
     for j in range(10):
         # one (down, up, digit steps) move per distinct value c = chi(i, j)
-        steps = {}
-        for i in range(10):
-            steps.setdefault(chi(i, j), []).append(1 << 8 * i)
-        moves = [((10 - c) * width, c * width, s) for c, s in steps.items()]
+        moves = [((10 - c) * width, c * width, s) for c, s in _DIGIT_STEPS[j]]
         for _ in range(m[j]):
             if budget is not None:
                 budget.check("coefficient assembly")
@@ -401,17 +410,18 @@ def column_entry(v, orbit: int) -> Q5:
 
 @dataclass(frozen=True)
 class DelsarteReport:
-    """Outcome of the character LP.  ``delsarte_bound`` reports an
-    optimum only; ``status`` and ``unbounded`` are kept for callers that
-    build reports themselves.
+    """An optimum of the character LP, the only outcome ``delsarte_bound``
+    reports (any other solver status raises).  The value is 1 + the LP
+    optimum, a + b sqrt 5 with ``sqrt5_part`` b; ``exact`` is a when b =
+    0, else None.
 
-    ``dual`` holds the dual multipliers that certify an optimum, as
-    ``(profile, u)`` pairs with u > 0 in Q(sqrt 5), one per LP row with a
-    nonzero multiplier; the row is the transform constraint of that
-    profile.  For every surviving column m, orbit(m) + sum_p u_p *
-    entry(p, m) <= 0, and the reported value is 1 + sum_p u_p *
-    multinomial(p), so the value is an upper bound whatever solver
-    produced it.
+    ``dual`` holds the dual multipliers that certify it, as ``(profile,
+    u)`` pairs with u > 0 in Q(sqrt 5), one per LP row with a nonzero
+    multiplier; the row is the transform constraint of that profile.
+    For every surviving column m, orbit(m) + sum_p u_p * entry(p, m) <=
+    0, and the value is 1 + sum_p u_p * multinomial(p), so it is an
+    upper bound whatever solver produced it.  With no surviving column
+    the empty program is solved too: value 1, no multipliers.
     """
 
     method: str
@@ -419,14 +429,10 @@ class DelsarteReport:
     d: int
     lam: int
     status: LPStatus
-    exact: Fraction | None = None
-    sqrt5_part: Fraction | None = None
-    floored: int | None = None
-    dual: tuple = ()
-
-    @property
-    def unbounded(self) -> bool:
-        return self.status is LPStatus.UNBOUNDED
+    exact: Fraction | None
+    sqrt5_part: Fraction
+    floored: int
+    dual: tuple
 
 
 @lru_cache(maxsize=8)
@@ -503,7 +509,6 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
 
     rows = {}  # distinct row -> the first profile that gives it
     for (p, _, _, rhs), entries in zip(layout, zip(*columns)):
-        budget.check("row assembly")
         if not any(entries):
             continue  # 0 >= -multinomial holds vacuously
         rows.setdefault(entries + (rhs,), p)
@@ -535,12 +540,6 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
             f"n={n} needs a time budget: pass budget_secs (--budget on the CLI)"
         )
     survivors, rows = _assemble(n, d, lam, budget)
-    if not survivors:
-        return DelsarteReport(
-            "delsarte", n, d, lam, LPStatus.OPTIMAL,
-            exact=Fraction(1), sqrt5_part=Fraction(0), floored=1,
-        )
-
     lp = LinearProgram(
         objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max"
     )

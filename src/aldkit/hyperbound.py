@@ -8,13 +8,15 @@ transitively on words of equal strand-disagreement weight, which folds
 the 4^n-variable LP down to n+1 weight classes; ``balls.class_matrix``
 (imported here) counts each ball class by class.
 
-Besides the exact LP optimum this module evaluates three explicit
-feasible assignments with closed forms (reciprocal ball sizes, the
-binomial-denominator form, and the solution of a capped class-matrix
-system), each checked for feasibility by substitution before its value
-is trusted.  The check is in integers: the weights are put over their
-least common denominator L, and each ball's integer row sum must reach
-L, before any weight is checked for a negative sign.
+Besides the exact LP optimum this module evaluates four feasible
+assignments with closed forms (reciprocal weights at radius lam,
+reciprocal ball sizes, the binomial-denominator form, and the solution
+of a capped class-matrix system).  One routine values every covering
+bound, the LP included, from its weights alone, once they pass a
+substitution check, so no solver's objective is trusted.  The check is
+in integers: the weights are put over their least common denominator
+L, and each ball's integer row sum must reach L, before any weight is
+checked for a negative sign; the value is read off the same integers.
 """
 
 from __future__ import annotations
@@ -56,11 +58,6 @@ class BoundReport:
             raise ValueError("floored value out of sync with exact value")
 
 
-def _report(method: str, n: int, d: int, lam: int, exact: Fraction, weights=None):
-    exact = Fraction(exact)
-    return BoundReport(method, n, d, lam, exact, exact.__floor__(), weights)
-
-
 def _radius(n: int, d: int, lam: int) -> int:
     """The ball radius of cell (n, d, lam), once its arguments check out."""
     _check_int(n, "n", 1)
@@ -68,9 +65,9 @@ def _radius(n: int, d: int, lam: int) -> int:
     return (_check_int(d, "d", 2) - 1) // 2
 
 
-def _check_feasible(mat: ClassMatrix, weights) -> None:
-    # Substitute the weight vector, over its common denominator, into
-    # every ball-cover row.
+def _check_feasible(mat: ClassMatrix, weights) -> tuple:
+    """Substitute the weight vector, over its common denominator, into
+    every ball-cover row; returns the ``_cleared`` pair ``(L, scaled)``."""
     common, scaled = _cleared(weights)
     for i in range(mat.n + 1):
         got = sum(map(mul, mat.row(i), scaled))
@@ -81,26 +78,34 @@ def _check_feasible(mat: ClassMatrix, weights) -> None:
     for w in scaled:
         if w < 0:
             raise ArithmeticError("negative weight in covering assignment")
+    return common, scaled
 
 
-def _class_objective(n: int, weights) -> Fraction:
-    return (2 ** n) * sum(Fraction(comb(n, i)) * w for i, w in enumerate(weights))
+def _class_sizes(n: int) -> list:
+    """Words of each pair_weight class: 2^n C(n, j) at weight j."""
+    return [comb(n, j) << n for j in range(n + 1)]
+
+
+def _covering(method: str, n: int, d: int, lam: int, mat: ClassMatrix, weights) -> BoundReport:
+    """The report of a class-weight vector, valued only once ``mat``'s
+    substitution check passes: sum_j 2^n C(n, j) w_j, summed on the
+    cleared integers."""
+    common, scaled = _check_feasible(mat, weights)
+    exact = Fraction(sum(map(mul, _class_sizes(n), scaled)), common)
+    return BoundReport(method, n, d, lam, exact, exact.__floor__(), tuple(weights))
 
 
 def lp_hypergraph_bound(n: int, d: int, lam: int) -> BoundReport:
     """Exact optimum of the folded covering LP."""
     r = _radius(n, d, lam)
     mat = class_matrix(n, r, lam)
-    lp = LinearProgram(
-        objective=[(2 ** n) * comb(n, j) for j in range(n + 1)], sense="min"
-    )
+    lp = LinearProgram(objective=_class_sizes(n), sense="min")
     for i in range(n + 1):
         lp.add(list(mat.row(i)), ">=", 1)
     res = solve_lp(lp)
     if res.status is not LPStatus.OPTIMAL:
         raise ArithmeticError(f"covering LP reported {res.status}")
-    _check_feasible(mat, res.x)
-    return _report("lp", n, d, lam, res.value, tuple(res.x))
+    return _covering("lp", n, d, lam, mat, res.x)
 
 
 def optimal1_bound(n: int, lam: int = 1) -> BoundReport:
@@ -111,11 +116,9 @@ def optimal1_bound(n: int, lam: int = 1) -> BoundReport:
     simultaneously primal and dual optimal, giving
     2^n (2^(n+1) - 1)/(n+1) exactly.
     """
-    _check_lambda(lam)
-    _check_int(n, "n", 1)
-    weights = tuple(Fraction(1, i + 1) for i in range(n + 1))
-    _check_feasible(class_matrix(n, lam, lam), weights)
-    return _report("optimal1", n, 2 * lam + 1, lam, _class_objective(n, weights), weights)
+    mat = class_matrix(n, lam, lam)
+    weights = [Fraction(1, i + 1) for i in range(n + 1)]
+    return _covering("optimal1", n, 2 * lam + 1, lam, mat, weights)
 
 
 def naive_weight_bound(n: int, d: int, lam: int, strict: bool = False) -> BoundReport:
@@ -138,10 +141,9 @@ def naive_weight_bound(n: int, d: int, lam: int, strict: bool = False) -> BoundR
         if i < mu and not strict:
             return Fraction(ball_size(n, 0, lam, r))
         return Fraction(1, ball_size(n, max(i - mu, 0), lam, r))
-    weights = tuple(weight(i) for i in range(n + 1))
-    _check_feasible(class_matrix(n, r, lam), weights)
+    weights = [weight(i) for i in range(n + 1)]
     method = "naive-strict" if strict else "naive"
-    return _report(method, n, d, lam, _class_objective(n, weights), weights)
+    return _covering(method, n, d, lam, class_matrix(n, r, lam), weights)
 
 
 def simple_bound(n: int, d: int, lam: int) -> BoundReport:
@@ -152,12 +154,11 @@ def simple_bound(n: int, d: int, lam: int) -> BoundReport:
     """
     r = _radius(n, d, lam)
     cap = r // lam
-    weights = tuple(
+    weights = [
         Fraction(1, sum(comb(l, j) for j in range(min(l, cap) + 1)))
         for l in range(n + 1)
-    )
-    _check_feasible(class_matrix(n, r, lam), weights)
-    return _report("simple", n, d, lam, _class_objective(n, weights), weights)
+    ]
+    return _covering("simple", n, d, lam, class_matrix(n, r, lam), weights)
 
 
 def weights1_bound(n: int, r: int) -> BoundReport:
@@ -171,10 +172,9 @@ def weights1_bound(n: int, r: int) -> BoundReport:
     w1, w3, w5 < 0) and a cover row of about -2.57 at class 0, so it
     is no covering assignment and certifies nothing.
     """
-    _check_int(n, "n", 1)
-    _check_int(r, "r", 1)
     lam = 1
-    mat = class_matrix(n, r, lam)
+    # class_matrix checks n and accepts r = 0, but the cap divides by r
+    mat = class_matrix(n, _check_int(r, "r", 1), lam)
     capped = []
     for i in range(n + 1):
         diag = mat.entry(i, i)
@@ -186,8 +186,7 @@ def weights1_bound(n: int, r: int) -> BoundReport:
             ]
         )
     weights = solve_linear_system(capped, [1] * (n + 1))
-    _check_feasible(mat, weights)
-    return _report("weights1", n, 2 * r + 1, lam, _class_objective(n, weights), tuple(weights))
+    return _covering("weights1", n, 2 * r + 1, lam, mat, weights)
 
 
 def packing_comparison(v: int) -> dict:

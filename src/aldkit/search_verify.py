@@ -56,7 +56,9 @@ __all__ = [
     "symbol_distance_table",
 ]
 
-# Explicit pair scans refuse beyond this many words (about 4.3e9 pairs).
+# min_distance refuses books of more words than this, 4^8 = 65,536: every
+# word of the longest explicit length.  Its walk keeps word sets as bitmasks
+# over the book, so the cap bounds their width, not a count of pairs.
 WORD_BUDGET = 4 ** ENUM_LIMIT_N
 # Exhaustive clique search caps at 4^4 = 256 vertices.
 SEARCH_LIMIT_N = 4

@@ -5,10 +5,10 @@ import sys
 
 import pytest
 
-from aldkit import cli
+from aldkit import cli, delsarte
 from aldkit.cli import CSV_HEADER, main, read_codebook, write_codebook
 from aldkit.codes import build_cl, build_cp
-from aldkit.core import PairedWord
+from aldkit.core import Budget, BudgetExceeded, PairedWord
 from aldkit.delsarte import delsarte_bound
 from aldkit.search_verify import exact_max_code
 
@@ -156,12 +156,35 @@ def test_bound_usage_errors(capsys):
     assert rc == 2
     rc, _, err = run(capsys, "bound", "lp", "--n", 2)
     assert rc == 2 and "requires --d" in err
+    # the capped weights1 system fails its cover check at radius 4 here:
+    # the method does not apply, as sandwich_check records it
+    rc, out, err = run(capsys, "bound", "weights1", "--n", 3, "--d", 9)
+    assert (rc, out) == (2, "") and "infeasible at n=3, d=9" in err
 
 
-def test_bound_delsarte_budget_refusal(capsys):
-    rc, _, err = run(capsys, "bound", "delsarte", "--n", 3, "--d", 3,
-                     "--budget", 0.001)
-    assert rc == 3 and "budget" in err.lower()
+def _budget_spent_at(k):
+    """A Budget that runs out at its k-th check, however fast the clock."""
+    class Counted(Budget):
+        checks = 0
+
+        def check(self, stage):
+            self.checks += 1
+            if self.checks >= k:
+                raise BudgetExceeded(f"time budget exhausted during {stage}")
+    return Counted
+
+
+def test_bound_delsarte_budget_refusal(capsys, monkeypatch):
+    cases = [
+        (3, 3, 1, "column assembly"),
+        (3, 3, 2, "coefficient assembly"),
+        (1, 100, 1, "solve"),  # no column survives, and the solve still checks
+    ]
+    for n, d, k, stage in cases:
+        monkeypatch.setattr(delsarte, "Budget", _budget_spent_at(k))
+        rc, out, err = run(capsys, "bound", "delsarte", "--n", n, "--d", d,
+                           "--budget", 600)
+        assert (rc, out) == (3, "") and f"exhausted during {stage}" in err, (n, d, k)
 
 
 def test_budget_values(capsys):

@@ -434,10 +434,9 @@ def oracle_rows(n, d, lam):
 
 
 def oracle_lp(n, d, lam):
-    """The oracle's LinearProgram, or None when no column survives."""
+    """The oracle's LinearProgram; with no surviving column it has no
+    variables and no rows."""
     survivors, rows = oracle_rows(n, d, lam)
-    if not survivors:
-        return None
     lp = LinearProgram(objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max")
     for row in rows:
         lp.add(row[:-1], ">=", row[-1])
@@ -449,8 +448,8 @@ class _Captured(Exception):
 
 
 def assembled_lp(monkeypatch, n, d, lam):
-    """The LinearProgram delsarte_bound hands to its solver, or None when
-    it returns before solving."""
+    """The LinearProgram delsarte_bound hands to its solver: every cell,
+    one without surviving columns too, is solved."""
     got = []
 
     def capture(lp, **kwargs):
@@ -458,12 +457,9 @@ def assembled_lp(monkeypatch, n, d, lam):
         raise _Captured
 
     monkeypatch.setattr(delsarte, "solve_lp", capture)
-    try:
-        rep = delsarte_bound(n, d, lam, budget_secs=math.inf)
-    except _Captured:
-        return got[0]
-    assert rep.exact == 1 and rep.floored == 1
-    return None
+    with pytest.raises(_Captured):
+        delsarte_bound(n, d, lam, budget_secs=math.inf)
+    return got[0]
 
 
 ORACLE_CELLS = [
@@ -548,7 +544,6 @@ def test_single_position_cells():
     rep = delsarte_bound(1, 3, 1)
     assert rep.status is LPStatus.OPTIMAL
     assert rep.exact == 2 and rep.floored == 2
-    assert not rep.unbounded
     rep = delsarte_bound(1, 4, 1)
     assert rep.exact == 2
     # below the tabulated range the optimum exists but is irrational
@@ -592,9 +587,15 @@ def test_three_position_spot_cell():
 
 
 def test_huge_distance_kills_every_profile():
+    # No column survives: the empty program is solved and certified like
+    # any other, with value 0 and no multipliers.
     rep = delsarte_bound(1, 100, 1)
     assert rep.status is LPStatus.OPTIMAL
     assert rep.exact == 1 and rep.floored == 1
+    assert rep.sqrt5_part == 0 and rep.dual == ()
+    # with no column there is no assembly check, but the solve still checks
+    with pytest.raises(BudgetExceeded, match="during solve"):
+        delsarte_bound(1, 100, 1, budget_secs=-1)
 
 
 @pytest.mark.parametrize("n,d,lam", [(1, 2, 1), (2, 3, 1), (2, 5, 1), (2, 2, 2), (3, 9, 1)])
@@ -637,14 +638,6 @@ def test_unbounded_solver_status_raises(monkeypatch, capsys):
         delsarte_bound(2, 3, 1)
     assert cli.main(["bound", "delsarte", "--n", "2", "--d", "3"]) == 1
     assert "internal error" in capsys.readouterr().err
-
-
-def test_report_flags_unbounded_status():
-    from aldkit.delsarte import DelsarteReport
-
-    ray = DelsarteReport("delsarte", 3, 3, 1, LPStatus.UNBOUNDED)
-    assert ray.unbounded
-    assert ray.exact is None and ray.floored is None
 
 
 def test_argument_validation():

@@ -1,5 +1,6 @@
 """Class-matrix census and the weighted covering bounds built on it."""
 
+import hashlib
 import math
 from fractions import Fraction
 
@@ -242,6 +243,29 @@ class TestOrderingAndReports:
         rep = simple_bound(3, 5, 2)
         assert (rep.n, rep.d, rep.lam) == (3, 5, 2)
         assert rep.floored == rep.exact.__floor__()
+
+    # SHA-256 over the closed forms' values and weights: naive (default
+    # and strict) and simple at lam 1-3, n <= 8 and every d, each lam
+    # followed by optimal1 at n <= 15.
+    CLOSED_FORM_DIGEST = "e42c946162ff178565581be9896ff6b9841c948c74c4edb31b6eb37e570a4d8e"
+
+    def test_closed_form_answers_are_pinned(self):
+        lines = []
+        for lam in (1, 2, 3):
+            for n in range(1, 9):
+                for d in range(2, 2 * (1 + lam) * n + 3):
+                    for name, rep in (
+                        ("naive", naive_weight_bound(n, d, lam)),
+                        ("naive-strict", naive_weight_bound(n, d, lam, strict=True)),
+                        ("simple", simple_bound(n, d, lam)),
+                    ):
+                        lines.append(f"{name} {n} {d} {lam} {rep.exact} {rep.weights}")
+            for n in range(1, 16):
+                rep = optimal1_bound(n, lam)
+                lines.append(f"optimal1 {n} {lam} {rep.exact} {rep.weights}")
+        assert len(lines) == 2061
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.CLOSED_FORM_DIGEST
 
 
 class TestPackingComparison:
