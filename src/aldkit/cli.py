@@ -2,9 +2,10 @@
 decoding, exhaustive verification, exact search, and reference-table
 reproduction with per-cell match reporting.
 
-One method table, ``_BOUNDS``, maps each bound method to
-``bound(n, d, lam, budget_secs)`` and holds the rule of when it applies.
-``aldkit bound`` answers one cell from it, and ``aldkit table`` walks a
+The bound methods, and where each applies, are one table shared with
+``sandwich_check``: ``search_verify._UPPER_BOUNDS``.  ``_bound`` calls it
+with this module and adds table 5's lower bound, ``averaging``; ``aldkit
+bound`` answers one cell through it, and ``aldkit table`` walks a
 reference file's cells through it in one loop, ``_table_rows``.
 
 Exit codes: 0 success, 1 internal error, 2 usage error, 3 budget refusal
@@ -48,7 +49,8 @@ from .hyperbound import (
     simple_bound,
     weights1_bound,
 )
-from .search_verify import averaging_lower_bound, exact_max_code, min_distance
+from .search_verify import (_UPPER_BOUNDS, averaging_lower_bound, exact_max_code,
+                            min_distance)
 
 SCHEMA_VERSION = 1
 CSV_HEADER = [
@@ -153,39 +155,11 @@ def _load_reference(idx: int) -> dict:
 # -------------------------------------------------------------- bound methods
 
 
-def _optimal1(n, d, lam, budget_secs):
-    if d is not None and d != 2 * lam + 1:
-        raise ValueError(
-            f"optimal1 is the distance-{2 * lam + 1} closed form at this lambda"
-        )
-    return optimal1_bound(n, lam)
-
-
-def _weights1(n, d, lam, budget_secs):
-    if lam != 1:
-        raise ValueError("weights1 weights are defined at lambda=1 only")
-    if d < 3:
-        raise ValueError("weights1 requires --d of at least 3")
-    try:
-        return weights1_bound(n, (d - 1) // 2)
-    except ArithmeticError as err:
-        # the capped system's weights fail the cover check at some radii
-        raise ValueError(f"weights1 recipe is infeasible at n={n}, d={d}: {err}") from err
-
-
-# method -> bound(n, d, lam, budget_secs), a report or an exact int.
-# The entries look the bound functions up when called, so a wrapper set
-# on this module is used; only delsarte takes a budget.
-_BOUNDS = {
-    "lp": lambda n, d, lam, budget_secs: lp_hypergraph_bound(n, d, lam),
-    "naive": lambda n, d, lam, budget_secs: naive_weight_bound(n, d, lam),
-    "simple": lambda n, d, lam, budget_secs: simple_bound(n, d, lam),
-    "weights1": _weights1,
-    "optimal1": _optimal1,
-    "delsarte": lambda n, d, lam, budget_secs: delsarte_bound(
-        n, d, lam, budget_secs=budget_secs),
-    "averaging": lambda n, d, lam, budget_secs: averaging_lower_bound(n, d),
-}
+def _bound(method, n, d, lam, budget_secs):
+    """A report or an exact int; the table reads this module's bound names."""
+    if method == "averaging":
+        return averaging_lower_bound(n, d)
+    return _UPPER_BOUNDS[method](sys.modules[__name__], n, d, lam, budget_secs)
 
 
 def _value(result):
@@ -232,7 +206,7 @@ def cmd_bound(args) -> int:
         raise ValueError("--budget applies to delsarte only")
     if args.d is None and method != "optimal1":
         raise ValueError(f"{method} requires --d")
-    report = _BOUNDS[method](args.n, args.d, args.lam, args.budget)
+    report = _bound(method, args.n, args.d, args.lam, args.budget)
     floor, num, den = _value(report)
     if not args.exact_rational:
         print(floor)
@@ -361,8 +335,8 @@ def _table_rows(idx, max_n, budget):
         for method, column in zip(methods, columns):
             try:
                 # a spent budget makes delsarte_bound refuse at its first check
-                result = _BOUNDS[method](
-                    n, d, lam, None if budget is None else budget.remaining())
+                result = _bound(
+                    method, n, d, lam, None if budget is None else budget.remaining())
             except BudgetExceeded:
                 result = None
             rows[n, d, method] = _row(n, d, lam, method, result, cell[column])
@@ -426,9 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_ball)
 
     p = sub.add_parser("bound", help="upper bounds on code sizes")
-    p.add_argument("method",
-                   choices=["lp", "naive", "optimal1", "simple", "weights1",
-                            "delsarte"])
+    p.add_argument("method", choices=list(_UPPER_BOUNDS))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--d", type=int)
     _add_lambda(p)

@@ -521,26 +521,15 @@ def s_subsequence(word: PairedWord) -> int:
     return out
 
 
-def _hamming_words(length: int) -> frozenset[int]:
-    # Null space of the all-nonzero-columns check, as bitmask ints.
-    rows = (length + 1).bit_length() - 1
-    return frozenset(_span(_kernel_basis(tuple(range(1, length + 1)), rows)))
-
-
 def hamming_component(w: int) -> frozenset[int]:
     """A length-w binary code of Hamming distance >= 3 (vacuous below
-    two words), w in {1,3,5,7}: the zero-containing member of the
-    standard coset partition, shortened on the last positions for w=5."""
-    if w == 1:
-        return frozenset({0})
-    if w == 3:
-        return frozenset({0b000, 0b111})
-    if w == 5:
-        length7 = _hamming_words(7)
-        return frozenset(c & 0b11111 for c in length7 if c >> 5 == 0)
-    if w == 7:
-        return _hamming_words(7)
-    raise ValueError("components exist for weights 1, 3, 5, 7 only")
+    two words), w in {1,3,5,7}, as bitmask ints: the kernel of the check
+    matrix whose columns are 1..w over the w.bit_length() rows they need,
+    the zero-containing member of the standard coset partition (for
+    w = 5, the length-7 Hamming code shortened on its last positions)."""
+    if w not in (1, 3, 5, 7):
+        raise ValueError("components exist for weights 1, 3, 5, 7 only")
+    return frozenset(_span(_kernel_basis(tuple(range(1, w + 1)), w.bit_length())))
 
 
 def build_partition_code(v: int, u: int = 0) -> Codebook:

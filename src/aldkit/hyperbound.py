@@ -175,17 +175,13 @@ def weights1_bound(n: int, r: int) -> BoundReport:
     lam = 1
     # class_matrix checks n and accepts r = 0, but the cap divides by r
     mat = class_matrix(n, _check_int(r, "r", 1), lam)
+    # each row times r, so the system is in integers and the cap is diagonal - 1
     capped = []
     for i in range(n + 1):
-        diag = mat.entry(i, i)
-        cap = Fraction(diag - 1, r)
-        capped.append(
-            [
-                Fraction(mat.entry(i, j)) if i == j else min(Fraction(mat.entry(i, j)), cap)
-                for j in range(n + 1)
-            ]
-        )
-    weights = solve_linear_system(capped, [1] * (n + 1))
+        row = mat.row(i)
+        capped.append([r * m if j == i else min(r * m, row[i] - 1)
+                       for j, m in enumerate(row)])
+    weights = solve_linear_system(capped, [r] * (n + 1))
     return _covering("weights1", n, 2 * r + 1, lam, mat, weights)
 
 

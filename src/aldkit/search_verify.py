@@ -12,7 +12,9 @@ Three layers of certainty, all exact:
   has to beat it; when it cannot, the lexicode is the witness.
 * ``sandwich_check`` squeezes the exact value between verified
   constructive lower bounds and every applicable upper bound, reporting
-  any violation as an implementation bug.
+  any violation as an implementation bug.  The upper bounds come from
+  ``_UPPER_BOUNDS``, the one table of bound methods and of the cells
+  where each applies; ``aldkit bound`` and ``aldkit table`` read it too.
 
 Symbols are the digits of ``PairedWord.digits``: 2x + y for (x;y).
 ``min_distance`` and the orbit pruning of ``_max_clique`` read a
@@ -28,13 +30,14 @@ isometries of one position from ``core._POSITION_MAPS``.
 from __future__ import annotations
 
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .codes import (ENUM_LIMIT_N, Codebook, best_cn_coset, build_cl, build_cp,
                     OddPrimeField)
-from .core import (_POSITION_MAPS, BudgetExceeded, PairedWord, _check_int,
+from .core import (_POSITION_MAPS, Budget, BudgetExceeded, PairedWord, _check_int,
                    _position_costs)
 from .delsarte import delsarte_bound
 from .hyperbound import (
@@ -599,35 +602,46 @@ def _lower_candidates(n: int, d: int, lam: int):
         yield averaging_lower_bound(n, d), "coset averaging"
 
 
-def _upper_candidates(n: int, d: int, lam: int, delsarte_budget_secs):
-    """(method, floor) upper bounds, plus (method, reason) skips."""
-    uppers = [("space", 4 ** n)]
-    skipped = []
-    if d >= 2:
-        uppers.append(("lp", lp_hypergraph_bound(n, d, lam).floored))
-        uppers.append(("naive", naive_weight_bound(n, d, lam).floored))
-        uppers.append(("simple", simple_bound(n, d, lam).floored))
-        if lam == 1 and d >= 3:
-            # the radius-(d-1)//2 cover bounds even distances d too
-            try:
-                uppers.append(("weights1", weights1_bound(n, (d - 1) // 2).floored))
-            except ArithmeticError:
-                # the capped-system recipe is not feasible at every radius;
-                # when its substitution check fails it is no bound at all
-                skipped.append(("weights1", "weight recipe infeasible here"))
-    if d == 2 * lam + 1:
-        uppers.append(("optimal1", optimal1_bound(n, lam).floored))
+def _weights1(module, n, d, lam, budget_secs):
+    if lam != 1:
+        raise ValueError("weights1 weights are defined at lambda=1 only")
+    if d < 3:
+        raise ValueError("weights1 requires d >= 3")
     try:
-        report = delsarte_bound(n, d, lam, budget_secs=delsarte_budget_secs)
-        uppers.append(("delsarte", report.floored))
-    except BudgetExceeded as refusal:
-        skipped.append(("delsarte", str(refusal)))
-    return uppers, skipped
+        # the radius-(d-1)//2 cover bounds codes of even distance d too
+        return module.weights1_bound(n, (d - 1) // 2)
+    except ArithmeticError as err:
+        # the capped system's weights fail the cover check at some radii
+        raise ValueError(f"weights1 recipe is infeasible at n={n}, d={d}: {err}") from err
+
+
+def _optimal1(module, n, d, lam, budget_secs):
+    if d is not None and d != 2 * lam + 1:  # None asks for its own distance
+        raise ValueError(f"optimal1 is the distance-{2 * lam + 1} closed form at this lambda")
+    return module.optimal1_bound(n, lam)
+
+
+# The upper-bound methods: method -> bound(module, n, d, lam, budget_secs),
+# a report.  Each entry calls its bound function as an attribute of
+# ``module``, so ``cli`` and this module each read their own names, and a
+# wrapper set on either is used.  An entry raises ValueError at a cell
+# where its method gives no bound (lp, naive and simple refuse d < 2 in
+# ``hyperbound``); only delsarte takes the budget.
+_UPPER_BOUNDS = {
+    "lp": lambda module, n, d, lam, budget_secs: module.lp_hypergraph_bound(n, d, lam),
+    "naive": lambda module, n, d, lam, budget_secs: module.naive_weight_bound(n, d, lam),
+    "simple": lambda module, n, d, lam, budget_secs: module.simple_bound(n, d, lam),
+    "weights1": _weights1,
+    "optimal1": _optimal1,
+    "delsarte": lambda module, n, d, lam, budget_secs: module.delsarte_bound(
+        n, d, lam, budget_secs=budget_secs),
+}
 
 
 @dataclass(frozen=True)
 class SandwichReport:
-    """Exact value pinned between verified lower and upper bounds."""
+    """Exact value pinned between verified lower and upper bounds;
+    ``skipped`` names each upper-bound method that gave none, and why."""
 
     n: int
     d: int
@@ -649,14 +663,26 @@ def sandwich_check(n: int, d: int, lam: int, delsarte_budget_secs=60.0) -> Sandw
     """Cross-check constructions, exact search, and bounds at one cell.
 
     Any reported violation means a bug somewhere in this package, never
-    new mathematics; the offending pair of numbers is spelled out.
+    new mathematics; the offending pair of numbers is spelled out.  The
+    upper bounds are the whole space and each method of ``_UPPER_BOUNDS``;
+    one that raises ``ValueError`` or ``BudgetExceeded`` is skipped with
+    its message, and any other exception propagates.
     """
+    Budget(delsarte_budget_secs)  # a bad budget is the caller's error, not a skip
     exact, witness = exact_max_code(n, d, lam)
     lower, lower_source = 0, "none"
     for size, source in _lower_candidates(n, d, lam):
         if size > lower:
             lower, lower_source = size, source
-    uppers, skipped = _upper_candidates(n, d, lam, delsarte_budget_secs)
+    uppers = [("space", 4 ** n)]
+    skipped = []
+    for method, bound in _UPPER_BOUNDS.items():
+        try:
+            report = bound(sys.modules[__name__], n, d, lam, delsarte_budget_secs)
+        except (ValueError, BudgetExceeded) as reason:
+            skipped.append((method, str(reason)))
+        else:
+            uppers.append((method, report.floored))
     violations = []
     if lower > exact:
         violations.append(

@@ -1,11 +1,23 @@
 from hypothesis import settings, strategies as st
 
-from aldkit.core import PairedWord
+from aldkit.core import Budget, BudgetExceeded, PairedWord
 
 # A test's verdict must not depend on how fast the machine is, so no
 # example runs under a deadline.
 settings.register_profile("aldkit", deadline=None)
 settings.load_profile("aldkit")
+
+
+def _budget_spent_at(k):
+    """A Budget that runs out at its k-th check, however fast the clock."""
+    class Counted(Budget):
+        checks = 0
+
+        def check(self, stage):
+            self.checks += 1
+            if self.checks >= k:
+                raise BudgetExceeded(f"time budget exhausted during {stage}")
+    return Counted
 
 
 @st.composite

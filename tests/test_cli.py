@@ -4,11 +4,12 @@ import subprocess
 import sys
 
 import pytest
+from conftest import _budget_spent_at
 
 from aldkit import cli, delsarte
 from aldkit.cli import CSV_HEADER, main, read_codebook, write_codebook
 from aldkit.codes import build_cl, build_cp
-from aldkit.core import Budget, BudgetExceeded, PairedWord
+from aldkit.core import PairedWord
 from aldkit.delsarte import delsarte_bound
 from aldkit.search_verify import exact_max_code
 
@@ -160,18 +161,6 @@ def test_bound_usage_errors(capsys):
     # the method does not apply, as sandwich_check records it
     rc, out, err = run(capsys, "bound", "weights1", "--n", 3, "--d", 9)
     assert (rc, out) == (2, "") and "infeasible at n=3, d=9" in err
-
-
-def _budget_spent_at(k):
-    """A Budget that runs out at its k-th check, however fast the clock."""
-    class Counted(Budget):
-        checks = 0
-
-        def check(self, stage):
-            self.checks += 1
-            if self.checks >= k:
-                raise BudgetExceeded(f"time budget exhausted during {stage}")
-    return Counted
 
 
 def test_bound_delsarte_budget_refusal(capsys, monkeypatch):

@@ -5,13 +5,15 @@ import random
 import subprocess
 import sys
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from types import SimpleNamespace
 
 import pytest
+from conftest import _budget_spent_at
 from hypothesis import given, settings, strategies as st
 
 import aldkit.search_verify as sv
+from aldkit import delsarte
 from aldkit.codes import Codebook, OddPrimeField, best_cn_coset, build_cl, build_cp
 from aldkit.core import (
     Automorphism,
@@ -826,10 +828,13 @@ def test_sandwich_distance_three_cell():
     assert rep.exact <= uppers["delsarte"] == 8
 
 
-def test_sandwich_records_budget_refusals():
-    rep = sandwich_check(3, 3, 1, delsarte_budget_secs=0.001)
+def test_sandwich_records_budget_refusals(monkeypatch):
+    # a stand-in budget that runs out at its first check, whatever the clock
+    monkeypatch.setattr(delsarte, "Budget", _budget_spent_at(1))
+    rep = sandwich_check(3, 3, 1, delsarte_budget_secs=600.0)
     assert rep.ok
-    assert any(method == "delsarte" for method, _ in rep.skipped)
+    reasons = [reason for method, reason in rep.skipped if method == "delsarte"]
+    assert reasons == ["time budget exhausted during column assembly"]
     assert all(method != "delsarte" for method, _ in rep.uppers)
 
 
@@ -884,11 +889,42 @@ def test_lower_candidates_pair_the_constant_words_by_their_distance():
 def test_sandwich_checks_weights1_at_even_distance(capsys):
     from aldkit.cli import main
 
+    def bound(method, n, d, lam):
+        rc = main(["bound", method, "--n", str(n), "--d", str(d),
+                   "--lambda", str(lam)])
+        out, err = capsys.readouterr()
+        return rc, out.strip(), err
+
     rep = sandwich_check(3, 4, 1)
     assert rep.ok
     assert dict(rep.uppers)["weights1"] == 30
-    assert main(["bound", "weights1", "--n", "3", "--d", "4"]) == 0
-    assert capsys.readouterr().out.strip() == "30"
+    assert bound("weights1", 3, 4, 1) == (0, "30", "")
+    # the sandwich and `aldkit bound` read one method table: each bound
+    # the sandwich reports is what the command prints, and each method
+    # it skips is one the command refuses there, with the same reason
+    for n, d, lam in product((1, 2), range(1, 9), (1, 2)):
+        rep = sandwich_check(n, d, lam)
+        methods = [method for method, _ in rep.uppers + rep.skipped]
+        assert sorted(methods) == sorted(["space", *sv._UPPER_BOUNDS]), (n, d, lam)
+        for method, value in rep.uppers[1:]:
+            assert bound(method, n, d, lam) == (0, str(value), ""), (method, n, d, lam)
+        for method, reason in rep.skipped:
+            rc, out, err = bound(method, n, d, lam)
+            assert (rc, out) == (2, "") and reason in err, (method, n, d, lam)
+
+
+def test_sandwich_propagates_a_bound_that_fails(monkeypatch):
+    # only ValueError and BudgetExceeded mean "no bound here"; anything
+    # else is a fault and must not read as a skip
+    def broken(n, d, lam):
+        raise ArithmeticError("planted fault")
+
+    monkeypatch.setattr(sv, "naive_weight_bound", broken)
+    with pytest.raises(ArithmeticError, match="planted fault"):
+        sandwich_check(2, 3, 1)
+    # nor does a budget the caller got wrong
+    with pytest.raises(ValueError, match="budget"):
+        sandwich_check(1, 3, 1, delsarte_budget_secs=float("nan"))
 
 
 def test_sandwich_skips_infeasible_weight_recipe():
