@@ -319,8 +319,8 @@ def _row(n, d, lam, method, result, expected):
 def _table_rows(idx, max_n, budget):
     """Every method of reference table ``idx`` on its cells at n <= max_n,
     in reference order.  Cells are solved cheap-first (low n, then high
-    d: few character-LP survivors) under ``budget`` (a ``Budget`` or
-    None), and a cell that runs it out is reported as refused."""
+    d: few character-LP survivors) under ``budget``, and a cell that
+    runs it out is reported as refused."""
     ref = _load_reference(idx)
     lam = ref["lambda"]
     methods = ref.get("methods") or [ref["method"]]
@@ -335,8 +335,7 @@ def _table_rows(idx, max_n, budget):
         for method, column in zip(methods, columns):
             try:
                 # a spent budget makes delsarte_bound refuse at its first check
-                result = _bound(
-                    method, n, d, lam, None if budget is None else budget.remaining())
+                result = _bound(method, n, d, lam, budget.remaining())
             except BudgetExceeded:
                 result = None
             rows[n, d, method] = _row(n, d, lam, method, result, cell[column])
@@ -349,9 +348,8 @@ def cmd_table(args) -> int:
     max_n = args.max_n if args.max_n is not None else TABLE_DEFAULT_MAX_N[idx]
     if idx != 3 and args.budget is not None:
         raise ValueError("--budget applies to table 3 only")
-    # only the character LP of table 3 runs under a budget
-    budget = Budget(600.0 if args.budget is None else args.budget) if idx == 3 else None
-    rows = _table_rows(idx, max_n, budget)
+    # only the character LP of table 3 reads the budget
+    rows = _table_rows(idx, max_n, Budget(600.0 if args.budget is None else args.budget))
     if args.format == "json":
         print(json.dumps({"table": idx, "rows": rows}, indent=1))
     else:

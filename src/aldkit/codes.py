@@ -35,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import combinations, islice, product
+from math import comb
 
 from .core import (
     BudgetExceeded,
@@ -71,6 +72,10 @@ __all__ = [
 ]
 
 ENUM_LIMIT_N = 8  # explicit enumeration cap: 4**8 words
+# caps refused with BudgetExceeded before the work they bound starts
+COLUMN_LIMIT_V = 20  # v of the 2^v - 2 column tables of cl, partition and H01
+LADDER_LIMIT = 1 << 25  # column pairs and triples distance_at_least tries
+FIELD_LIMIT = 1 << 16  # elements of an OddPrimeField, one power-table entry each
 
 
 def _check_enumerable(n: int):
@@ -205,7 +210,8 @@ class BinaryParityCheck:
 
         Distance >= k means no k-1 columns are linearly dependent; the
         ladder below is exact through k = 5, larger k falls back to
-        null-space enumeration.
+        null-space enumeration.  The ladder refuses, before it starts,
+        to try more than LADDER_LIMIT pairs and triples of columns.
         """
         if k <= 1:
             return True
@@ -217,6 +223,10 @@ class BinaryParityCheck:
             return False
         if k == 3:
             return True
+        tries = comb(self.ncols, 2) + (comb(self.ncols, 3) if k >= 5 else 0)
+        if tries > LADDER_LIMIT:
+            raise BudgetExceeded(f"the distance-{k} check of {self.ncols} columns would "
+                                 f"try {tries} column sets, over the cap of 2^25")
         colset = set(self.columns)
         for c1, c2 in combinations(self.columns, 2):
             if c1 ^ c2 in colset:
@@ -366,15 +376,17 @@ def _syndrome_coset(construction, params, d, columns, u, size) -> Codebook:
 def build_H01(v: int) -> BinaryParityCheck:
     """The v x (2^v - 2) matrix whose columns are every nonzero
     vector except all-ones, ordered as increasing binary integers."""
-    _check_int(v, "v", 2)
+    _check_cl_params(v, 0)
     return BinaryParityCheck(
         rows=v, columns=tuple(range(1, (1 << v) - 1)), claimed_distance=3
     )
 
 
 def _check_cl_params(v: int, u: int) -> int:
-    """Length n = 2^v - 2 of the strand-sum code with coset label u."""
-    _check_int(v, "v", 2)
+    """Length n = 2^v - 2 of the strand-sum code with coset label u,
+    refused above COLUMN_LIMIT_V before any 2^v-sized table is built."""
+    if _check_int(v, "v", 2) > COLUMN_LIMIT_V:
+        raise BudgetExceeded(f"v={v} needs 2^{v} - 2 columns, over the cap v <= {COLUMN_LIMIT_V}")
     if not (0 <= _check_int(u, "u") < (1 << v)):
         raise ValueError("coset label out of range")
     return (1 << v) - 2
@@ -583,9 +595,11 @@ class OddPrimeField:
 
     def __init__(self, q: int, l: int = 1, alpha: int | None = None,
                  modulus: tuple | None = None):
-        if not _is_odd_prime(_check_int(q, "q")):
-            raise ValueError("q must be an odd prime")
         _check_int(l, "l", 1)
+        if _check_int(q, "q") >= 3 and (l > 16 or q**l > FIELD_LIMIT):  # 3^17 > 2^16
+            raise BudgetExceeded(f"q={q}, l={l}: q^l exceeds the cap of 2^16 field elements")
+        if not _is_odd_prime(q):
+            raise ValueError("q must be an odd prime")
         self.q = q
         self.l = l
         self.size = q**l

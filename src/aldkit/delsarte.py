@@ -89,23 +89,19 @@ class Q5:
 
     Stored as integers, (p + q*sqrt(5)) / r with r > 0 and gcd(p, q, r)
     = 1, so each element has one representation; ``a`` and ``b`` give
-    its rational parts.  Instances are immutable.  Comparisons use the
-    real embedding with sqrt(5) > 0: a - b has the sign of the integer
-    pair (p*r' - p'*r, q*r' - q'*r), read off by ``_sign`` without
-    building the difference.
+    its rational parts.  ``_q5`` is the only constructor (``Q5(a, b)``
+    and ``lift`` call it), and no value changes after ``_q5`` returns
+    it.  Comparisons use the real embedding with sqrt(5) > 0: a - b has
+    the sign of the integer pair (p*r' - p'*r, q*r' - q'*r), read off by
+    ``_sign`` without building the difference.
     """
 
     __slots__ = ("p", "q", "r")
 
-    def __init__(self, a, b):
+    def __new__(cls, a, b):
         a, b = Fraction(a), Fraction(b)
-        r = math.lcm(a.denominator, b.denominator)
-        _set(self, "p", a.numerator * (r // a.denominator))
-        _set(self, "q", b.numerator * (r // b.denominator))
-        _set(self, "r", r)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Q5 is immutable")
+        return _q5(a.numerator * b.denominator, b.numerator * a.denominator,
+                   a.denominator * b.denominator)
 
     def __reduce__(self):
         return Q5, (self.a, self.b)
@@ -120,12 +116,7 @@ class Q5:
 
     @classmethod
     def lift(cls, v) -> "Q5":
-        if isinstance(v, Q5):
-            return v
-        if isinstance(v, int):
-            return _q5(v, 0, 1)
-        v = Fraction(v)
-        return _q5(v.numerator, 0, v.denominator)
+        return v if isinstance(v, Q5) else Q5(v, 0)
 
     def __add__(self, o):
         if type(o) is not Q5:
@@ -222,9 +213,6 @@ class Q5:
         return f"Q5({self.a} + {self.b}*sqrt5)"
 
 
-_set = object.__setattr__
-
-
 def _operand(o) -> Q5 | None:
     """``Q5.lift(o)``, or None when o is not a number lift can read."""
     if type(o) is int:
@@ -243,9 +231,9 @@ def _q5(p: int, q: int, r: int) -> Q5:
     if r < 0:
         g = -g
     out = object.__new__(Q5)
-    _set(out, "p", p // g)
-    _set(out, "q", q // g)
-    _set(out, "r", r // g)
+    out.p = p // g
+    out.q = q // g
+    out.r = r // g
     return out
 
 
@@ -474,12 +462,10 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
     """
     size, width, full, fmt = _slot_layout(n)  # refuses n > 20 before the table
     layout = _profile_layout(n)
-    # Column of the identity profile is the plain multinomial expansion
-    # (all characters against digit 0 equal 1), handled as constants.
-    ident = identity_profile(n)
+    # the identity profile costs 0 < d, so it never survives
     survivors = [
         (m, orbit) for m, orbit, _, _ in layout
-        if m != ident and m[3] == m[7] == 0 and profile_cost(m, lam) >= d
+        if m[3] == m[7] == 0 and profile_cost(m, lam) >= d
     ]
 
     preds = [digits for _, _, digits, _ in layout]

@@ -94,6 +94,19 @@ def test_read_codebook_error_reporting(tmp_path):
         read_codebook(path)
 
 
+@pytest.mark.parametrize("argv,named", [
+    (("cl", "--v", 40), "v=40"),
+    (("partition", "--v", 27), "v=27"),
+    (("cL", "--v", 11, "--d", 5), "2046 columns"),
+    (("cn", "--q", 10000019, "--d", 3), "q=10000019"),
+])
+def test_oversized_constructions_are_refused(capsys, tmp_path, argv, named):
+    path = tmp_path / "book.json"
+    rc, out, err = run(capsys, "construct", *argv, "--out", path)
+    assert (rc, out) == (3, "") and err.startswith("budget refusal:") and named in err
+    assert not path.exists()
+
+
 def test_write_refuses_implicit_codebooks(tmp_path):
     from aldkit.core import BudgetExceeded
 

@@ -167,6 +167,19 @@ def test_bch_shapes_and_exact_distances():
         assert len(set(h.columns)) == h.ncols
 
 
+def test_ladder_refuses_before_trying_column_sets(monkeypatch):
+    # v <= 9 still validates; the v = 10 and 11 checks would try 178
+    # million and 1.4 billion pairs and triples
+    assert math.comb(510, 2) + math.comb(510, 3) <= codes.LADDER_LIMIT
+    assert math.comb(1022, 2) + math.comb(1022, 3) > codes.LADDER_LIMIT
+    calls = []
+    monkeypatch.setattr(codes, "combinations", lambda *a: calls.append(a))
+    check = bch_parity_check(11, 5)
+    with pytest.raises(BudgetExceeded, match="2046 columns"):
+        build_cL(check.ncols // 2, check)
+    assert calls == []
+
+
 def test_bch_rejects_unsupported_parameters():
     with pytest.raises(ValueError):
         bch_parity_check(3, 4)
@@ -239,6 +252,17 @@ def test_cl_implicit_above_desk_scale(monkeypatch):
     assert book.size == 4**65534 >> 16
     assert PairedWord(65534, 0b10000, 0) in book  # column 5
     assert tables == []
+
+
+def test_column_tables_refuse_above_the_cap(monkeypatch):
+    calls = []
+    monkeypatch.setattr(codes, "_cl_columns", lambda v: calls.append(v))
+    for call in (lambda: build_cl(40), lambda: build_partition_code(40),
+                 lambda: build_H01(40), lambda: build_cl(codes.COLUMN_LIMIT_V + 1),
+                 lambda: decode_cl(40, 0, PairedWord(1, 0, 0), "detect_class2")):
+        with pytest.raises(BudgetExceeded, match="over the cap"):
+            call()
+    assert calls == []
 
 
 def test_size_is_exact_where_len_overflows():
@@ -448,6 +472,17 @@ def test_partition_code_validation():
 
 
 # ------------------------------------------------------------- odd prime fields
+
+
+def test_field_refuses_more_than_two_to_the_sixteen_elements(monkeypatch):
+    # F_49, the largest stored extension, is under the cap
+    assert OddPrimeField(7, 2).size == 49 <= codes.FIELD_LIMIT
+    calls = []
+    monkeypatch.setattr(OddPrimeField, "mul", lambda self, x, y: calls.append((x, y)))
+    for q, l in ((10000019, 1), (65537, 1), (257, 2), (3, 17), (3, 10**12)):
+        with pytest.raises(BudgetExceeded, match=f"q={q}, l={l}"):
+            OddPrimeField(q, l)
+    assert calls == []
 
 
 def test_field_rejects_bad_parameters():

@@ -1,6 +1,8 @@
 import cmath
+import copy
 import hashlib
 import math
+import pickle
 from functools import cache
 from fractions import Fraction
 from struct import unpack
@@ -226,6 +228,37 @@ def test_q5_comparisons_follow_the_sign_of_the_difference(a, b):
     assert_orders_by(a, b, s)
     assert_orders_by(b, a, -s)
     assert_orders_by(a, Q5(a.a, a.b), 0)
+
+
+wide_fractions = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)
+
+
+@given(wide_fractions, st.one_of(st.just(Fraction(0)), wide_fractions))
+@settings(max_examples=300)
+def test_q5_constructor_gives_lowest_terms(a, b):
+    x = Q5(a, b)
+    assert x.r > 0 and math.gcd(x.p, x.q, x.r) == 1
+    assert (x.a, x.b) == (a, b)
+    if b == 0:
+        assert x == Q5.lift(a) == a
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_q5_pickles_and_deep_copies(protocol):
+    # Q5(a, b) needs its two arguments and __slots__ leaves no __dict__,
+    # so every protocol goes through __reduce__
+    for x in (Q5(Fraction(3, 2), Fraction(-2, 3)), Q5.lift(-7), Q5(0, 1)):
+        back = pickle.loads(pickle.dumps(x, protocol))
+        assert type(back) is Q5 and (back.p, back.q, back.r) == (x.p, x.q, x.r)
+        deep = copy.deepcopy(x)
+        assert type(deep) is Q5 and deep == x
+
+
+def test_q5_keeps_only_its_slots():
+    x = Q5(1, 0)
+    assert not hasattr(x, "__dict__")
+    with pytest.raises(AttributeError):
+        x.s = 1
 
 
 # ---------------------------------------------------------------- profiles
