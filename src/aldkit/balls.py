@@ -81,9 +81,7 @@ def _census_row(n: int, i: int, lam: int, r: int) -> tuple:
 def class_matrix(n: int, r: int, lam: int) -> ClassMatrix:
     """Count ball members weight class by weight class (see the module
     docstring for the census)."""
-    _check_lambda(lam)
-    _check_int(n, "n", 1)
-    _check_int(r, "r", 0)
+    _check_args(n, 0, lam, r)
     return ClassMatrix(n, r, lam, tuple(_census_row(n, i, lam, r) for i in range(n + 1)))
 
 

@@ -225,7 +225,10 @@ def cmd_construct(args) -> int:
         book = build_cl(args.v, args.u)
     elif family == "cL":
         check = bch_parity_check(args.v, args.d)
-        book = build_cL(check.ncols // 2, check)
+        try:
+            book = build_cL(check.ncols // 2, check)
+        except BudgetExceeded as err:
+            raise BudgetExceeded(f"cL --v {args.v} --d {args.d}: {err}") from err
     elif family == "cp":
         book = build_cp(args.n)
     elif family == "partition":

@@ -870,10 +870,15 @@ def min_hamming_distance(code) -> int | None:
     return _min_pairwise(list(code), _hamming)
 
 
-def _component_distances(d: int, lam: int) -> tuple[int, int]:
+def _component_distances(n: int, d: int, lam: int) -> tuple[int, int]:
     """(ceil(d/(1+lam)), ceil(d/lam)): the Manhattan and Hamming
-    distances the two components of a distance-d clambda code need."""
+    distances the two components of a distance-d clambda code need.
+    The family's only validator, which build_clambda and greedy_clambda
+    call first: it checks n, d and lam and refuses n > ENUM_LIMIT_N."""
+    _check_int(n, "n", 1)
+    _check_int(d, "d", 1)
     _check_lambda(lam)
+    _check_enumerable(n)
     return -(-d // (1 + lam)), -(-d // lam)
 
 
@@ -884,9 +889,7 @@ def build_clambda(n: int, d: int, lam: int, cm, ch_family) -> Codebook:
     disagreement subsequence must lie in ch_family[weight], a binary
     code of Hamming distance >= ceil(d/lam).  Weights missing from
     ch_family contribute no words."""
-    _check_int(n, "n", 1)
-    need_m, need_h = _component_distances(_check_int(d, "d", 1), lam)
-    _check_enumerable(n)
+    need_m, need_h = _component_distances(n, d, lam)
     cm_set = set()
     for w in cm:
         w = tuple(w)
@@ -931,7 +934,7 @@ def greedy_clambda(n: int, d: int, lam: int) -> Codebook:
     """build_clambda on greedy components: greedy_manhattan_code for the
     strand sums and, for every weight 0..n, the lexicographic greedy
     binary code of the needed Hamming distance."""
-    need_m, need_h = _component_distances(d, lam)
+    need_m, need_h = _component_distances(n, d, lam)
     cm = greedy_manhattan_code(n, need_m)
     family = {w: _greedy(range(1 << w), _hamming, need_h)
               for w in range(n + 1)}

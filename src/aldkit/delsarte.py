@@ -116,6 +116,8 @@ class Q5:
 
     @classmethod
     def lift(cls, v) -> "Q5":
+        if type(v) is int:
+            return _q5(v, 0, 1)
         return v if isinstance(v, Q5) else Q5(v, 0)
 
     def __add__(self, o):
@@ -215,9 +217,7 @@ class Q5:
 
 def _operand(o) -> Q5 | None:
     """``Q5.lift(o)``, or None when o is not a number lift can read."""
-    if type(o) is int:
-        return _q5(o, 0, 1)
-    if isinstance(o, Number):
+    if type(o) is int or isinstance(o, Number):
         try:
             return Q5.lift(o)
         except (TypeError, ValueError, OverflowError):

@@ -72,10 +72,6 @@ SEARCH_LIMIT_N = 4
 ORBIT_LEVELS = 3
 
 
-class _Found(Exception):
-    pass
-
-
 @lru_cache(maxsize=None)
 def symbol_distance_table(lam: int) -> tuple:
     """Distance contributions of two-position chunks, as a 16x16 table.
@@ -365,7 +361,8 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None,
     if words is not None:
         have = _symbol_index(words, words[0].n)
 
-    def expand(size: int, cand: int, clique: int) -> None:
+    def expand(size: int, cand: int, clique: int) -> bool:
+        # True once a stop_at-sized clique is found: every caller returns
         nonlocal best, members
         orbits = None
         floor = best - size
@@ -374,7 +371,7 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None,
         for cls in reversed(classes):
             while cls:
                 if size + color <= best:
-                    return
+                    return False
                 v = cls.bit_length() - 1
                 bit = 1 << v
                 cls ^= bit
@@ -384,10 +381,10 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None,
                 if size + 1 > best:
                     best, members = size + 1, grown
                     if stop_at is not None and best >= stop_at:
-                        raise _Found
+                        return True
                 sub = cand & adj[v]
-                if sub:
-                    expand(size + 1, sub, grown)
+                if sub and expand(size + 1, sub, grown):
+                    return True
                 if words is None or size >= ORBIT_LEVELS:
                     cand ^= bit
                     continue
@@ -396,11 +393,9 @@ def _max_clique(adj, cand: int, stop_at: int = None, words=None,
                     orbits = _stabilizer_orbits(have, list(zip(*fixed)) or [()] * len(have))
                 cand &= ~next(o for o in orbits if o & bit)
             color -= 1
+        return False
 
-    try:
-        expand(0, cand, 0)
-    except _Found:
-        pass
+    expand(0, cand, 0)
     # expand refers to itself; unlinking it frees what it holds now,
     # not at the next garbage collection.
     del expand

@@ -97,7 +97,7 @@ def test_read_codebook_error_reporting(tmp_path):
 @pytest.mark.parametrize("argv,named", [
     (("cl", "--v", 40), "v=40"),
     (("partition", "--v", 27), "v=27"),
-    (("cL", "--v", 11, "--d", 5), "2046 columns"),
+    (("cL", "--v", 11, "--d", 5), "cL --v 11 --d 5: the distance-5 check of 2046 columns"),
     (("cn", "--q", 10000019, "--d", 3), "q=10000019"),
 ])
 def test_oversized_constructions_are_refused(capsys, tmp_path, argv, named):

@@ -703,7 +703,12 @@ def test_clambda_degenerate_ceilings():
     assert exhaustive_min_ald(book, 3) >= 2
 
 
-def test_clambda_input_validation():
+def test_clambda_input_validation(monkeypatch):
+    # greedy_clambda validates before it builds a component
+    def no_greedy(*args):
+        pytest.fail("greedy_clambda built a component before refusing")
+
+    monkeypatch.setattr(codes, "_greedy", no_greedy)
     with pytest.raises(ValueError):
         build_clambda(4, 4, 1, [(0, 1, 2)], repetition_family(4, 4))
     with pytest.raises(ValueError):
@@ -712,12 +717,18 @@ def test_clambda_input_validation():
         build_clambda(4, 4, 1, even_sum_ternary(4), {4: {1 << 5}})
     with pytest.raises(BudgetExceeded):
         build_clambda(9, 3, 1, [(0,) * 9], {0: {0}})
+    with pytest.raises(BudgetExceeded):
+        greedy_clambda(9, 3, 1)
     for lam in (0, 1.5, True):
         with pytest.raises(ValueError, match="lam"):
             build_clambda(2, 2, lam, [(0, 0)], {0: {0}})
+        with pytest.raises(ValueError, match="lam"):
+            greedy_clambda(2, 2, lam)
     for n, d in ((2, 2.5), (2, 0), (True, 2), (2.0, 2)):
         with pytest.raises(ValueError, match="n must|d must"):
             build_clambda(n, d, 1, [(0, 0)], {0: {0}})
+        with pytest.raises(ValueError, match="n must|d must"):
+            greedy_clambda(n, d, 1)
 
 
 def test_greedy_manhattan_small_cases():

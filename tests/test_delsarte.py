@@ -182,6 +182,23 @@ def test_q5_keeps_the_eq_hash_contract():
         assert not other == Q5(1, 0) and other != Q5(1, 0)
 
 
+def test_q5_lifts_an_int_without_building_fractions(monkeypatch):
+    x = Q5(1, 2)
+    built = []
+    fraction = delsarte.Fraction
+
+    def counting(*args):
+        built.append(args)
+        return fraction(*args)
+
+    monkeypatch.setattr(delsarte, "Fraction", counting)
+    seven, total, product = Q5.lift(7), x + 3, x * 3
+    assert built == []
+    monkeypatch.undo()
+    assert (seven, total, product) == (Q5(7, 0), Q5(4, 2), Q5(3, 6))
+    assert hash(seven) == hash(7)
+
+
 def test_q5_floor_anchors():
     assert math.floor(Q5(Fraction(0), Fraction(1))) == 2
     assert math.floor(Q5(Fraction(0), Fraction(-1))) == -3

@@ -128,6 +128,8 @@ class TestLPBound:
             (weights1_bound, (3.0, 2)),
             (class_matrix, (3, 1.5, 1)),
             (class_matrix, (True, 1, 1)),
+            (class_matrix, (3, 1, 0)),
+            (class_matrix, (3, -1, 1)),
         ]:
             with pytest.raises(ValueError, match="must be"):
                 bound(*args)
