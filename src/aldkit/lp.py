@@ -7,30 +7,32 @@ with +, -, *, / and comparisons works, so the covering LP runs over
 ``fractions.Fraction`` and the character-sum bound over a real
 quadratic extension field.  Answers are exact in that field.
 
-``solve_lp`` works in three steps.  First a bounded float simplex
-(Dantzig pricing, a small fixed perturbation of the right-hand side, a
-step cap) runs on the same tableau over ``float`` and proposes a
-basis.  Floats do nothing else: second, exact arithmetic solves that
-basis for the primal point x and the dual multipliers y (the block of
-basic variables and tight rows, and its transpose), and one routine
-checks the pair: x >= 0, every row, the sign of every y_i for its
-relation, every reduced cost and c.x == b.y.  Only the solve depends
-on the field.  Rational programs (field ``Fraction``) stay in
-integers: int coefficients are never lifted to ``Fraction`` on the way
-in, each row and the objective are cleared of denominators,
-fraction-free (Bareiss) elimination gives x and y as integer
-numerators over the basis determinant D > 0, and the checks run on
-those numerators against right-hand sides and costs scaled by D;
-``Fraction``s are built only for the result.  Other fields use one LU
-factorisation in the field.  Those checks prove optimality whatever
-produced the basis.  Third, when the float simplex gives up or its
-basis fails the checks, a dense two-phase simplex with Bland's rule
+``solve_lp`` works in three steps.  First it proposes bases: every
+column basic and every row tight when there are as many rows as
+variables, then, only if that fails, the basis of a bounded float
+simplex (Dantzig pricing, a small fixed perturbation of the right-hand
+side, a step cap) on the same tableau over ``float``.  Floats do
+nothing else: second, exact arithmetic solves a proposal for the
+primal point x and the dual multipliers y (the block of basic
+variables and tight rows, and its transpose), and one routine checks
+the pair: x >= 0, every row, the sign of every y_i for its relation,
+every reduced cost and c.x == b.y.  Only the solve depends on the
+field.  Rational programs (field ``Fraction``) stay in integers: int
+coefficients are never lifted to ``Fraction`` on the way in, each row
+and the objective are cleared of denominators, fraction-free (Bareiss)
+elimination gives x and y as integer numerators over the basis
+determinant D > 0, and the checks run on those numerators against
+right-hand sides and costs scaled by D; ``Fraction``s are built only
+for the result.  Other fields use one LU factorisation in the field.
+Those checks prove optimality whatever produced the basis.  Third,
+when no proposal passes, a dense two-phase simplex with Bland's rule
 runs in the exact field (a rational program's ints become
 ``Fraction``s for it, as it divides), and its final basis passes the
-same checks.  Only that exact simplex ever reports INFEASIBLE or
-UNBOUNDED, and every OPTIMAL result carries its checked dual as
-``LPResult.y``.
-``solve_linear_system`` uses the same integer elimination.
+same checks.  In both simplexes an artificial variable is a basis
+label, not a tableau column.  Only the exact simplex ever reports
+INFEASIBLE or UNBOUNDED, and every OPTIMAL result carries its checked
+dual as ``LPResult.y``.  ``solve_linear_system`` uses the same integer
+elimination.
 """
 
 from __future__ import annotations
@@ -196,21 +198,17 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
     rows whose slack is not basic, both in the order of ``rows``.
     ``iterate(tab, basis, ncols)`` runs one phase; ``tol`` is the
     magnitude up to which a float entry counts as zero (None: exact).
+    Row i's artificial variable is the basis label nreal + i, not a column.
     """
     nonzero = (lambda v: v != zero) if tol is None else (lambda v: abs(v) > tol)
     nvars = len(obj)
     rows = _normalized(rows)
-    nslack = sum(1 for _, rel, _ in rows if rel != "=")
-    nreal = nvars + nslack  # columns before the artificial ones
-    ncols = nreal + sum(1 for _, rel, _ in rows if rel != "<=")
-    owner = {}  # slack or artificial column -> its row
-    art_cols = []
-    tab = []
-    basis = []
+    nreal = nvars + sum(1 for _, rel, _ in rows if rel != "=")
+    owner = {}  # slack column or artificial label -> its row
+    tab, basis = [], []
     si = nvars
-    ai = nreal
     for i, (coeffs, relation, rhs) in enumerate(rows):
-        row = [zero] * (ncols + 1)
+        row = [zero] * (nreal + 1)
         row[:nvars] = coeffs
         row[-1] = rhs
         if relation != "=":
@@ -220,24 +218,19 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
                 basis.append(si)
             si += 1
         if relation != "<=":
-            row[ai] = one
-            owner[ai] = i
-            basis.append(ai)
-            art_cols.append(ai)
-            ai += 1
+            owner[nreal + i] = i
+            basis.append(nreal + i)
         tab.append(row)
 
     dropped = set()
-    if art_cols:
-        # Phase 1: minimise the artificial total.
-        cost = [zero] * (ncols + 1)
-        for j in art_cols:
-            cost[j] = one
+    if any(b >= nreal for b in basis):
+        # Phase 1: minimise the artificial total, priced on real columns.
+        cost = [zero] * (nreal + 1)
         for i, b in enumerate(basis):
             if b >= nreal:
                 cost = [c - v for c, v in zip(cost, tab[i])]
         tab.append(cost)
-        outcome = iterate(tab, basis, ncols)
+        outcome = iterate(tab, basis, nreal)
         if outcome != "optimal":
             return outcome, None, None
         # the cost row holds -(phase objective)
@@ -256,12 +249,9 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
             keep.append(i)
         tab = [tab[i] for i in keep]
         basis = [basis[i] for i in keep]
-        for row in tab:
-            for j in art_cols:
-                row[j] = zero
 
     # Phase 2 on the real objective, as a minimisation.
-    cost = [zero] * (ncols + 1)
+    cost = [zero] * (nreal + 1)
     cost[:nvars] = obj if minimize else [-c for c in obj]
     for i, b in enumerate(basis):
         if b < nvars and nonzero(cost[b]):
@@ -316,6 +306,15 @@ def _float_basis(rows, obj, minimize, on_step):
         tol=_FLOAT_TOL,
     )
     return (basic, tight) if outcome == "optimal" else None
+
+
+def _proposals(rows, obj, minimize, on_step):
+    """Bases to certify: all-tight if square, then the float simplex's (lazily)."""
+    if len(rows) == len(obj):
+        yield list(range(len(obj))), list(range(len(rows)))
+    proposal = _float_basis(rows, obj, minimize, on_step)
+    if proposal is not None:
+        yield proposal
 
 
 def _lu(matrix, zero, on_step):
@@ -439,6 +438,8 @@ def _certify_lu(rows, obj, minimize, basic, tight, zero, on_step):
         return None
     lu, perm = factored
     xs = _lu_solve(lu, perm, [rows[i][2] for i in tight], zero)
+    if any(v < zero for v in xs):
+        return None
     ys = _lu_solve_transposed(lu, perm, [obj[j] for j in basic], zero)
     on_step()
     value = _optimal_value(rows, obj, minimize, basic, tight, xs, ys, zero)
@@ -539,7 +540,7 @@ def _certify_rational(rows, obj, minimize, basic, tight, zero, on_step):
         coeff_rows.append(ints)
     t, cost = _cleared(obj)
     primal = _bareiss_solve([[coeff_rows[i][j] for j in basic] + [rhs[i]] for i in tight], on_step)
-    if primal is None:
+    if primal is None or any(v < 0 for v in primal[0]):
         return None
     dual = _bareiss_solve(
         [[coeff_rows[i][j] for i in tight] + [cost[j]] for j in basic], on_step
@@ -593,10 +594,10 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     element, where defined, must approximate it; a field without it is
     solved by the exact simplex alone.
     ``on_step``, when given, runs before every float and exact pivot,
-    once per elimination column of each exact basis solve (for a
-    ``Fraction`` program two eliminations, the basis and its transpose;
-    in other fields one LU factorisation) and once before the checks;
-    raising from it aborts the solve (time budgets use this hook).
+    once per elimination column of each exact basis solve, all-tight
+    attempt included (a ``Fraction`` basis, then its transpose unless
+    x < 0; in other fields one LU factorisation) and once before the
+    checks; raising from it aborts the solve (time budgets use this hook).
     """
     if lp.sense not in ("min", "max"):
         raise ValueError(f"unknown sense {lp.sense!r}")
@@ -606,8 +607,7 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     lift = _rational if convert is Fraction else convert
     rows, obj = _lifted(lp.rows, lp.objective, lift)
 
-    proposal = _float_basis(rows, obj, minimize, on_step)
-    if proposal is not None:
+    for proposal in _proposals(rows, obj, minimize, on_step):
         result = _certify(rows, obj, minimize, *proposal, zero, on_step)
         if result is not None:
             return result

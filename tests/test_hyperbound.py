@@ -70,9 +70,11 @@ class TestClassMatrix:
                     assert mat.entry(i, j) == 0
 
     def test_matches_enumeration_oracle(self):
+        # every entry, at every radius up to the diameter 2(1+lam)n: the
+        # covering LP reads each one
         for n in range(1, 5):
-            for lam in (1, 2):
-                for r in range(0, 2 * (1 + lam) * n + 1, 3):
+            for lam in (1, 2, 3):
+                for r in range(2 * (1 + lam) * n + 1):
                     mat = class_matrix(n, r, lam)
                     for i in range(n + 1):
                         centre = canonical_weight_word(n, i)

@@ -40,6 +40,12 @@ def assert_certified(lp, res):
     assert dot([rhs for _, _, rhs in lp.rows], res.y) == res.value
 
 
+def _no_proposals(*args):
+    """Stands in for ``lp._proposals``: nothing to certify, so every
+    answer comes from the exact simplex."""
+    return iter(())
+
+
 class NoFloat:
     """The rationals as a field scalar that ``float()`` refuses."""
 
@@ -227,8 +233,9 @@ def test_against_vertex_enumeration(data):
 @given(st.data())
 @settings(max_examples=60)
 def test_mixed_relations_carry_a_dual_certificate(data):
-    # any sense and relation; the float oracle switched off must give the
-    # same status and value (the point may differ between optimal vertices)
+    # any sense and relation; with no basis proposed (exact simplex
+    # only) the status and value must be the same (the point may differ
+    # between optimal vertices)
     n = data.draw(st.integers(1, 3))
     lp = LinearProgram(
         objective=[data.draw(st.integers(-4, 4)) for _ in range(n)],
@@ -244,7 +251,7 @@ def test_mixed_relations_carry_a_dual_certificate(data):
     if res.status is LPStatus.OPTIMAL:
         assert_certified(lp, res)
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(lp_module, "_float_basis", lambda *args: None)
+        m.setattr(lp_module, "_proposals", _no_proposals)
         exact = solve_lp(lp)
     assert (exact.status, exact.value) == (res.status, res.value)
     if exact.status is LPStatus.OPTIMAL:
@@ -267,9 +274,10 @@ def _both_certificates(lp, basic, tight):
 @settings(max_examples=60)
 def test_a_wrong_proposal_never_changes_the_answer(data):
     # Propose every square basis (structural columns x tight rows) in
-    # place of the float simplex: the exact checks must reject each one
-    # that is not optimal, so the answer is always the exact simplex's,
-    # and the integer certificate must agree with the LU one on each.
+    # place of the all-tight and float ones: the exact checks must
+    # reject each one that is not optimal, so the answer is always the
+    # exact simplex's, and the integer certificate must agree with the
+    # LU one on each.
     # The data are integers or fractions with denominators 1-6.
     n = data.draw(st.integers(1, 3))
     rational = data.draw(st.booleans())
@@ -289,7 +297,7 @@ def test_a_wrong_proposal_never_changes_the_answer(data):
             scalar(6),
         )
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(lp_module, "_float_basis", lambda *args: None)
+        m.setattr(lp_module, "_proposals", _no_proposals)
         want = solve_lp(lp)
         for k in range(min(n, len(lp.rows)) + 1):
             for basic in itertools.combinations(range(n), k):
@@ -297,7 +305,7 @@ def test_a_wrong_proposal_never_changes_the_answer(data):
                     integer, lu = _both_certificates(lp, basic, tight)
                     assert integer == lu
                     proposal = (list(basic), list(tight))
-                    m.setattr(lp_module, "_float_basis", lambda *args: proposal)
+                    m.setattr(lp_module, "_proposals", lambda *args: iter([proposal]))
                     got = solve_lp(lp)
                     assert (got.status, got.value) == (want.status, want.value)
                     if got.status is LPStatus.OPTIMAL:
@@ -432,7 +440,7 @@ def test_redundant_equation_is_dropped(monkeypatch):
     res = solve_lp(lp)
     assert calls == [("float", [0])]
     calls.clear()
-    monkeypatch.setattr(lp_module, "_float_basis", lambda *args: None)
+    monkeypatch.setattr(lp_module, "_proposals", _no_proposals)
     exact = solve_lp(lp)
     assert calls == [("exact", [0])]
     for got in (res, exact):
@@ -466,9 +474,13 @@ def test_float_rows_are_the_exactly_flipped_rows(monkeypatch, make):
 def test_float_step_cap_hands_over_to_the_exact_simplex(monkeypatch):
     # max x_1 + ... + x_12  st  x_i <= 1: every x_i enters once, so the
     # float simplex needs 12 pivots, past the 10 a zero cap leaves it.
+    # The redundant row x_1 + ... + x_12 <= 13 makes the program
+    # non-square, so no all-tight basis is tried before the simplex; it
+    # is never tight, so the optimal dual stays unique.
     lp = LinearProgram(objective=[1] * 12, sense="max")
     for i in range(12):
         lp.add([int(i == j) for j in range(12)], "<=", 1)
+    lp.add([1] * 12, "<=", 13)
     outcomes, exact_runs = [], []
     dantzig, bland = lp_module._dantzig, lp_module._bland
     monkeypatch.setattr(
@@ -564,7 +576,7 @@ def test_answers_do_not_depend_on_the_float_oracle(monkeypatch):
         )
 
     with_oracle = answers()
-    monkeypatch.setattr(lp_module, "_float_basis", lambda *args: None)
+    monkeypatch.setattr(lp_module, "_proposals", _no_proposals)
     assert answers() == with_oracle
     statuses = [r.status for r in with_oracle[0]]
     assert statuses[3:] == [LPStatus.INFEASIBLE, LPStatus.UNBOUNDED]
@@ -733,32 +745,36 @@ def _covering_program(n, d, lam):
 
 
 def test_all_int_programs_stay_int_until_the_result(monkeypatch):
-    # An all-int program reaches the float simplex with its ints as they
-    # are; the exact simplex still runs in Fraction, and every number of
-    # the result is a Fraction, whichever route it took.
+    # An all-int program reaches the all-tight check and the float
+    # simplex with its ints as they are; the exact simplex still runs in
+    # Fraction, and every number of the result is a Fraction, whichever
+    # route it took.
     seen = []
-    float_basis, bland = lp_module._float_basis, lp_module._bland
+    float_basis, certify, bland = lp_module._float_basis, lp_module._certify, lp_module._bland
 
-    def traced_float_basis(rows, obj, *args):
-        seen.extend(c for coeffs, _, b in rows for c in (*coeffs, b))
-        seen.extend(obj)
-        return float_basis(rows, obj, *args)
+    def traced(inner):
+        def handed(rows, obj, *args):
+            seen.extend(c for coeffs, _, b in rows for c in (*coeffs, b))
+            seen.extend(obj)
+            return inner(rows, obj, *args)
+        return handed
 
     def traced_bland(tab, *args):
         outcome = bland(tab, *args)
         assert not any(type(v) is float for row in tab for v in row)
         return outcome
 
-    monkeypatch.setattr(lp_module, "_float_basis", traced_float_basis)
+    monkeypatch.setattr(lp_module, "_float_basis", traced(float_basis))
+    monkeypatch.setattr(lp_module, "_certify", traced(certify))
     monkeypatch.setattr(lp_module, "_bland", traced_bland)
     programs = _named_programs()[:3] + [_covering_program(5, 5, 1)]
     for lp in programs:
         assert all(type(c) is int for coeffs, _, b in lp.rows for c in (*coeffs, b))
+        seen.clear()
         proposed = solve_lp(lp)
         assert seen and all(type(v) is int for v in seen)
-        seen.clear()
         with pytest.MonkeyPatch.context() as m:
-            m.setattr(lp_module, "_float_basis", lambda *args: None)
+            m.setattr(lp_module, "_proposals", _no_proposals)
             exact = solve_lp(lp)
         for res in (proposed, exact):
             assert res.status is LPStatus.OPTIMAL
@@ -793,3 +809,136 @@ def test_covering_lp_answers_are_pinned(monkeypatch):
         lines.append(f"weights1 {n} {rep.exact} {rep.weights}")
     assert len(lines) == 686
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == COVERING_DIGEST
+
+
+# lp_hypergraph_bound(n, d, 1).exact at the covering LP's largest cells.
+LARGE_COVERING_VALUES = {
+    (20, 5): "53134667580329255390046059314228363264/4481920125500929395991592789",
+    (20, 11): "18459045545692959670981275677470981380948847997353984/"
+              "211033481946105089388706352769591893961805615",
+    (30, 5): "469071980414653261347844688124890781538360371350451633450980999168/"
+             "71107659753099773695205483596367030545022203141943",
+    (30, 11): "126033474635644813268767920729883921747649582835278399122400002265619526707240113970"
+              "059514761707520/6099887138567288274457209714114067795741488665650420242455983934227"
+              "417170730495850241",
+    (40, 5): "136137318981592701497427673582348779971069877598580438437876262475478160676657037312/"
+             "31699729870211255563160584176836762230451204043742243347824137",
+    (40, 11): "660562241023555203088680224794769166018494723402599357609018945836764110895731171890"
+              "58542620092590020285462561779252577201582248150498673062264011513597836394496/"
+              "911676802080794385866358300523748165556165999017029473957893836897445366517248053"
+              "1958993792914919711095851918011424633501484115365644413511027",
+}
+# SHA-256 over "n d weights" of the six cells above, one line each.
+LARGE_COVERING_WEIGHTS_DIGEST = "b82b18c3fe19362e505357b76a094955bdeeee21752c7118a16ecb5bf27e26d9"
+
+
+def test_large_covering_lps_are_pinned(monkeypatch):
+    # At d = 5 the all-tight basis is optimal; at d = 11 it is not, and
+    # the float simplex's basis is certified instead.
+    float_runs = []
+    float_basis = lp_module._float_basis
+    monkeypatch.setattr(
+        lp_module, "_float_basis", lambda *args: float_runs.append(1) or float_basis(*args)
+    )
+    lines = []
+    for (n, d), value in LARGE_COVERING_VALUES.items():
+        float_runs.clear()
+        rep = lp_hypergraph_bound(n, d, 1)
+        assert rep.exact == Fraction(value)
+        assert len(float_runs) == (d == 11)
+        lines.append(f"{n} {d} {rep.weights}")
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == LARGE_COVERING_WEIGHTS_DIGEST
+
+
+def test_square_programs_try_the_all_tight_basis_first(monkeypatch):
+    # lp1 (two ">=" rows in two variables) and the (6,5,1) covering LP
+    # are optimal with every column basic and every row tight, so the
+    # float simplex is never asked.
+    programs = [_named_programs()[0], _covering_program(6, 5, 1)]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_proposals", _no_proposals)
+        exact = [solve_lp(lp) for lp in programs]
+
+    def no_float(*args):
+        pytest.fail("the float simplex ran on a program its all-tight basis solves")
+
+    monkeypatch.setattr(lp_module, "_float_basis", no_float)
+    for lp, want in zip(programs, exact):
+        res = solve_lp(lp)
+        assert res.status is LPStatus.OPTIMAL
+        assert res.value == want.value
+        assert_certified(lp, res)
+
+
+def test_a_rejected_all_tight_basis_costs_one_elimination(monkeypatch):
+    # min x + y  st  x >= 2, x + y >= 1: with both rows tight, y = -1, so
+    # the primal solve rejects the basis before any dual solve runs.
+    lp = _program("min", [1, 1], ([1, 0], ">=", 2), ([1, 1], ">=", 1))
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_proposals", _no_proposals)
+        exact = solve_lp(lp)
+    solves, before_float = [], []
+    bareiss, float_basis = lp_module._bareiss_solve, lp_module._float_basis
+    monkeypatch.setattr(
+        lp_module, "_bareiss_solve", lambda *args: solves.append(1) or bareiss(*args)
+    )
+    monkeypatch.setattr(
+        lp_module, "_float_basis",
+        lambda *args: before_float.append(len(solves)) or float_basis(*args),
+    )
+    res = solve_lp(lp)
+    assert before_float == [1]
+    assert res.status is LPStatus.OPTIMAL
+    assert res.value == 2 and res.x == [2, 0]
+    assert res == exact
+    assert_certified(lp, res)
+    # In a field without float() the LU certificate rejects the same
+    # basis before its transposed solve: the only one left is the
+    # exact simplex basis's.
+    transposed = []
+    lu_solve_transposed = lp_module._lu_solve_transposed
+    monkeypatch.setattr(
+        lp_module, "_lu_solve_transposed",
+        lambda *args: transposed.append(1) or lu_solve_transposed(*args),
+    )
+    res = solve_lp(lp, convert=NoFloat)
+    assert transposed == [1]
+    assert res.value.v == 2 and [v.v for v in res.x] == [2, 0]
+
+
+def test_artificial_variables_have_no_tableau_column(monkeypatch):
+    # Rows of every relation, one of them flipped to ">=" by its negative
+    # right-hand side: three variables, three slacks and the right-hand
+    # side make the tableau 7 wide in both phases, float and exact.
+    lp = _program(
+        "min", [1, 2, 4],
+        ([1, 1, 1], ">=", 2), ([1, -1, 0], "=", 1), ([0, 0, 1], "<=", 4),
+        ([0, -1, -1], "<=", -1),
+    )
+    widths = []
+    dantzig, bland = lp_module._dantzig, lp_module._bland
+
+    def traced(name, inner):
+        def iterate(tab, basis, ncols, *args):
+            widths.append((name, {len(row) for row in tab}, ncols))
+            return inner(tab, basis, ncols, *args)
+        return iterate
+
+    monkeypatch.setattr(lp_module, "_dantzig", traced("float", dantzig))
+    monkeypatch.setattr(lp_module, "_bland", traced("exact", bland))
+    res = solve_lp(lp)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(lp_module, "_proposals", _no_proposals)
+        exact = solve_lp(lp)
+    assert widths == [(path, {7}, 6) for path in ("float", "float", "exact", "exact")]
+    for got in (res, exact):
+        assert got.status is LPStatus.OPTIMAL
+        assert got.value == 4 and got.x == [2, 1, 0]
+        assert_certified(lp, got)
+    # Phase 1 never prices an artificial back in, and still finds lp4
+    # (x >= 3, x <= 2) infeasible: 1 variable, 2 slacks, 1 right-hand side.
+    widths.clear()
+    monkeypatch.setattr(lp_module, "_float_basis", lambda *args: None)
+    assert solve_lp(_named_programs()[3]).status is LPStatus.INFEASIBLE
+    assert widths == [("exact", {4}, 3)]
