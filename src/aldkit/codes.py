@@ -400,7 +400,18 @@ def _cl_columns(v: int) -> tuple[int, ...]:
 
 
 def _cl_syndrome(v: int, word: PairedWord) -> int:
-    return _syndrome(word, _cl_columns(v))
+    """``_syndrome(word, _cl_columns(v))`` in closed form: the XOR of p+1
+    over the set bits p of the first strand, then all-ones when the
+    second strand has odd weight."""
+    s = 0
+    a = word.a
+    while a:
+        low = a & -a
+        s ^= low.bit_length()  # p + 1 for low = 1 << p
+        a ^= low
+    if word.b.bit_count() & 1:
+        s ^= (1 << v) - 1
+    return s
 
 
 def build_cl(v: int, u: int = 0) -> Codebook:
@@ -551,14 +562,13 @@ def build_partition_code(v: int, u: int = 0) -> Codebook:
     coset u.  Minimum distance 3 at unit weighting."""
     n = _check_cl_params(v, u)
     components = {w: hamming_component(w) for w in (1, 3, 5, 7) if w <= n}
-    columns = _cl_columns(v)
 
     def member(word: PairedWord) -> bool:
         w = pair_weight(word)
         if w in components:
             return s_subsequence(word) in components[w]
         if w >= 9:
-            return _syndrome(word, columns) == u
+            return _cl_syndrome(v, word) == u
         return False
 
     return _book(n, 1, 3, "partition", {"v": v, "u": u}, member)

@@ -459,7 +459,8 @@ def _cleared(values):
     integer, and those integers."""
     s = 1
     for v in values:
-        s = lcm(s, v.denominator)
+        if type(v) is not int:  # an int's denominator is 1
+            s = lcm(s, v.denominator)
     if s == 1:
         return 1, [v.numerator for v in values]
     return s, [v.numerator * (s // v.denominator) for v in values]

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from itertools import combinations, product
 
 import pytest
@@ -12,6 +13,7 @@ from aldkit.codes import (
     DecodingError,
     DetectionFlag,
     OddPrimeField,
+    _cl_columns,
     _cl_syndrome,
     _kernel_basis,
     _span,
@@ -119,11 +121,12 @@ def parity_checks(draw):
 
 
 def test_f2_layer_matches_brute_force():
-    # The strand-sum syndrome as 2n check columns must equal its closed
-    # form: XOR of p+1 over first-strand bits p, XOR all-ones when the
-    # second strand has odd weight.
+    # The strand-sum syndrome must equal the XOR of its 2n check columns
+    # and the closed form spelled out: XOR of p+1 over first-strand bits
+    # p, XOR all-ones when the second strand has odd weight.
     for v in (2, 3):
         ones = (1 << v) - 1
+        columns = _cl_columns(v)
         for w in all_words((1 << v) - 2):
             closed = 0
             for p in range(w.n):
@@ -131,7 +134,12 @@ def test_f2_layer_matches_brute_force():
                     closed ^= p + 1
             if w.b.bit_count() & 1:
                 closed ^= ones
-            assert _cl_syndrome(v, w) == closed
+            assert _cl_syndrome(v, w) == closed == _syndrome(w, columns)
+    rng = random.Random(4)
+    columns = _cl_columns(4)
+    for _ in range(2000):
+        w = PairedWord(14, rng.getrandbits(14), rng.getrandbits(14))
+        assert _cl_syndrome(4, w) == _syndrome(w, columns)
 
     @given(parity_checks())
     @settings(max_examples=200)

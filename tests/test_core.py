@@ -1,5 +1,8 @@
+import copy
+import dataclasses
 import itertools
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -162,8 +165,9 @@ def test_word_validation():
         PairedWord(0, 0, 0)
     with pytest.raises(ValueError):
         PairedWord(2, 4, 0)
-    # masks are ints: a float or a bool fails here, not later in ald_distance
-    for a, b in ((1.0, 0), (0, 1.0), (True, False), (0, True)):
+    # masks are ints: a float, a bool or a str fails here, not later in
+    # ald_distance
+    for a, b in ((1.0, 0), (0, 1.0), (True, False), (0, True), ("1", 0), (0, "1")):
         with pytest.raises(ValueError, match="bit masks"):
             PairedWord(2, a, b)
 
@@ -173,6 +177,43 @@ def test_word_validation():
     assert PairedWord(Length(2), 3, 1) == PairedWord(2, 3, 1)
     with pytest.raises(IndexError):
         PairedWord(2, 0, 0).symbol(2)
+
+
+def test_paired_word_is_a_frozen_value():
+    w = PairedWord(3, 5, 2)
+    for field in ("n", "a", "b"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(w, field, 1)
+    assert (w.n, w.a, w.b) == (3, 5, 2)
+    assert PairedWord(n=3, a=5, b=2) == PairedWord(3, b=2, a=5) == w
+    assert dataclasses.replace(w) == w
+    assert dataclasses.replace(w, b=7) == PairedWord(3, 5, 7)
+    with pytest.raises(ValueError, match="bit masks"):
+        dataclasses.replace(w, a=8)
+    for twin in (copy.copy(w), copy.deepcopy(w), pickle.loads(pickle.dumps(w))):
+        assert twin == w and type(twin) is PairedWord
+        assert hash(twin) == hash(w)
+
+
+def test_paired_word_order_and_hash_follow_the_field_tuple():
+    ws = [PairedWord(n, a, b) for n in (1, 2) for a in range(1 << n) for b in range(1 << n)]
+    keys = [(w.n, w.a, w.b) for w in ws]
+    for (x, kx), (y, ky) in itertools.product(zip(ws, keys), repeat=2):
+        assert (x < y) == (kx < ky)
+        assert (x <= y) == (kx <= ky)
+        assert (x == y) == (kx == ky)
+    assert sorted(reversed(ws)) == ws
+    assert len({*ws, *(PairedWord(*k) for k in keys)}) == len(ws)
+
+
+@pytest.mark.parametrize("lam", [1, 2, 3, 7])
+def test_distance_is_the_position_cost_sum_at_short_lengths(lam):
+    costs = _position_costs(lam)
+    for n in (1, 2, 3):
+        ws = list(all_words(n))
+        for x, y in itertools.product(ws, repeat=2):
+            want = sum(costs[s][t] for s, t in zip(x.digits(), y.digits()))
+            assert ald_distance(x, y, lam) == want
 
 
 def test_pair_weight_and_canonical_word():
