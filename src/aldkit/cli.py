@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from functools import cache
 from importlib import resources
@@ -482,7 +483,14 @@ def _parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()  # a reader gone early raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # The reader closed the pipe (say `| head`): send what is still
+        # buffered to the null device, so exiting does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -280,10 +280,6 @@ def reverse_profile(m: tuple) -> tuple:
     return (m[0], *m[:0:-1])
 
 
-def identity_profile(n: int) -> tuple:
-    return (n,) + (0,) * 9
-
-
 def profile_cost(m: tuple, lam: int) -> int:
     """Cheapest total distance any difference with this profile carries."""
     return (

@@ -25,11 +25,18 @@ determinant D > 0, and the checks run on those numerators against
 right-hand sides and costs scaled by D; ``Fraction``s are built only
 for the result.  Other fields use one LU factorisation in the field.
 Those checks prove optimality whatever produced the basis.  Third,
-when no proposal passes, a dense two-phase simplex with Bland's rule
-runs in the exact field (a rational program's ints become
-``Fraction``s for it, as it divides), and its final basis passes the
-same checks.  In both simplexes an artificial variable is a basis
-label, not a tableau column.  Only the exact simplex ever reports
+when no proposal passes, a two-phase simplex with Bland's rule runs
+in the exact field (a rational program's ints become ``Fraction``s for
+it, as it divides), and its final basis passes the same checks.  Both
+simplexes pivot on a condensed tableau (the dictionary form): one
+column per nonbasic variable and one for the right-hand side.  A basic
+variable, be it structural, slack or artificial, is only a label; a
+pivot hands the entering variable's column to the leaving one, and an
+artificial that leaves takes its column with it.  So a tall character
+LP pivots on rows x (columns + 1) entries, not rows x (rows + columns
++ 1).  Ties in pricing go to the lowest variable index, never to the
+lowest column position, so the pivots do not depend on where a
+variable's column sits.  Only the exact simplex ever reports
 INFEASIBLE or UNBOUNDED, and every OPTIMAL result carries its checked
 dual as ``LPResult.y``.  ``solve_linear_system`` uses the same integer
 elimination.
@@ -102,36 +109,52 @@ class LinearProgram:
         self.rows.append((list(coeffs), relation, rhs))
 
 
-def _pivot(tab: list, basis: list, row: int, col: int) -> None:
+def _pivot(tab: list, basis: list, nonbasic: list, row: int, col: int, one, nreal: int) -> None:
+    """Exchange basic ``basis[row]`` for nonbasic ``nonbasic[col]``.
+
+    The leaving variable takes over the entering one's column: its
+    unit column would read 1/piv in the pivot row and -f/piv in a row
+    whose entry f sat in the pivot column.  An artificial (label >=
+    ``nreal``) leaves for good, so its column is dropped instead.
+    """
     piv = tab[row][col]
     top = tab[row] = [v / piv for v in tab[row]]
     # only the pivot row's nonzero columns change the other rows
     support = [j for j, v in enumerate(top) if v]
+    support.remove(col)
+    leaving = basis[row]
+    basis[row] = nonbasic[col]
+    inv = top[col] = one / piv
     for i, r in enumerate(tab):
         f = r[col]
         if i != row and f:
             for j in support:
                 r[j] = r[j] - f * top[j]
-    basis[row] = col
+            r[col] = -f * inv
+    if leaving < nreal:
+        nonbasic[col] = leaving
+    else:
+        del nonbasic[col]
+        for r in tab:
+            del r[col]
 
 
-def _bland(tab: list, basis: list, ncols: int, zero, on_step) -> str:
+def _bland(tab: list, basis: list, nonbasic: list, nreal: int, zero, one, on_step) -> str:
     """Run exact simplex steps on a tableau whose last row is the cost row.
 
     Returns "optimal" or "unbounded".  Bland's rule throughout: the
-    entering column is the lowest-index one with a negative reduced
+    entering variable is the lowest-index one with a negative reduced
     cost, the leaving row minimises the ratio with ties broken by the
     smallest basic variable index.
     """
     m = len(tab) - 1
-    cost = tab[m]
     while True:
         on_step()
-        col = -1
-        for j in range(ncols):
-            if cost[j] < zero:
-                col = j
-                break
+        cost = tab[m]
+        col = min(
+            (j for j, v in enumerate(cost[:len(nonbasic)]) if v < zero),
+            key=nonbasic.__getitem__, default=-1,
+        )
         if col < 0:
             return "optimal"
         best_row = -1
@@ -149,20 +172,25 @@ def _bland(tab: list, basis: list, ncols: int, zero, on_step) -> str:
                     best_ratio = ratio
         if best_row < 0:
             return "unbounded"
-        _pivot(tab, basis, best_row, col)
-        cost = tab[m]
+        _pivot(tab, basis, nonbasic, best_row, col, one, nreal)
 
 
-def _dantzig(tab: list, basis: list, ncols: int, on_step, cap: int) -> str:
-    """Float simplex steps: most negative reduced cost enters, the
-    smallest ratio leaves.  Returns "optimal", "unbounded" or, after
-    ``cap`` pivots, "stalled"."""
+def _dantzig(tab: list, basis: list, nonbasic: list, nreal: int, on_step, cap: int) -> str:
+    """Float simplex steps: most negative reduced cost enters (ties to
+    the lowest variable index), the smallest ratio leaves.  Returns
+    "optimal", "unbounded" or, after ``cap`` pivots, "stalled"."""
     m = len(tab) - 1
     for _ in range(cap):
         cost = tab[m]
-        col = min(range(ncols), key=cost.__getitem__, default=-1)
+        col = min(range(len(nonbasic)), key=cost.__getitem__, default=-1)
         if col < 0 or cost[col] >= -_FLOAT_TOL:
             return "optimal"
+        low = cost[col]
+        if cost.count(low) > 1:
+            col = min(
+                (j for j in range(len(nonbasic)) if cost[j] == low),
+                key=nonbasic.__getitem__,
+            )
         on_step()
         best_row = -1
         best_ratio = float("inf")
@@ -174,7 +202,7 @@ def _dantzig(tab: list, basis: list, ncols: int, on_step, cap: int) -> str:
                     best_row, best_ratio = i, ratio
         if best_row < 0:
             return "unbounded"
-        _pivot(tab, basis, best_row, col)
+        _pivot(tab, basis, nonbasic, best_row, col, 1.0, nreal)
     return "stalled"
 
 
@@ -190,32 +218,40 @@ def _normalized(rows: list) -> list:
 
 
 def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
-    """Two-phase simplex on the dense tableau of ``rows``.
+    """Two-phase simplex on the condensed tableau of ``rows``.
 
     Returns ``(outcome, basic, tight)``: outcome is "optimal",
     "infeasible", "unbounded" or "stalled"; for "optimal", ``basic``
     lists the structural columns in the final basis and ``tight`` the
     rows whose slack is not basic, both in the order of ``rows``.
-    ``iterate(tab, basis, ncols)`` runs one phase; ``tol`` is the
-    magnitude up to which a float entry counts as zero (None: exact).
-    Row i's artificial variable is the basis label nreal + i, not a column.
+    The tableau has one row per constraint (and the cost row) and one
+    column per nonbasic variable, ``nonbasic[j]`` labelling column j,
+    then the right-hand side; basic variables are the labels in
+    ``basis``.  Variables 0..nvars-1 are structural, then come the
+    slacks of the inequality rows in row order, and row i's artificial
+    is the label nreal + i.  ``iterate(tab, basis, nonbasic, nreal)``
+    runs one phase; ``tol`` is the magnitude up to which a float entry
+    counts as zero (None: exact).
     """
     nonzero = (lambda v: v != zero) if tol is None else (lambda v: abs(v) > tol)
     nvars = len(obj)
     rows = _normalized(rows)
     nreal = nvars + sum(1 for _, rel, _ in rows if rel != "=")
-    owner = {}  # slack column or artificial label -> its row
-    tab, basis = [], []
+    width = nvars + sum(1 for _, rel, _ in rows if rel == ">=")
+    owner = {}  # slack or artificial label -> its row
+    tab, basis, nonbasic = [], [], list(range(nvars))
     si = nvars
     for i, (coeffs, relation, rhs) in enumerate(rows):
-        row = [zero] * (nreal + 1)
+        row = [zero] * (width + 1)
         row[:nvars] = coeffs
         row[-1] = rhs
         if relation != "=":
-            row[si] = one if relation == "<=" else -one
             owner[si] = i
             if relation == "<=":
                 basis.append(si)
+            else:
+                row[len(nonbasic)] = -one
+                nonbasic.append(si)
             si += 1
         if relation != "<=":
             owner[nreal + i] = i
@@ -224,41 +260,47 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
 
     dropped = set()
     if any(b >= nreal for b in basis):
-        # Phase 1: minimise the artificial total, priced on real columns.
-        cost = [zero] * (nreal + 1)
+        # Phase 1: minimise the artificial total.
+        cost = [zero] * (width + 1)
         for i, b in enumerate(basis):
             if b >= nreal:
                 cost = [c - v for c, v in zip(cost, tab[i])]
         tab.append(cost)
-        outcome = iterate(tab, basis, nreal)
+        outcome = iterate(tab, basis, nonbasic, nreal)
         if outcome != "optimal":
             return outcome, None, None
         # the cost row holds -(phase objective)
         if tab.pop()[-1] < (zero if tol is None else -tol):
             return "infeasible", None, None
-        # Drive leftover artificials out of the basis; a row where that
-        # is impossible is a redundant equation and is dropped.
+        # Drive leftover artificials out of the basis, each through its
+        # row's lowest-index nonzero variable; a row where that is
+        # impossible is a redundant equation and is dropped.
         keep = []
         for i in range(len(tab)):
             if basis[i] >= nreal:
-                piv_col = next((j for j in range(nreal) if nonzero(tab[i][j])), -1)
+                row = tab[i]
+                piv_col = min(
+                    (j for j in range(len(nonbasic)) if nonzero(row[j])),
+                    key=nonbasic.__getitem__, default=-1,
+                )
                 if piv_col < 0:
                     dropped.add(owner[basis[i]])
                     continue
-                _pivot(tab, basis, i, piv_col)
+                _pivot(tab, basis, nonbasic, i, piv_col, one, nreal)
             keep.append(i)
         tab = [tab[i] for i in keep]
         basis = [basis[i] for i in keep]
 
     # Phase 2 on the real objective, as a minimisation.
-    cost = [zero] * (nreal + 1)
-    cost[:nvars] = obj if minimize else [-c for c in obj]
+    signed = obj if minimize else [-c for c in obj]
+    cost = [signed[v] if v < nvars else zero for v in nonbasic]
+    cost.append(zero)
     for i, b in enumerate(basis):
-        if b < nvars and nonzero(cost[b]):
-            f = cost[b]
+        if b < nvars and nonzero(signed[b]):
+            f = signed[b]
             cost = [c - f * v for c, v in zip(cost, tab[i])]
     tab.append(cost)
-    outcome = iterate(tab, basis, nreal)
+    outcome = iterate(tab, basis, nonbasic, nreal)
     if outcome != "optimal":
         return outcome, None, None
     loose = {owner[b] for b in basis if b >= nvars}
@@ -302,7 +344,7 @@ def _float_basis(rows, obj, minimize, on_step):
     cap = _FLOAT_CAP_PER_SIZE * (m + len(obj)) + 10
     outcome, basic, tight = _simplex(
         scaled, fobj, minimize, 0.0, 1.0,
-        lambda tab, basis, ncols: _dantzig(tab, basis, ncols, on_step, cap),
+        lambda tab, basis, nonbasic, nreal: _dantzig(tab, basis, nonbasic, nreal, on_step, cap),
         tol=_FLOAT_TOL,
     )
     return (basic, tight) if outcome == "optimal" else None
@@ -615,9 +657,10 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     if lift is not convert:
         # the simplex divides, and int / int would give floats
         rows, obj = _lifted(rows, obj, convert)
+    one = convert(1)
     outcome, basic, tight = _simplex(
-        rows, obj, minimize, zero, convert(1),
-        lambda tab, basis, ncols: _bland(tab, basis, ncols, zero, on_step),
+        rows, obj, minimize, zero, one,
+        lambda tab, basis, nonbasic, nreal: _bland(tab, basis, nonbasic, nreal, zero, one, on_step),
     )
     if outcome == "infeasible":
         return LPResult(LPStatus.INFEASIBLE)

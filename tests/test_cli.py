@@ -511,3 +511,18 @@ def test_cli_module_entry():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "2"
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # The reader stops after one line, as `| head -n 1` does; the 160 kB
+    # of output left overflow the pipe, so the writer meets the closed end.
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "aldkit", "ball", "--n", "9", "--w", "4", "--r", "9", "--enumerate"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"000000000\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""

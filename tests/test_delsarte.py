@@ -18,7 +18,6 @@ from aldkit.delsarte import (
     coefficient_column,
     column_entry,
     delsarte_bound,
-    identity_profile,
     profile_cost,
     profiles,
     reverse_profile,
@@ -29,6 +28,11 @@ small_fractions = st.fractions(
     min_value=-4, max_value=4, max_denominator=8
 )
 count_vectors = st.tuples(*[st.integers(-6, 6)] * 10)
+
+
+def identity_profile(n):
+    """The profile of the zero difference: all n positions at digit 0."""
+    return (n,) + (0,) * 9
 
 
 def unit(k):

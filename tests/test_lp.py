@@ -909,8 +909,12 @@ def test_a_rejected_all_tight_basis_costs_one_elimination(monkeypatch):
 
 def test_artificial_variables_have_no_tableau_column(monkeypatch):
     # Rows of every relation, one of them flipped to ">=" by its negative
-    # right-hand side: three variables, three slacks and the right-hand
-    # side make the tableau 7 wide in both phases, float and exact.
+    # right-hand side.  The tableau holds one column per nonbasic
+    # variable and the right-hand side: phase 1 starts with the three
+    # variables and the two ">=" rows' slacks nonbasic (the "<=" slack
+    # and the three artificials are basic), and every artificial that
+    # leaves takes its column with it, so phase 2 starts with 6 real
+    # variables less 4 basic ones, float and exact.
     lp = _program(
         "min", [1, 2, 4],
         ([1, 1, 1], ">=", 2), ([1, -1, 0], "=", 1), ([0, 0, 1], "<=", 4),
@@ -920,9 +924,10 @@ def test_artificial_variables_have_no_tableau_column(monkeypatch):
     dantzig, bland = lp_module._dantzig, lp_module._bland
 
     def traced(name, inner):
-        def iterate(tab, basis, ncols, *args):
-            widths.append((name, {len(row) for row in tab}, ncols))
-            return inner(tab, basis, ncols, *args)
+        def iterate(tab, basis, nonbasic, nreal, *args):
+            assert not any(v >= nreal for v in nonbasic)
+            widths.append((name, {len(row) for row in tab}, len(nonbasic)))
+            return inner(tab, basis, nonbasic, nreal, *args)
         return iterate
 
     monkeypatch.setattr(lp_module, "_dantzig", traced("float", dantzig))
@@ -931,14 +936,229 @@ def test_artificial_variables_have_no_tableau_column(monkeypatch):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lp_module, "_proposals", _no_proposals)
         exact = solve_lp(lp)
-    assert widths == [(path, {7}, 6) for path in ("float", "float", "exact", "exact")]
+    assert widths == [(path, {1 + k}, k) for path in ("float", "exact") for k in (5, 2)]
     for got in (res, exact):
         assert got.status is LPStatus.OPTIMAL
         assert got.value == 4 and got.x == [2, 1, 0]
         assert_certified(lp, got)
     # Phase 1 never prices an artificial back in, and still finds lp4
-    # (x >= 3, x <= 2) infeasible: 1 variable, 2 slacks, 1 right-hand side.
+    # (x >= 3, x <= 2) infeasible: x and the ">=" row's slack are the
+    # nonbasic variables.
     widths.clear()
     monkeypatch.setattr(lp_module, "_float_basis", lambda *args: None)
     assert solve_lp(_named_programs()[3]).status is LPStatus.INFEASIBLE
-    assert widths == [("exact", {4}, 3)]
+    assert widths == [("exact", {3}, 2)]
+
+
+# The dense two-phase simplex that the condensed tableau replaced, kept
+# as a reference: every slack has a column, basic or not, so a row is
+# structural + slack columns + 1 wide, and the artificials are labels.
+def _dense_pivot(tab, basis, row, col):
+    piv = tab[row][col]
+    top = tab[row] = [v / piv for v in tab[row]]
+    support = [j for j, v in enumerate(top) if v]
+    for i, r in enumerate(tab):
+        f = r[col]
+        if i != row and f:
+            for j in support:
+                r[j] = r[j] - f * top[j]
+    basis[row] = col
+
+
+def _dense_bland(tab, basis, ncols, zero, on_step):
+    m = len(tab) - 1
+    cost = tab[m]
+    while True:
+        on_step()
+        col = -1
+        for j in range(ncols):
+            if cost[j] < zero:
+                col = j
+                break
+        if col < 0:
+            return "optimal"
+        best_row = -1
+        best_ratio = None
+        for i in range(m):
+            a = tab[i][col]
+            if a > zero:
+                ratio = tab[i][-1] / a
+                if (
+                    best_row < 0
+                    or ratio < best_ratio
+                    or (ratio == best_ratio and basis[i] < basis[best_row])
+                ):
+                    best_row = i
+                    best_ratio = ratio
+        if best_row < 0:
+            return "unbounded"
+        _dense_pivot(tab, basis, best_row, col)
+        cost = tab[m]
+
+
+def _dense_dantzig(tab, basis, ncols, on_step, cap):
+    m = len(tab) - 1
+    for _ in range(cap):
+        cost = tab[m]
+        col = min(range(ncols), key=cost.__getitem__, default=-1)
+        if col < 0 or cost[col] >= -lp_module._FLOAT_TOL:
+            return "optimal"
+        on_step()
+        best_row = -1
+        best_ratio = float("inf")
+        for i in range(m):
+            a = tab[i][col]
+            if a > lp_module._FLOAT_TOL:
+                ratio = max(tab[i][-1], 0.0) / a
+                if ratio < best_ratio:
+                    best_row, best_ratio = i, ratio
+        if best_row < 0:
+            return "unbounded"
+        _dense_pivot(tab, basis, best_row, col)
+    return "stalled"
+
+
+def _dense_simplex(rows, obj, minimize, zero, one, iterate, tol=None):
+    nonzero = (lambda v: v != zero) if tol is None else (lambda v: abs(v) > tol)
+    nvars = len(obj)
+    rows = lp_module._normalized(rows)
+    nreal = nvars + sum(1 for _, rel, _ in rows if rel != "=")
+    owner = {}
+    tab, basis = [], []
+    si = nvars
+    for i, (coeffs, relation, rhs) in enumerate(rows):
+        row = [zero] * (nreal + 1)
+        row[:nvars] = coeffs
+        row[-1] = rhs
+        if relation != "=":
+            row[si] = one if relation == "<=" else -one
+            owner[si] = i
+            if relation == "<=":
+                basis.append(si)
+            si += 1
+        if relation != "<=":
+            owner[nreal + i] = i
+            basis.append(nreal + i)
+        tab.append(row)
+
+    dropped = set()
+    if any(b >= nreal for b in basis):
+        cost = [zero] * (nreal + 1)
+        for i, b in enumerate(basis):
+            if b >= nreal:
+                cost = [c - v for c, v in zip(cost, tab[i])]
+        tab.append(cost)
+        outcome = iterate(tab, basis, nreal)
+        if outcome != "optimal":
+            return outcome, None, None
+        if tab.pop()[-1] < (zero if tol is None else -tol):
+            return "infeasible", None, None
+        keep = []
+        for i in range(len(tab)):
+            if basis[i] >= nreal:
+                piv_col = next((j for j in range(nreal) if nonzero(tab[i][j])), -1)
+                if piv_col < 0:
+                    dropped.add(owner[basis[i]])
+                    continue
+                _dense_pivot(tab, basis, i, piv_col)
+            keep.append(i)
+        tab = [tab[i] for i in keep]
+        basis = [basis[i] for i in keep]
+
+    cost = [zero] * (nreal + 1)
+    cost[:nvars] = obj if minimize else [-c for c in obj]
+    for i, b in enumerate(basis):
+        if b < nvars and nonzero(cost[b]):
+            f = cost[b]
+            cost = [c - f * v for c, v in zip(cost, tab[i])]
+    tab.append(cost)
+    outcome = iterate(tab, basis, nreal)
+    if outcome != "optimal":
+        return outcome, None, None
+    loose = {owner[b] for b in basis if b >= nvars}
+    tight = [i for i in range(len(rows)) if i not in loose and i not in dropped]
+    return outcome, sorted(b for b in basis if b < nvars), tight
+
+
+def _both_simplexes(rows, obj, minimize, exact, cap=1000):
+    """``(answer, pivots)`` of the dense reference and of ``lp._simplex``
+    on one program: Bland's rule in ``Fraction``s when ``exact``, else
+    Dantzig's in floats, zero up to ``_FLOAT_TOL``, at most ``cap`` pivots."""
+    lift = Fraction if exact else float
+    rows = [([lift(c) for c in coeffs], rel, lift(b)) for coeffs, rel, b in rows]
+    obj = [lift(c) for c in obj]
+    zero, one = lift(0), lift(1)
+    tol = None if exact else lp_module._FLOAT_TOL
+    dense_steps, steps = [], []
+    if exact:
+        dense_iterate = lambda tab, basis, ncols: _dense_bland(
+            tab, basis, ncols, zero, lambda: dense_steps.append(1))
+        iterate = lambda tab, basis, nonbasic, nreal: lp_module._bland(
+            tab, basis, nonbasic, nreal, zero, one, lambda: steps.append(1))
+    else:
+        dense_iterate = lambda tab, basis, ncols: _dense_dantzig(
+            tab, basis, ncols, lambda: dense_steps.append(1), cap)
+        iterate = lambda tab, basis, nonbasic, nreal: lp_module._dantzig(
+            tab, basis, nonbasic, nreal, lambda: steps.append(1), cap)
+    want = _dense_simplex(rows, obj, minimize, zero, one, dense_iterate, tol)
+    got = lp_module._simplex(rows, obj, minimize, zero, one, iterate, tol)
+    return (want, len(dense_steps)), (got, len(steps))
+
+
+@given(st.data())
+@settings(max_examples=200)
+def test_condensed_simplex_pivots_as_the_dense_one(data):
+    # Every relation, negative right-hand sides, rational entries (whose
+    # floats round), and now and then a redundant copy of an equation
+    # or a small pivot cap: the same answer after as many pivots, float
+    # and exact.
+    n = data.draw(st.integers(1, 5))
+
+    def scalar(bound):
+        q = data.draw(st.sampled_from([1, 1, 2, 3, 6]))
+        return Fraction(data.draw(st.integers(-bound * q, bound * q)), q)
+
+    rows = [
+        ([scalar(2) for _ in range(n)], data.draw(st.sampled_from(["<=", ">=", "="])), scalar(6))
+        for _ in range(data.draw(st.integers(0, 6)))
+    ]
+    equations = [row for row in rows if row[1] == "="]
+    if equations and data.draw(st.booleans()):
+        coeffs, _, b = data.draw(st.sampled_from(equations))
+        k = data.draw(st.sampled_from([-2, 1, 3]))
+        rows.insert(data.draw(st.integers(0, len(rows))), ([k * c for c in coeffs], "=", k * b))
+    obj = [scalar(4) for _ in range(n)]
+    minimize = data.draw(st.booleans())
+    cap = data.draw(st.sampled_from([0, 1, 2, 1000]))
+    for exact in (False, True):
+        want, got = _both_simplexes(rows, obj, minimize, exact, cap)
+        assert got == want
+
+
+@pytest.mark.parametrize("lp, outcome", [
+    (_named_programs()[0], "optimal"),
+    (_named_programs()[2], "optimal"),
+    (_named_programs()[3], "infeasible"),
+    (_named_programs()[4], "unbounded"),
+    # x + y = 1 twice over, and once more scaled: two redundant rows
+    (_program("min", [1, 2], ([1, 1], "=", 1), ([2, 2], "=", 2), ([-1, -1], "=", -1)),
+     "optimal"),
+    # negative right-hand sides of every relation
+    (_program("max", [-1, 1, -2], ([1, -1, 0], "<=", -1), ([-1, 0, -1], ">=", -5),
+              ([0, 1, -1], "=", -2)), "optimal"),
+    (_program("max", [1, 1], ([1, -1], ">=", -1), ([-1, 1], ">=", -1)), "unbounded"),
+    (_program("min", [1], ([-1], ">=", 2)), "infeasible"),
+    # Found by search: x_1 and x_2 tie for Dantzig's entering variable
+    # after x_0's slack took over x_0's column, so the variable index,
+    # not the column position, must decide.
+    (_program("min", [0, 1, -1], ([-1, -1, 0], ">=", -2), ([1, 0, 0], "=", 2)), "unbounded"),
+    # The same for Bland's rule, and for the phase-1 drive-out of the
+    # artificial of x >= 1 once x <= 1 has made it degenerate.
+    (_program("max", [-1, 1], ([0, -1], "<=", -1), ([1, 1], "<=", 1)), "optimal"),
+    (_program("min", [1], ([1], ">=", 1), ([1], "<=", 1)), "optimal"),
+])
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_condensed_simplex_pivots_as_the_dense_one_on_each_outcome(lp, outcome, exact):
+    want, got = _both_simplexes(lp.rows, lp.objective, lp.sense == "min", exact)
+    assert got == want
+    assert got[0][0] == outcome
