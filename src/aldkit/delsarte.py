@@ -13,10 +13,13 @@ coefficient is a sum of such powers, kept as ten integer counts (how many
 terms equal zeta^k), so multiplying by a character shifts the counts
 cyclically.  After the variable symmetrization m ~ reverse(m) every
 constraint coefficient is real: a sum of 2cos(2 pi k / 10), each of which
-lies in the quadratic field Q(sqrt 5).  The LP is solved exactly over
-that ordered field, with no dropped constraints; floating point only
+lies in the quadratic field Q(sqrt 5).  The row of a profile p states
+its transform coefficient's nonnegativity in the one row form
+``solve_lp`` takes: -(transform entries) . x <= multinomial(p), a
+nonnegative right-hand side.  The LP is solved exactly over that
+ordered field, with no dropped constraints; floating point only
 proposes the basis, and the reported optimum comes with exactly checked
-dual multipliers.
+dual multipliers, the rows' duals u = y >= 0 themselves.
 
 Assembly.  Columns are expanded a factor at a time on packed integers:
 a profile key is one int with a byte per digit (n <= 20 < 256), and its
@@ -427,7 +430,7 @@ def _profile_layout(n: int) -> tuple:
     (reverse_profile(p) >= p), in lexicographic order: ``orbit`` is 1
     when p is its own reverse and 2 otherwise, ``preds`` the
     ``(i, packed p - e_i)`` pair of each nonzero digit i of p, and
-    ``rhs`` the row's right-hand side, -multinomial(p) in Q5.  See
+    ``rhs`` the row's right-hand side, multinomial(p) in Q5.  See
     "Assembly" in the module docstring.
     """
     fact = [math.factorial(k) for k in range(n + 1)]
@@ -442,7 +445,7 @@ def _profile_layout(n: int) -> tuple:
         preds = tuple((i, key - (1 << 8 * i)) for i in range(10) if p[i])
         mult = fact[n] // math.prod(map(fact.__getitem__, p))
         if mult not in rhs_of:
-            rhs_of[mult] = Q5.lift(-mult)
+            rhs_of[mult] = Q5.lift(mult)
         layout.append((p, 1 if rev == p else 2, preds, rhs_of[mult]))
     return tuple(layout)
 
@@ -452,9 +455,10 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
 
     ``survivors`` lists ``(m, orbit)`` for the first profile m of each
     reverse pair whose column survives the kill rules; ``rows`` maps each
-    distinct row, its entries then its right-hand side, to the first
-    profile that gives it.  The row of reverse_profile(p) equals the row
-    of p, so only the first profile of each pair is visited.
+    distinct row, its entries (the negated transform coefficients) then
+    its right-hand side, to the first profile that gives it.  The row of
+    reverse_profile(p) equals the row of p, so only the first profile of
+    each pair is visited.
     """
     size, width, full, fmt = _slot_layout(n)  # refuses n > 20 before the table
     layout = _profile_layout(n)
@@ -465,7 +469,7 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
     ]
 
     preds = [digits for _, _, digits, _ in layout]
-    entry_of = {}  # (packed counts, orbit) -> column_entry(counts, orbit)
+    entry_of = {}  # (packed counts, orbit) -> -column_entry(counts, orbit)
     columns = []  # each survivor's entries, one per first profile
     for m, orbit in survivors:
         budget.check("column assembly")
@@ -485,14 +489,14 @@ def _assemble(n: int, d: int, lam: int, budget: Budget) -> tuple:
             entry = entry_of.get(key)
             if entry is None:
                 counts = unpack(fmt, w.to_bytes(10 * size, "little"))
-                entry = entry_of[key] = column_entry(counts, orbit)
+                entry = entry_of[key] = -column_entry(counts, orbit)
             column.append(entry)
         columns.append(column)
 
     rows = {}  # distinct row -> the first profile that gives it
     for (p, _, _, rhs), entries in zip(layout, zip(*columns)):
         if not any(entries):
-            continue  # 0 >= -multinomial holds vacuously
+            continue  # 0 <= multinomial holds vacuously
         rows.setdefault(entries + (rhs,), p)
     return survivors, rows
 
@@ -526,7 +530,7 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
         objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max"
     )
     for row in rows:
-        lp.add(row[:-1], ">=", row[-1])
+        lp.add(row[:-1], "<=", row[-1])
     result = solve_lp(
         lp, convert=Q5.lift, on_step=lambda: budget.check("solve")
     )
@@ -534,8 +538,8 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
         raise ArithmeticError(f"unexpected LP status {result.status}")
     total = Q5.lift(1) + result.value
     exact = total.a if total.b == 0 else None
-    # y <= 0 on these ">=" rows; u = -y are the nonnegative multipliers
-    dual = tuple((p, -y) for p, y in zip(rows.values(), result.y) if y != 0)
+    # y >= 0 on these "<=" rows of a max: they are the multipliers u
+    dual = tuple((p, y) for p, y in zip(rows.values(), result.y) if y != 0)
     return DelsarteReport(
         "delsarte", n, d, lam, LPStatus.OPTIMAL,
         exact=exact, sqrt5_part=total.b, floored=total.__floor__(), dual=dual,

@@ -1,11 +1,14 @@
 """Exact linear programming over ordered fields.
 
-Problems are min or max of c.x subject to rows A_i.x {<=,>=,=} b_i with
-all variables nonnegative.  That is the only variable domain the
-package needs.  The arithmetic is duck-typed: any ordered-field scalar
-with +, -, *, / and comparisons works, so the covering LP runs over
-``fractions.Fraction`` and the character-sum bound over a real
-quadratic extension field.  Answers are exact in that field.
+Problems are min or max of c.x subject to rows A_i.x <= b_i or
+A_i.x >= b_i, each with b_i >= 0, and all variables nonnegative.  That
+is the only form the package's two programs need: the covering LP has
+">=" rows with right-hand side 1, the character LP "<=" rows with a
+multinomial right-hand side.  The arithmetic is duck-typed: any
+ordered-field scalar with +, -, *, / and comparisons works, so the
+covering LP runs over ``fractions.Fraction`` and the character-sum
+bound over a real quadratic extension field.  Answers are exact in that
+field.
 
 ``solve_lp`` works in three steps.  First it proposes bases: every
 column basic and every row tight when there are as many rows as
@@ -95,15 +98,19 @@ class LPResult:
 
 @dataclass
 class LinearProgram:
-    """min or max objective.x over x >= 0 subject to linear rows."""
+    """min or max objective.x over x >= 0 subject to linear rows, each
+    ``coeffs.x <= rhs`` or ``coeffs.x >= rhs`` with rhs >= 0; ``add``
+    refuses any other relation, ``=`` included, and a negative rhs."""
 
     objective: list
     sense: str = "min"
     rows: list = field(default_factory=list)  # (coeffs, relation, rhs)
 
     def add(self, coeffs, relation: str, rhs) -> None:
-        if relation not in ("<=", ">=", "="):
-            raise ValueError(f"unknown relation {relation!r}")
+        if relation not in ("<=", ">="):
+            raise ValueError(f"unsupported relation {relation!r}: rows are '<=' or '>='")
+        if rhs < 0:
+            raise ValueError(f"negative right-hand side {rhs!r}: negate the row and flip it")
         if len(coeffs) != len(self.objective):
             raise ValueError("coefficient count does not match variable count")
         self.rows.append((list(coeffs), relation, rhs))
@@ -115,7 +122,7 @@ def _pivot(tab: list, basis: list, nonbasic: list, row: int, col: int, one, nrea
     The leaving variable takes over the entering one's column: its
     unit column would read 1/piv in the pivot row and -f/piv in a row
     whose entry f sat in the pivot column.  An artificial (label >=
-    ``nreal``) leaves for good, so its column is dropped instead.
+    ``nreal``) leaves for good, so its column is deleted instead.
     """
     piv = tab[row][col]
     top = tab[row] = [v / piv for v in tab[row]]
@@ -206,17 +213,6 @@ def _dantzig(tab: list, basis: list, nonbasic: list, nreal: int, on_step, cap: i
     return "stalled"
 
 
-_FLIPPED = {"<=": ">=", ">=": "<=", "=": "="}
-
-
-def _normalized(rows: list) -> list:
-    """Rows with a nonnegative right-hand side (negative ones flipped)."""
-    return [
-        ([-c for c in coeffs], _FLIPPED[relation], -rhs) if rhs < 0 else (coeffs, relation, rhs)
-        for coeffs, relation, rhs in rows
-    ]
-
-
 def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
     """Two-phase simplex on the condensed tableau of ``rows``.
 
@@ -227,38 +223,32 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
     The tableau has one row per constraint (and the cost row) and one
     column per nonbasic variable, ``nonbasic[j]`` labelling column j,
     then the right-hand side; basic variables are the labels in
-    ``basis``.  Variables 0..nvars-1 are structural, then come the
-    slacks of the inequality rows in row order, and row i's artificial
-    is the label nreal + i.  ``iterate(tab, basis, nonbasic, nreal)``
-    runs one phase; ``tol`` is the magnitude up to which a float entry
-    counts as zero (None: exact).
+    ``basis``.  Variables 0..nvars-1 are structural, row i's slack is
+    nvars + i, and a ">=" row's artificial is the label nreal + i
+    (nreal = nvars + rows).  The slacks make the rows independent, so
+    after phase 1 every artificial can leave the basis; if one cannot,
+    the exact simplex raises ``ArithmeticError`` and the float one
+    reports "stalled".  ``iterate(tab, basis, nonbasic, nreal)`` runs
+    one phase; ``tol`` is the magnitude up to which a float entry counts
+    as zero (None: exact).
     """
     nonzero = (lambda v: v != zero) if tol is None else (lambda v: abs(v) > tol)
     nvars = len(obj)
-    rows = _normalized(rows)
-    nreal = nvars + sum(1 for _, rel, _ in rows if rel != "=")
+    nreal = nvars + len(rows)
     width = nvars + sum(1 for _, rel, _ in rows if rel == ">=")
-    owner = {}  # slack or artificial label -> its row
     tab, basis, nonbasic = [], [], list(range(nvars))
-    si = nvars
     for i, (coeffs, relation, rhs) in enumerate(rows):
         row = [zero] * (width + 1)
         row[:nvars] = coeffs
         row[-1] = rhs
-        if relation != "=":
-            owner[si] = i
-            if relation == "<=":
-                basis.append(si)
-            else:
-                row[len(nonbasic)] = -one
-                nonbasic.append(si)
-            si += 1
-        if relation != "<=":
-            owner[nreal + i] = i
+        if relation == "<=":
+            basis.append(nvars + i)
+        else:
+            row[len(nonbasic)] = -one
+            nonbasic.append(nvars + i)
             basis.append(nreal + i)
         tab.append(row)
 
-    dropped = set()
     if any(b >= nreal for b in basis):
         # Phase 1: minimise the artificial total.
         cost = [zero] * (width + 1)
@@ -273,23 +263,21 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
         if tab.pop()[-1] < (zero if tol is None else -tol):
             return "infeasible", None, None
         # Drive leftover artificials out of the basis, each through its
-        # row's lowest-index nonzero variable; a row where that is
-        # impossible is a redundant equation and is dropped.
-        keep = []
-        for i in range(len(tab)):
-            if basis[i] >= nreal:
+        # row's lowest-index nonzero variable.
+        for i, b in enumerate(basis):
+            if b >= nreal:
                 row = tab[i]
                 piv_col = min(
                     (j for j in range(len(nonbasic)) if nonzero(row[j])),
                     key=nonbasic.__getitem__, default=-1,
                 )
                 if piv_col < 0:
-                    dropped.add(owner[basis[i]])
-                    continue
+                    if tol is None:
+                        raise ArithmeticError(
+                            f"the artificial of row {b - nreal} cannot leave the basis"
+                        )
+                    return "stalled", None, None
                 _pivot(tab, basis, nonbasic, i, piv_col, one, nreal)
-            keep.append(i)
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
 
     # Phase 2 on the real objective, as a minimisation.
     signed = obj if minimize else [-c for c in obj]
@@ -303,8 +291,8 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
     outcome = iterate(tab, basis, nonbasic, nreal)
     if outcome != "optimal":
         return outcome, None, None
-    loose = {owner[b] for b in basis if b >= nvars}
-    tight = [i for i in range(len(rows)) if i not in loose and i not in dropped]
+    loose = {b - nvars for b in basis if b >= nvars}
+    tight = [i for i in range(len(rows)) if i not in loose]
     return outcome, sorted(b for b in basis if b < nvars), tight
 
 
@@ -312,21 +300,13 @@ def _float_basis(rows, obj, minimize, on_step):
     """Basis proposed by the float simplex, or None when it gives up.
 
     Columns, then rows, are scaled to unit largest magnitude and the
-    objective likewise; scaling moves no basis.  Inequality row i's
-    right-hand side then grows by _FLOAT_PERTURB * (1 + i / m); equations
-    keep theirs, so redundant ones stay consistent.  Numbers beyond
+    objective likewise; scaling moves no basis.  Row i's right-hand
+    side then grows by _FLOAT_PERTURB * (1 + i / m).  Numbers beyond
     the float range, or a field without ``float()``, leave the problem
     to the exact simplex.
     """
     try:
-        frows = []
-        for coeffs, rel, b in rows:
-            fcoeffs, fb = [float(c) for c in coeffs], float(b)
-            # Flipped on the exact sign: float(-c) == -float(c), and
-            # 0.0 - c keeps zeros unsigned as the exact flip does.
-            if b < 0:
-                fcoeffs, rel, fb = [0.0 - c for c in fcoeffs], _FLIPPED[rel], -fb
-            frows.append((fcoeffs, rel, fb))
+        frows = [([float(c) for c in coeffs], rel, float(b)) for coeffs, rel, b in rows]
         fobj = [float(c) for c in obj]
     except (OverflowError, TypeError):
         return None
@@ -336,8 +316,7 @@ def _float_basis(rows, obj, minimize, on_step):
     for i, (coeffs, rel, b) in enumerate(frows):
         coeffs = [c / s for c, s in zip(coeffs, colmax)]
         big = max(map(abs, coeffs), default=0.0) or 1.0
-        nudge = 0.0 if rel == "=" else _FLOAT_PERTURB * (1 + i / m)
-        scaled.append(([c / big for c in coeffs], rel, b / big + nudge))
+        scaled.append(([c / big for c in coeffs], rel, b / big + _FLOAT_PERTURB * (1 + i / m)))
     fobj = [c / s for c, s in zip(fobj, colmax)]
     big = max(map(abs, fobj), default=0.0) or 1.0
     fobj = [c / big for c in fobj]
@@ -440,14 +419,11 @@ def _optimal_value(rows, obj, minimize, basic, tight, xs, ys, zero):
     priced = [(i, v) for i, v in zip(tight, ys) if v != zero]
     for coeffs, relation, rhs in rows:
         lhs = sum((coeffs[j] * v for j, v in support), zero)
-        if relation == "<=" and lhs > rhs or relation == ">=" and lhs < rhs:
-            return None
-        if relation == "=" and lhs != rhs:
+        if (lhs > rhs) if relation == "<=" else (lhs < rhs):
             return None
     for i, v in priced:
-        relation = rows[i][1]
         # max: y >= 0 on "<=" rows, y <= 0 on ">=" rows; min: the reverse
-        if relation != "=" and (v > zero) != ((relation == "<=") != minimize):
+        if (v > zero) != ((rows[i][1] == "<=") != minimize):
             return None
     for j, c in enumerate(obj):
         reduced = c - sum((rows[i][0][j] * v for i, v in priced), zero)

@@ -77,7 +77,7 @@ def test_h01_rejects_tiny_v():
         build_H01(1)
 
 
-def test_distance_ladder_is_exact():
+def test_distance_ladder_is_exact(monkeypatch):
     # columns 1,2,3 are dependent, so the null space has distance 3
     h = BinaryParityCheck(rows=3, columns=(1, 2, 3, 4, 5, 6), claimed_distance=3)
     assert h.distance_at_least(3)
@@ -92,6 +92,26 @@ def test_distance_ladder_is_exact():
     assert dup.distance_at_least(2)
     assert not dup.distance_at_least(3)
     assert dup.min_distance() == 2
+    # The extended Hamming code [8, 4, 4] (columns j | 8, j < 8): no
+    # column is the sum of two others, but 8 ^ 9 ^ 10 = 11 is a column,
+    # so the pair rung says >= 4 and the triple rung refuses 5, with no
+    # null-space scan below 6.
+    ext = BinaryParityCheck(rows=4, columns=tuple(j | 8 for j in range(8)), claimed_distance=4)
+    wide = BinaryParityCheck(rows=5, columns=(1, 2, 4, 8, 16, 31), claimed_distance=6)
+    with monkeypatch.context() as m:
+        m.setattr(BinaryParityCheck, "min_distance", lambda self: pytest.fail("scanned below 6"))
+        assert ext.distance_at_least(4)
+        assert not ext.distance_at_least(5)
+        assert wide.distance_at_least(5)
+    # Past 5 the null space is scanned: its one nonzero word has all six
+    # columns, so the distance is exactly 6.
+    assert wide.min_distance() == 6
+    assert wide.distance_at_least(6)
+    assert not wide.distance_at_least(7)
+    # The d = 5 BCH check at v = 6 passes the rungs, and its null space
+    # (62 columns, 12 rows) has 2^50 words: refused, not scanned.
+    with pytest.raises(BudgetExceeded, match=r"2\^50 words"):
+        bch_parity_check(6, 5).distance_at_least(6)
 
 
 def test_validate_rejects_false_claims():
@@ -737,6 +757,17 @@ def test_clambda_input_validation(monkeypatch):
             build_clambda(n, d, 1, [(0, 0)], {0: {0}})
         with pytest.raises(ValueError, match="n must|d must"):
             greedy_clambda(n, d, 1)
+
+
+def test_greedy_clambda_scans_its_ternary_component_once(monkeypatch):
+    # greedy_manhattan_code keeps only words at distance >= d from those
+    # kept, so only build_clambda's component check measures it.
+    calls = []
+    scan = codes.min_l1_distance
+    monkeypatch.setattr(codes, "min_l1_distance", lambda code: calls.append(1) or scan(code))
+    book = greedy_clambda(4, 3, 1)
+    assert calls == [1]
+    assert exhaustive_min_ald(book, 1) >= 3
 
 
 def test_greedy_manhattan_small_cases():

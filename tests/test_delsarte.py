@@ -208,6 +208,21 @@ def test_q5_floor_anchors():
     assert math.floor(Q5(Fraction(0), Fraction(-1))) == -3
     assert math.floor(Q5(Fraction(5, 2), Fraction(0))) == 2
     assert math.floor(Q5(Fraction(1, 2), Fraction(1, 2))) == 1  # golden ratio
+    # phi^n = (L_n + F_n sqrt 5) / 2 lies within |psi|^n of the Lucas
+    # number L_n: just below it for even n, just above it for odd n.  At
+    # n = 38 the float rounds up onto L_38, so its floor is one too high;
+    # at n = 79 it rounds down below L_79, so its floor is one too low.
+    phi = Q5(Fraction(1, 2), Fraction(1, 2))
+    powers = [Q5.lift(1)]
+    for _ in range(79):
+        powers.append(powers[-1] * phi)
+    for n, lucas, float_floor, want in (
+        (38, 87403803, 87403803, 87403802),
+        (79, 32361122672259149, 32361122672259148, 32361122672259149),
+    ):
+        assert powers[n].a == Fraction(lucas, 2)
+        assert math.floor(float(powers[n])) == float_floor
+        assert math.floor(powers[n]) == want
 
 
 @given(small_fractions, small_fractions)
@@ -483,7 +498,8 @@ def oracle_rows(n, d, lam):
         entries = [column_entry(oracle_column(m).get(p, (0,) * 10), orbit)
                    for m, orbit in survivors]
         if any(entries):
-            rows.setdefault(tuple(entries) + (Q5.lift(-multinomial(p)),), p)
+            # the transform's nonnegativity, stated as -transform <= multinomial
+            rows.setdefault(tuple(-e for e in entries) + (Q5.lift(multinomial(p)),), p)
     return survivors, rows
 
 
@@ -493,7 +509,7 @@ def oracle_lp(n, d, lam):
     survivors, rows = oracle_rows(n, d, lam)
     lp = LinearProgram(objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max")
     for row in rows:
-        lp.add(row[:-1], ">=", row[-1])
+        lp.add(row[:-1], "<=", row[-1])
     return lp
 
 
@@ -544,9 +560,9 @@ def test_pulled_rows_match_full_columns_past_one_byte_slots():
     for p in profiles(n):
         if reverse_profile(p) < p:
             continue
-        entries = tuple(column_entry(col[p], orbit) for col, orbit in columns)
+        entries = tuple(-column_entry(col[p], orbit) for col, orbit in columns)
         if any(entries):
-            want.setdefault(entries + (Q5.lift(-multinomial(p)),), p)
+            want.setdefault(entries + (Q5.lift(multinomial(p)),), p)
     assert list(rows.items()) == list(want.items())
 
 
@@ -789,7 +805,7 @@ def test_profile_table_matches_its_definition(n):
         preds = tuple(
             (i, packed(p[:i] + (p[i] - 1,) + p[i + 1:])) for i in range(10) if p[i]
         )
-        want.append((p, 1 if rev == p else 2, preds, Q5.lift(-multinomial(p))))
+        want.append((p, 1 if rev == p else 2, preds, Q5.lift(multinomial(p))))
     assert delsarte._profile_layout(n) == tuple(want)
 
 

@@ -30,11 +30,10 @@ def assert_certified(lp, res):
     assert dot(lp.objective, res.x) == res.value
     for (coeffs, relation, rhs), y in zip(lp.rows, res.y):
         lhs = dot(coeffs, res.x)
-        assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "=": lhs == rhs}[relation]
         if relation == "<=":
-            assert sign * y >= 0
-        elif relation == ">=":
-            assert sign * y <= 0
+            assert lhs <= rhs and sign * y >= 0
+        else:
+            assert lhs >= rhs and sign * y <= 0
     for j, c in enumerate(lp.objective):
         assert sign * (dot([row[0][j] for row in lp.rows], res.y) - c) >= 0
     assert dot([rhs for _, _, rhs in lp.rows], res.y) == res.value
@@ -44,6 +43,20 @@ def _no_proposals(*args):
     """Stands in for ``lp._proposals``: nothing to certify, so every
     answer comes from the exact simplex."""
     return iter(())
+
+
+def _stated(coeffs, relation, rhs):
+    """``coeffs.x relation rhs``, for any relation and sign of rhs, as
+    rows of the one form ``solve_lp`` takes, with the same solutions: a
+    row with rhs < 0 is negated with its relation flipped, and an
+    equation becomes a ">=" and then a "<=" row (the float simplex
+    raises later rows' right-hand sides more, so the pair stays
+    consistent there)."""
+    if rhs < 0:
+        coeffs, rhs = [-c for c in coeffs], -rhs
+        relation = {"<=": ">=", ">=": "<=", "=": "="}[relation]
+    relations = (">=", "<=") if relation == "=" else (relation,)
+    return [(list(coeffs), r, rhs) for r in relations]
 
 
 class NoFloat:
@@ -110,10 +123,11 @@ def test_maximize_simple():
 
 
 def test_equality_constraints():
-    # min 2x + 3y  st  x + y = 10, x - y = 2  ->  x=6, y=4, value 24
+    # min 2x + 3y  st  x + y = 10, x - y = 2  ->  x=6, y=4, value 24;
+    # each equation is stated as a ">=" and a "<=" row
     lp = LinearProgram(objective=[2, 3], sense="min")
-    lp.add([1, 1], "=", 10)
-    lp.add([1, -1], "=", 2)
+    for row in _stated([1, 1], "=", 10) + _stated([1, -1], "=", 2):
+        lp.add(*row)
     res = solve_lp(lp)
     assert res.status is LPStatus.OPTIMAL
     assert res.value == 24
@@ -157,20 +171,28 @@ def test_degenerate_cycling_guard():
 
 
 def test_negative_rhs_normalisation():
-    # x >= 1 written as -x <= -1.
-    lp = LinearProgram(objective=[1], sense="min")
-    lp.add([-1], "<=", -1)
-    res = solve_lp(lp)
-    assert res.status is LPStatus.OPTIMAL
-    assert res.value == 1
+    # A negative right-hand side is refused: the caller states
+    # -x <= rhs as x >= -rhs, and that row is solved.
+    for rhs, convert in ((-1, Fraction), (Fraction(-1, 3), Fraction), (Q5(1, -1), Q5.lift)):
+        lp = LinearProgram(objective=[1], sense="min")
+        for relation in ("<=", ">="):
+            with pytest.raises(ValueError, match="negative right-hand side"):
+                lp.add([-1], relation, rhs)
+        assert lp.rows == []
+        lp.add(*_stated([-1], "<=", rhs)[0])
+        res = solve_lp(lp, convert=convert)
+        assert res.status is LPStatus.OPTIMAL
+        assert res.value == -rhs
 
 
 def test_rejects_bad_relation_and_shape():
     lp = LinearProgram(objective=[1, 2])
-    with pytest.raises(ValueError):
-        lp.add([1, 0], "<", 1)
+    for relation in ("<", "=", "==", "=>"):
+        with pytest.raises(ValueError, match="unsupported relation"):
+            lp.add([1, 0], relation, 1)
     with pytest.raises(ValueError):
         lp.add([1], "<=", 1)
+    assert lp.rows == []
     with pytest.raises(ValueError):
         solve_lp(LinearProgram(objective=[1], sense="argmin"))
 
@@ -242,11 +264,12 @@ def test_mixed_relations_carry_a_dual_certificate(data):
         sense=data.draw(st.sampled_from(["min", "max"])),
     )
     for _ in range(data.draw(st.integers(0, 4))):
-        lp.add(
+        for row in _stated(
             [data.draw(st.integers(-3, 3)) for _ in range(n)],
             data.draw(st.sampled_from(["<=", ">=", "="])),
             data.draw(st.integers(-6, 6)),
-        )
+        ):
+            lp.add(*row)
     res = solve_lp(lp)
     if res.status is LPStatus.OPTIMAL:
         assert_certified(lp, res)
@@ -291,11 +314,12 @@ def test_a_wrong_proposal_never_changes_the_answer(data):
         sense=data.draw(st.sampled_from(["min", "max"])),
     )
     for _ in range(data.draw(st.integers(1, 3))):
-        lp.add(
+        for row in _stated(
             [scalar(3) for _ in range(n)],
             data.draw(st.sampled_from(["<=", ">=", "="])),
             scalar(6),
-        )
+        ):
+            lp.add(*row)
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lp_module, "_proposals", _no_proposals)
         want = solve_lp(lp)
@@ -373,7 +397,7 @@ def test_integer_certificate_on_fixed_proposals(lp, basic, tight, value):
         ("max", [1], [([1], "<=", 1)], [1], [1], 1),
         # each pair below fails exactly one check, always at basic [0]
         # and tight [0]: x >= 0
-        ("max", [1], [([1], "=", -1)], [-1], [1], None),
+        ("max", [-1], [([1], "<=", 1)], [-1], [1], None),
         # a row: x = 1 breaks x <= 0
         ("max", [1], [([1], "<=", 1), ([1], "<=", 0)], [1], [1], None),
         # a dual sign: y > 0 on a ">=" row of a max
@@ -417,58 +441,6 @@ def test_integer_certificate_matches_lu_on_covering_lps(monkeypatch):
     for cell in sorted(cells):
         lp_hypergraph_bound(*cell)
     assert len(accepted) == len(cells) and all(accepted)
-
-
-def test_redundant_equation_is_dropped(monkeypatch):
-    # min x + 2y  st  x + y = 1, 2x + 2y = 2: after phase 1 the second
-    # row's artificial cannot leave the basis, so the simplex drops the
-    # row.  Equations are not perturbed, so the float rows stay
-    # consistent and the float proposal is the one certified; the exact
-    # simplex drops the row the same way when it runs alone.
-    lp = LinearProgram(objective=[1, 2], sense="min")
-    lp.add([1, 1], "=", 1)
-    lp.add([2, 2], "=", 2)
-    calls = []
-    simplex = lp_module._simplex
-
-    def traced_simplex(*args, **kwargs):
-        outcome = simplex(*args, **kwargs)
-        calls.append(("float" if kwargs.get("tol") else "exact", outcome[2]))
-        return outcome
-
-    monkeypatch.setattr(lp_module, "_simplex", traced_simplex)
-    res = solve_lp(lp)
-    assert calls == [("float", [0])]
-    calls.clear()
-    monkeypatch.setattr(lp_module, "_proposals", _no_proposals)
-    exact = solve_lp(lp)
-    assert calls == [("exact", [0])]
-    for got in (res, exact):
-        assert got.status is LPStatus.OPTIMAL
-        assert got.value == 1 and got.x == [1, 0]
-        assert_certified(lp, got)
-
-
-@pytest.mark.parametrize(
-    "make", [int, lambda v: Fraction(v, 3), lambda v: Q5(v, Fraction(v, 2))],
-    ids=["int", "Fraction", "Q5"],
-)
-def test_float_rows_are_the_exactly_flipped_rows(monkeypatch, make):
-    # _float_basis floats each row, then flips it on its exact sign; the
-    # tableau handed to the float simplex is, bit for bit and with its
-    # zeros unsigned, the one from the rows flipped in exact arithmetic.
-    rows = [
-        ([make(v) for v in coeffs], rel, make(rhs))
-        for coeffs, rel, rhs in [([1, 0, -3], ">=", -2), ([0, 2, 1], "<=", 5),
-                                 ([-1, 1, 0], "=", -1), ([0, -4, 2], "<=", -7)]
-    ]
-    tableaus = []
-    monkeypatch.setattr(lp_module, "_simplex",
-                        lambda rows, *args, **kwargs: tableaus.append(repr(rows)) or ("stalled", None, None))
-    for program in (rows, lp_module._normalized(rows)):
-        assert lp_module._float_basis(program, [make(1)] * 3, True, lambda: None) is None
-    assert "-0.0" not in tableaus[0]
-    assert tableaus[0] == tableaus[1]
 
 
 def test_float_step_cap_hands_over_to_the_exact_simplex(monkeypatch):
@@ -557,8 +529,8 @@ def _named_programs():
     lp2.add([0, 2], "<=", 12)
     lp2.add([3, 2], "<=", 18)
     lp3 = LinearProgram(objective=[2, 3], sense="min")
-    lp3.add([1, 1], "=", 10)
-    lp3.add([1, -1], "=", 2)
+    for row in _stated([1, 1], "=", 10) + _stated([1, -1], "=", 2):
+        lp3.add(*row)
     lp4 = LinearProgram(objective=[1], sense="min")
     lp4.add([1], ">=", 3)
     lp4.add([1], "<=", 2)
@@ -908,17 +880,17 @@ def test_a_rejected_all_tight_basis_costs_one_elimination(monkeypatch):
 
 
 def test_artificial_variables_have_no_tableau_column(monkeypatch):
-    # Rows of every relation, one of them flipped to ">=" by its negative
-    # right-hand side.  The tableau holds one column per nonbasic
+    # Rows of both relations, the equation x1 - x2 = 1 among them as a
+    # ">=" and a "<=" row.  The tableau holds one column per nonbasic
     # variable and the right-hand side: phase 1 starts with the three
-    # variables and the two ">=" rows' slacks nonbasic (the "<=" slack
-    # and the three artificials are basic), and every artificial that
-    # leaves takes its column with it, so phase 2 starts with 6 real
-    # variables less 4 basic ones, float and exact.
+    # variables and the three ">=" rows' slacks nonbasic (the two "<="
+    # slacks and the three artificials are basic), and every artificial
+    # that leaves takes its column with it, so phase 2 starts with 8
+    # real variables less 5 basic ones, float and exact.
     lp = _program(
         "min", [1, 2, 4],
-        ([1, 1, 1], ">=", 2), ([1, -1, 0], "=", 1), ([0, 0, 1], "<=", 4),
-        ([0, -1, -1], "<=", -1),
+        ([1, 1, 1], ">=", 2), ([1, -1, 0], ">=", 1), ([1, -1, 0], "<=", 1),
+        ([0, 0, 1], "<=", 4), ([0, 1, 1], ">=", 1),
     )
     widths = []
     dantzig, bland = lp_module._dantzig, lp_module._bland
@@ -936,7 +908,7 @@ def test_artificial_variables_have_no_tableau_column(monkeypatch):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(lp_module, "_proposals", _no_proposals)
         exact = solve_lp(lp)
-    assert widths == [(path, {1 + k}, k) for path in ("float", "exact") for k in (5, 2)]
+    assert widths == [(path, {1 + k}, k) for path in ("float", "exact") for k in (6, 3)]
     for got in (res, exact):
         assert got.status is LPStatus.OPTIMAL
         assert got.value == 4 and got.x == [2, 1, 0]
@@ -950,9 +922,63 @@ def test_artificial_variables_have_no_tableau_column(monkeypatch):
     assert widths == [("exact", {3}, 2)]
 
 
+def test_degenerate_artificial_is_driven_out_after_phase_1(monkeypatch):
+    # min x  st  x >= 1, x <= 1.  In phase 1 x enters, and both rows
+    # give the ratio 1; Bland's rule lets the lower label leave, which is
+    # the "<=" row's slack (variable 2), not the ">=" row's artificial
+    # (label 3).  So that artificial ends phase 1 basic at value 0, and
+    # it leaves through its row's lowest-index nonzero variable, the
+    # ">=" row's slack (variable 1), before phase 2 starts.
+    lp = _program("min", [1], ([1], ">=", 1), ([1], "<=", 1))
+    phases = []
+    bland = lp_module._bland
+
+    def traced(tab, basis, nonbasic, nreal, *args):
+        phases.append((list(basis), list(nonbasic)))
+        outcome = bland(tab, basis, nonbasic, nreal, *args)
+        if len(phases) == 1:
+            phases.append((list(basis), [row[-1] for row in tab[:-1]]))
+        return outcome
+
+    monkeypatch.setattr(lp_module, "_bland", traced)
+    monkeypatch.setattr(lp_module, "_proposals", _no_proposals)
+    res = solve_lp(lp)
+    assert phases == [
+        ([3, 2], [0, 1]),  # phase 1 starts: the artificial and the slack basic
+        ([3, 0], [0, 1]),  # phase 1 ends: x basic, the artificial still basic at 0
+        ([1, 0], [2]),     # phase 2 starts: the artificial gave way to slack 1
+    ]
+    assert res.status is LPStatus.OPTIMAL
+    assert res.value == 1 and res.x == [1]
+    assert_certified(lp, res)
+
+
+@pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
+def test_an_artificial_that_cannot_leave_is_refused(exact):
+    # The slacks make the rows independent, so every artificial left
+    # basic after phase 1 has a nonzero entry to leave through.  A phase
+    # that broke this (here: one that zeroes the artificial's row) makes
+    # the exact simplex raise, and the float one give up its proposal.
+    lift = Fraction if exact else float
+    rows = [([lift(1)], ">=", lift(0))]
+
+    def iterate(tab, basis, nonbasic, nreal):
+        if any(b >= nreal for b in basis):
+            tab[0][:len(nonbasic)] = [lift(0)] * len(nonbasic)
+        return "optimal"
+
+    args = ([lift(1)], True, lift(0), lift(1), iterate)
+    if exact:
+        with pytest.raises(ArithmeticError, match="cannot leave the basis"):
+            lp_module._simplex(rows, *args)
+    else:
+        assert lp_module._simplex(rows, *args, tol=lp_module._FLOAT_TOL) == ("stalled", None, None)
+
+
 # The dense two-phase simplex that the condensed tableau replaced, kept
-# as a reference: every slack has a column, basic or not, so a row is
-# structural + slack columns + 1 wide, and the artificials are labels.
+# as a reference and restated for the one row form: every row's slack
+# has a column, basic or not, so a row is structural + row count + 1
+# wide, and the artificials of ">=" rows are labels.
 def _dense_pivot(tab, basis, row, col):
     piv = tab[row][col]
     top = tab[row] = [v / piv for v in tab[row]]
@@ -1021,27 +1047,16 @@ def _dense_dantzig(tab, basis, ncols, on_step, cap):
 def _dense_simplex(rows, obj, minimize, zero, one, iterate, tol=None):
     nonzero = (lambda v: v != zero) if tol is None else (lambda v: abs(v) > tol)
     nvars = len(obj)
-    rows = lp_module._normalized(rows)
-    nreal = nvars + sum(1 for _, rel, _ in rows if rel != "=")
-    owner = {}
+    nreal = nvars + len(rows)
     tab, basis = [], []
-    si = nvars
     for i, (coeffs, relation, rhs) in enumerate(rows):
         row = [zero] * (nreal + 1)
         row[:nvars] = coeffs
+        row[nvars + i] = one if relation == "<=" else -one
         row[-1] = rhs
-        if relation != "=":
-            row[si] = one if relation == "<=" else -one
-            owner[si] = i
-            if relation == "<=":
-                basis.append(si)
-            si += 1
-        if relation != "<=":
-            owner[nreal + i] = i
-            basis.append(nreal + i)
+        basis.append(nvars + i if relation == "<=" else nreal + i)
         tab.append(row)
 
-    dropped = set()
     if any(b >= nreal for b in basis):
         cost = [zero] * (nreal + 1)
         for i, b in enumerate(basis):
@@ -1053,17 +1068,14 @@ def _dense_simplex(rows, obj, minimize, zero, one, iterate, tol=None):
             return outcome, None, None
         if tab.pop()[-1] < (zero if tol is None else -tol):
             return "infeasible", None, None
-        keep = []
         for i in range(len(tab)):
             if basis[i] >= nreal:
                 piv_col = next((j for j in range(nreal) if nonzero(tab[i][j])), -1)
                 if piv_col < 0:
-                    dropped.add(owner[basis[i]])
-                    continue
+                    if tol is None:
+                        raise ArithmeticError("an artificial cannot leave the basis")
+                    return "stalled", None, None
                 _dense_pivot(tab, basis, i, piv_col)
-            keep.append(i)
-        tab = [tab[i] for i in keep]
-        basis = [basis[i] for i in keep]
 
     cost = [zero] * (nreal + 1)
     cost[:nvars] = obj if minimize else [-c for c in obj]
@@ -1075,8 +1087,8 @@ def _dense_simplex(rows, obj, minimize, zero, one, iterate, tol=None):
     outcome = iterate(tab, basis, nreal)
     if outcome != "optimal":
         return outcome, None, None
-    loose = {owner[b] for b in basis if b >= nvars}
-    tight = [i for i in range(len(rows)) if i not in loose and i not in dropped]
+    loose = {b - nvars for b in basis if b >= nvars}
+    tight = [i for i in range(len(rows)) if i not in loose]
     return outcome, sorted(b for b in basis if b < nvars), tight
 
 
@@ -1108,10 +1120,12 @@ def _both_simplexes(rows, obj, minimize, exact, cap=1000):
 @given(st.data())
 @settings(max_examples=200)
 def test_condensed_simplex_pivots_as_the_dense_one(data):
-    # Every relation, negative right-hand sides, rational entries (whose
-    # floats round), and now and then a redundant copy of an equation
-    # or a small pivot cap: the same answer after as many pivots, float
-    # and exact.
+    # Rows drawn with every relation and negative right-hand sides, then
+    # stated in the one form (an equation as a ">=" and a "<=" row, a
+    # negative right-hand side negated with its relation flipped),
+    # rational entries (whose floats round), and now and then a
+    # redundant copy of an equation or a small pivot cap: the same
+    # answer after as many pivots, float and exact.
     n = data.draw(st.integers(1, 5))
 
     def scalar(bound):
@@ -1127,6 +1141,7 @@ def test_condensed_simplex_pivots_as_the_dense_one(data):
         coeffs, _, b = data.draw(st.sampled_from(equations))
         k = data.draw(st.sampled_from([-2, 1, 3]))
         rows.insert(data.draw(st.integers(0, len(rows))), ([k * c for c in coeffs], "=", k * b))
+    rows = [stated for row in rows for stated in _stated(*row)]
     obj = [scalar(4) for _ in range(n)]
     minimize = data.draw(st.booleans())
     cap = data.draw(st.sampled_from([0, 1, 2, 1000]))
@@ -1140,21 +1155,24 @@ def test_condensed_simplex_pivots_as_the_dense_one(data):
     (_named_programs()[2], "optimal"),
     (_named_programs()[3], "infeasible"),
     (_named_programs()[4], "unbounded"),
-    # x + y = 1 twice over, and once more scaled: two redundant rows
-    (_program("min", [1, 2], ([1, 1], "=", 1), ([2, 2], "=", 2), ([-1, -1], "=", -1)),
+    # x + y = 1 twice over, and once more scaled: redundant rows
+    (_program("min", [1, 2], *_stated([1, 1], "=", 1), *_stated([2, 2], "=", 2),
+              *_stated([-1, -1], "=", -1)),
      "optimal"),
-    # negative right-hand sides of every relation
-    (_program("max", [-1, 1, -2], ([1, -1, 0], "<=", -1), ([-1, 0, -1], ">=", -5),
-              ([0, 1, -1], "=", -2)), "optimal"),
-    (_program("max", [1, 1], ([1, -1], ">=", -1), ([-1, 1], ">=", -1)), "unbounded"),
+    # rows of every relation with negative right-hand sides, restated
+    (_program("max", [-1, 1, -2], *_stated([1, -1, 0], "<=", -1),
+              *_stated([-1, 0, -1], ">=", -5), *_stated([0, 1, -1], "=", -2)), "optimal"),
+    (_program("max", [1, 1], *_stated([1, -1], ">=", -1), *_stated([-1, 1], ">=", -1)),
+     "unbounded"),
     (_program("min", [1], ([-1], ">=", 2)), "infeasible"),
     # Found by search: x_1 and x_2 tie for Dantzig's entering variable
     # after x_0's slack took over x_0's column, so the variable index,
     # not the column position, must decide.
-    (_program("min", [0, 1, -1], ([-1, -1, 0], ">=", -2), ([1, 0, 0], "=", 2)), "unbounded"),
+    (_program("min", [0, 1, -1], *_stated([-1, -1, 0], ">=", -2), *_stated([1, 0, 0], "=", 2)),
+     "unbounded"),
     # The same for Bland's rule, and for the phase-1 drive-out of the
     # artificial of x >= 1 once x <= 1 has made it degenerate.
-    (_program("max", [-1, 1], ([0, -1], "<=", -1), ([1, 1], "<=", 1)), "optimal"),
+    (_program("max", [-1, 1], *_stated([0, -1], "<=", -1), ([1, 1], "<=", 1)), "optimal"),
     (_program("min", [1], ([1], ">=", 1), ([1], "<=", 1)), "optimal"),
 ])
 @pytest.mark.parametrize("exact", [False, True], ids=["float", "exact"])
