@@ -205,12 +205,12 @@ class Q5:
         return self.p / self.r + self.q / self.r * math.sqrt(5)
 
     def __floor__(self) -> int:
-        est = math.floor(float(self))
-        while _compare(self, est) < 0:
-            est -= 1
-        while _compare(self, est + 1) >= 0:
-            est += 1
-        return est
+        # floor((p + q sqrt5) / r) = floor(p + q sqrt5) // r for r > 0, and
+        # q sqrt5 = +-sqrt(5 q^2) is irrational for q != 0
+        f = math.isqrt(5 * self.q * self.q)
+        if self.q < 0:
+            f = -f - 1
+        return (self.p + f) // self.r
 
     def __repr__(self):
         if self.q == 0:
@@ -526,9 +526,7 @@ def delsarte_bound(n: int, d: int, lam: int, budget_secs=None) -> DelsarteReport
             f"n={n} needs a time budget: pass budget_secs (--budget on the CLI)"
         )
     survivors, rows = _assemble(n, d, lam, budget)
-    lp = LinearProgram(
-        objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max"
-    )
+    lp = LinearProgram(objective=[Q5.lift(orbit) for _, orbit in survivors])
     for row in rows:
         lp.add(row[:-1], "<=", row[-1])
     result = solve_lp(

@@ -6,7 +6,10 @@ LP: put a weight on every word so that each ball collects total weight
 at least 1, minimising the total.  The automorphism group acts
 transitively on words of equal strand-disagreement weight, which folds
 the 4^n-variable LP down to n+1 weight classes; ``balls.class_matrix``
-(imported here) counts each ball class by class.
+(imported here) counts each ball class by class.  The solver sees the
+dual of that LP, a fractional packing of balls over the same class
+matrix, and reads the covering weights off its row multipliers
+(``lp_hypergraph_bound``).
 
 Besides the exact LP optimum this module evaluates four feasible
 assignments with closed forms (reciprocal weights at radius lam,
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, isqrt
 from operator import mul
 
 from .balls import ClassMatrix, ball_size, class_matrix
@@ -96,16 +99,40 @@ def _covering(method: str, n: int, d: int, lam: int, mat: ClassMatrix, weights) 
 
 
 def lp_hypergraph_bound(n: int, d: int, lam: int) -> BoundReport:
-    """Exact optimum of the folded covering LP."""
+    """Exact optimum of the folded covering LP, solved as its dual.
+
+    The covering LP minimises sum_j |class j| w_j subject to
+    sum_j M[i][j] w_j >= 1 for every class i, M the class matrix.  Its
+    dual maximises sum_i u_i subject to sum_i u_i M[i][j] <= |class j|.
+    Both |class i| M[i][j] and |class j| M[j][i] count the pairs of a
+    weight-i and a weight-j word at distance <= r, so they are equal,
+    and with u_i = 2^n C(n, i) t_i the dual is the packing LP
+
+        max sum_i C(n, i) t_i  subject to  sum_j M[i][j] t_j <= 1,
+
+    a fractional packing of balls over the same matrix, whose optimum
+    is the covering optimum over 2^n.  Row i is stated times
+    g_i = isqrt(C(n, i)), which changes no solution: it only conditions
+    the float simplex that proposes a basis (unscaled rows leave its
+    proposal a pivot short at (40, 11, 1); rows scaled by C(n, i)
+    double its pivots there).  Row i's multiplier y_i is then the
+    covering weight w_i = g_i y_i / C(n, i), and ``_covering`` values it
+    only once it passes the substitution check.
+    """
     r = _radius(n, d, lam)
     mat = class_matrix(n, r, lam)
-    lp = LinearProgram(objective=_class_sizes(n), sense="min")
-    for i in range(n + 1):
-        lp.add(list(mat.row(i)), ">=", 1)
+    sizes = [comb(n, i) for i in range(n + 1)]
+    scales = [isqrt(size) for size in sizes]
+    lp = LinearProgram(objective=sizes)
+    for g, row in zip(scales, mat.entries):
+        lp.add([g * m for m in row], "<=", g)
     res = solve_lp(lp)
     if res.status is not LPStatus.OPTIMAL:
-        raise ArithmeticError(f"covering LP reported {res.status}")
-    return _covering("lp", n, d, lam, mat, res.x)
+        raise ArithmeticError(f"packing LP reported {res.status}")
+    # w_i = g_i y_i / C(n, i), normalised once
+    weights = [Fraction(g * y.numerator, size * y.denominator)
+               for g, y, size in zip(scales, res.y, sizes)]
+    return _covering("lp", n, d, lam, mat, weights)
 
 
 def optimal1_bound(n: int, lam: int = 1) -> BoundReport:

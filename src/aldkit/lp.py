@@ -1,14 +1,14 @@
 """Exact linear programming over ordered fields.
 
-Problems are min or max of c.x subject to rows A_i.x <= b_i or
-A_i.x >= b_i, each with b_i >= 0, and all variables nonnegative.  That
-is the only form the package's two programs need: the covering LP has
-">=" rows with right-hand side 1, the character LP "<=" rows with a
-multinomial right-hand side.  The arithmetic is duck-typed: any
-ordered-field scalar with +, -, *, / and comparisons works, so the
-covering LP runs over ``fractions.Fraction`` and the character-sum
-bound over a real quadratic extension field.  Answers are exact in that
-field.
+Problems are max c.x subject to rows A_i.x <= b_i, each with b_i >= 0,
+and all variables nonnegative, so x = 0 is always feasible.  That is
+the only form the package's two programs need: the character LP has
+a multinomial right-hand side, and the covering bound solves the
+packing LP dual to it (``hyperbound.lp_hypergraph_bound``).  The
+arithmetic is duck-typed: any ordered-field scalar with +, -, *, / and
+comparisons works, so the packing LP runs over ``fractions.Fraction``
+and the character-sum bound over a real quadratic extension field.
+Answers are exact in that field.
 
 ``solve_lp`` works in three steps.  First it proposes bases: every
 column basic and every row tight when there are as many rows as
@@ -18,29 +18,28 @@ side, a step cap) on the same tableau over ``float``.  Floats do
 nothing else: second, exact arithmetic solves a proposal for the
 primal point x and the dual multipliers y (the block of basic
 variables and tight rows, and its transpose), and one routine checks
-the pair: x >= 0, every row, the sign of every y_i for its relation,
-every reduced cost and c.x == b.y.  Only the solve depends on the
-field.  Rational programs (field ``Fraction``) stay in integers: int
-coefficients are never lifted to ``Fraction`` on the way in, each row
-and the objective are cleared of denominators, fraction-free (Bareiss)
-elimination gives x and y as integer numerators over the basis
-determinant D > 0, and the checks run on those numerators against
-right-hand sides and costs scaled by D; ``Fraction``s are built only
-for the result.  Other fields use one LU factorisation in the field.
-Those checks prove optimality whatever produced the basis.  Third,
-when no proposal passes, a two-phase simplex with Bland's rule runs
-in the exact field (a rational program's ints become ``Fraction``s for
-it, as it divides), and its final basis passes the same checks.  Both
-simplexes pivot on a condensed tableau (the dictionary form): one
-column per nonbasic variable and one for the right-hand side.  A basic
-variable, be it structural, slack or artificial, is only a label; a
-pivot hands the entering variable's column to the leaving one, and an
-artificial that leaves takes its column with it.  So a tall character
-LP pivots on rows x (columns + 1) entries, not rows x (rows + columns
-+ 1).  Ties in pricing go to the lowest variable index, never to the
-lowest column position, so the pivots do not depend on where a
-variable's column sits.  Only the exact simplex ever reports
-INFEASIBLE or UNBOUNDED, and every OPTIMAL result carries its checked
+the pair: x >= 0, every row, y >= 0, every reduced cost and
+c.x == b.y.  Only the solve depends on the field.  Rational programs
+(field ``Fraction``) stay in integers: int coefficients are never
+lifted to ``Fraction`` on the way in, each row and the objective are
+cleared of denominators, fraction-free (Bareiss) elimination gives x
+and y as integer numerators over the basis determinant D > 0, and the
+checks run on those numerators against right-hand sides and costs
+scaled by D; ``Fraction``s are built only for the result.  Other
+fields use one LU factorisation in the field.  Those checks prove
+optimality whatever produced the basis.  Third, when no proposal
+passes, the simplex with Bland's rule runs in the exact field (a
+rational program's ints become ``Fraction``s for it, as it divides),
+and its final basis passes the same checks.  Both simplexes start
+from the slack basis, x = 0, and pivot on a condensed tableau (the
+dictionary form): one column per nonbasic variable and one for the
+right-hand side.  A basic variable, structural or slack, is only a
+label; a pivot hands the entering variable's column to the leaving
+one.  So a tall character LP pivots on rows x (columns + 1) entries,
+not rows x (rows + columns + 1).  Ties in pricing go to the lowest
+variable index, never to the lowest column position, so the pivots do
+not depend on where a variable's column sits.  Only the exact simplex
+ever reports UNBOUNDED, and every OPTIMAL result carries its checked
 dual as ``LPResult.y``.  ``solve_linear_system`` uses the same integer
 elimination.
 """
@@ -77,17 +76,14 @@ _FLOAT_CAP_PER_SIZE = 10
 class LPStatus(Enum):
     OPTIMAL = "optimal"
     UNBOUNDED = "unbounded"
-    INFEASIBLE = "infeasible"
 
 
 @dataclass
 class LPResult:
     """Status, and for OPTIMAL the value, the point x and the dual y.
 
-    y has one multiplier per row of the program as given.  For a max
-    problem y_i >= 0 on "<=" rows and <= 0 on ">=" rows, and every
-    column has (A^T y)_j >= c_j; for a min problem the signs and the
-    inequality flip.  b.y equals the value, so y certifies it.
+    y has one multiplier per row, y >= 0, and every column has
+    (A^T y)_j >= c_j; b.y equals the value, so y certifies it.
     """
 
     status: LPStatus
@@ -98,39 +94,36 @@ class LPResult:
 
 @dataclass
 class LinearProgram:
-    """min or max objective.x over x >= 0 subject to linear rows, each
-    ``coeffs.x <= rhs`` or ``coeffs.x >= rhs`` with rhs >= 0; ``add``
-    refuses any other relation, ``=`` included, and a negative rhs."""
+    """max objective.x over x >= 0 subject to rows ``coeffs.x <= rhs``
+    with rhs >= 0, so x = 0 is feasible; ``add`` refuses any other
+    relation and a negative rhs."""
 
     objective: list
-    sense: str = "min"
-    rows: list = field(default_factory=list)  # (coeffs, relation, rhs)
+    rows: list = field(default_factory=list)  # (coeffs, "<=", rhs)
 
     def add(self, coeffs, relation: str, rhs) -> None:
-        if relation not in ("<=", ">="):
-            raise ValueError(f"unsupported relation {relation!r}: rows are '<=' or '>='")
+        if relation != "<=":
+            raise ValueError(f"unsupported relation {relation!r}: rows are '<='")
         if rhs < 0:
-            raise ValueError(f"negative right-hand side {rhs!r}: negate the row and flip it")
+            raise ValueError(f"negative right-hand side {rhs!r}: x = 0 must be feasible")
         if len(coeffs) != len(self.objective):
             raise ValueError("coefficient count does not match variable count")
         self.rows.append((list(coeffs), relation, rhs))
 
 
-def _pivot(tab: list, basis: list, nonbasic: list, row: int, col: int, one, nreal: int) -> None:
+def _pivot(tab: list, basis: list, nonbasic: list, row: int, col: int, one) -> None:
     """Exchange basic ``basis[row]`` for nonbasic ``nonbasic[col]``.
 
     The leaving variable takes over the entering one's column: its
     unit column would read 1/piv in the pivot row and -f/piv in a row
-    whose entry f sat in the pivot column.  An artificial (label >=
-    ``nreal``) leaves for good, so its column is deleted instead.
+    whose entry f sat in the pivot column.
     """
     piv = tab[row][col]
     top = tab[row] = [v / piv for v in tab[row]]
     # only the pivot row's nonzero columns change the other rows
     support = [j for j, v in enumerate(top) if v]
     support.remove(col)
-    leaving = basis[row]
-    basis[row] = nonbasic[col]
+    basis[row], nonbasic[col] = nonbasic[col], basis[row]
     inv = top[col] = one / piv
     for i, r in enumerate(tab):
         f = r[col]
@@ -138,15 +131,9 @@ def _pivot(tab: list, basis: list, nonbasic: list, row: int, col: int, one, nrea
             for j in support:
                 r[j] = r[j] - f * top[j]
             r[col] = -f * inv
-    if leaving < nreal:
-        nonbasic[col] = leaving
-    else:
-        del nonbasic[col]
-        for r in tab:
-            del r[col]
 
 
-def _bland(tab: list, basis: list, nonbasic: list, nreal: int, zero, one, on_step) -> str:
+def _bland(tab: list, basis: list, nonbasic: list, zero, one, on_step) -> str:
     """Run exact simplex steps on a tableau whose last row is the cost row.
 
     Returns "optimal" or "unbounded".  Bland's rule throughout: the
@@ -179,10 +166,10 @@ def _bland(tab: list, basis: list, nonbasic: list, nreal: int, zero, one, on_ste
                     best_ratio = ratio
         if best_row < 0:
             return "unbounded"
-        _pivot(tab, basis, nonbasic, best_row, col, one, nreal)
+        _pivot(tab, basis, nonbasic, best_row, col, one)
 
 
-def _dantzig(tab: list, basis: list, nonbasic: list, nreal: int, on_step, cap: int) -> str:
+def _dantzig(tab: list, basis: list, nonbasic: list, on_step, cap: int) -> str:
     """Float simplex steps: most negative reduced cost enters (ties to
     the lowest variable index), the smallest ratio leaves.  Returns
     "optimal", "unbounded" or, after ``cap`` pivots, "stalled"."""
@@ -209,86 +196,32 @@ def _dantzig(tab: list, basis: list, nonbasic: list, nreal: int, on_step, cap: i
                     best_row, best_ratio = i, ratio
         if best_row < 0:
             return "unbounded"
-        _pivot(tab, basis, nonbasic, best_row, col, 1.0, nreal)
+        _pivot(tab, basis, nonbasic, best_row, col, 1.0)
     return "stalled"
 
 
-def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
-    """Two-phase simplex on the condensed tableau of ``rows``.
+def _simplex(rows, obj, zero, iterate):
+    """Simplex on the condensed tableau of ``rows``, from the slack basis.
 
     Returns ``(outcome, basic, tight)``: outcome is "optimal",
-    "infeasible", "unbounded" or "stalled"; for "optimal", ``basic``
-    lists the structural columns in the final basis and ``tight`` the
-    rows whose slack is not basic, both in the order of ``rows``.
-    The tableau has one row per constraint (and the cost row) and one
-    column per nonbasic variable, ``nonbasic[j]`` labelling column j,
-    then the right-hand side; basic variables are the labels in
-    ``basis``.  Variables 0..nvars-1 are structural, row i's slack is
-    nvars + i, and a ">=" row's artificial is the label nreal + i
-    (nreal = nvars + rows).  The slacks make the rows independent, so
-    after phase 1 every artificial can leave the basis; if one cannot,
-    the exact simplex raises ``ArithmeticError`` and the float one
-    reports "stalled".  ``iterate(tab, basis, nonbasic, nreal)`` runs
-    one phase; ``tol`` is the magnitude up to which a float entry counts
-    as zero (None: exact).
+    "unbounded" or "stalled"; for "optimal", ``basic`` lists the
+    structural columns in the final basis and ``tight`` the rows whose
+    slack is not basic, both in the order of ``rows``.  The tableau has
+    one row per constraint and the cost row, and one column per
+    nonbasic variable, ``nonbasic[j]`` labelling column j, then the
+    right-hand side; basic variables are the labels in ``basis``.
+    Variables 0..nvars-1 are structural and row i's slack is nvars + i.
+    Every slack starts basic at its row's right-hand side, which is
+    >= 0, so x = 0 starts the search and no phase 1 is needed.
+    ``iterate(tab, basis, nonbasic)`` runs the pivots.
     """
-    nonzero = (lambda v: v != zero) if tol is None else (lambda v: abs(v) > tol)
     nvars = len(obj)
-    nreal = nvars + len(rows)
-    width = nvars + sum(1 for _, rel, _ in rows if rel == ">=")
-    tab, basis, nonbasic = [], [], list(range(nvars))
-    for i, (coeffs, relation, rhs) in enumerate(rows):
-        row = [zero] * (width + 1)
-        row[:nvars] = coeffs
-        row[-1] = rhs
-        if relation == "<=":
-            basis.append(nvars + i)
-        else:
-            row[len(nonbasic)] = -one
-            nonbasic.append(nvars + i)
-            basis.append(nreal + i)
-        tab.append(row)
-
-    if any(b >= nreal for b in basis):
-        # Phase 1: minimise the artificial total.
-        cost = [zero] * (width + 1)
-        for i, b in enumerate(basis):
-            if b >= nreal:
-                cost = [c - v for c, v in zip(cost, tab[i])]
-        tab.append(cost)
-        outcome = iterate(tab, basis, nonbasic, nreal)
-        if outcome != "optimal":
-            return outcome, None, None
-        # the cost row holds -(phase objective)
-        if tab.pop()[-1] < (zero if tol is None else -tol):
-            return "infeasible", None, None
-        # Drive leftover artificials out of the basis, each through its
-        # row's lowest-index nonzero variable.
-        for i, b in enumerate(basis):
-            if b >= nreal:
-                row = tab[i]
-                piv_col = min(
-                    (j for j in range(len(nonbasic)) if nonzero(row[j])),
-                    key=nonbasic.__getitem__, default=-1,
-                )
-                if piv_col < 0:
-                    if tol is None:
-                        raise ArithmeticError(
-                            f"the artificial of row {b - nreal} cannot leave the basis"
-                        )
-                    return "stalled", None, None
-                _pivot(tab, basis, nonbasic, i, piv_col, one, nreal)
-
-    # Phase 2 on the real objective, as a minimisation.
-    signed = obj if minimize else [-c for c in obj]
-    cost = [signed[v] if v < nvars else zero for v in nonbasic]
-    cost.append(zero)
-    for i, b in enumerate(basis):
-        if b < nvars and nonzero(signed[b]):
-            f = signed[b]
-            cost = [c - f * v for c, v in zip(cost, tab[i])]
-    tab.append(cost)
-    outcome = iterate(tab, basis, nonbasic, nreal)
+    tab = [[*coeffs, rhs] for coeffs, _, rhs in rows]
+    # the cost row holds the reduced costs of max obj.x as a minimisation
+    tab.append([-c for c in obj] + [zero])
+    basis = list(range(nvars, nvars + len(rows)))
+    nonbasic = list(range(nvars))
+    outcome = iterate(tab, basis, nonbasic)
     if outcome != "optimal":
         return outcome, None, None
     loose = {b - nvars for b in basis if b >= nvars}
@@ -296,7 +229,7 @@ def _simplex(rows, obj, minimize, zero, one, iterate, tol=None):
     return outcome, sorted(b for b in basis if b < nvars), tight
 
 
-def _float_basis(rows, obj, minimize, on_step):
+def _float_basis(rows, obj, on_step):
     """Basis proposed by the float simplex, or None when it gives up.
 
     Columns, then rows, are scaled to unit largest magnitude and the
@@ -322,18 +255,17 @@ def _float_basis(rows, obj, minimize, on_step):
     fobj = [c / big for c in fobj]
     cap = _FLOAT_CAP_PER_SIZE * (m + len(obj)) + 10
     outcome, basic, tight = _simplex(
-        scaled, fobj, minimize, 0.0, 1.0,
-        lambda tab, basis, nonbasic, nreal: _dantzig(tab, basis, nonbasic, nreal, on_step, cap),
-        tol=_FLOAT_TOL,
+        scaled, fobj, 0.0,
+        lambda tab, basis, nonbasic: _dantzig(tab, basis, nonbasic, on_step, cap),
     )
     return (basic, tight) if outcome == "optimal" else None
 
 
-def _proposals(rows, obj, minimize, on_step):
+def _proposals(rows, obj, on_step):
     """Bases to certify: all-tight if square, then the float simplex's (lazily)."""
     if len(rows) == len(obj):
         yield list(range(len(obj))), list(range(len(rows)))
-    proposal = _float_basis(rows, obj, minimize, on_step)
+    proposal = _float_basis(rows, obj, on_step)
     if proposal is not None:
         yield proposal
 
@@ -405,29 +337,25 @@ def _lu_solve_transposed(lu, perm, rhs, zero):
     return y
 
 
-def _optimal_value(rows, obj, minimize, basic, tight, xs, ys, zero):
+def _optimal_value(rows, obj, basic, tight, xs, ys, zero):
     """c.x when x and y prove each other optimal, else None.
 
     x is ``xs`` on the columns ``basic`` and zero elsewhere, y is ``ys``
     on the rows ``tight`` and zero elsewhere.  The checks: x >= 0,
-    every row A_i.x against b_i, the sign of every y_i for its
-    relation, every reduced cost c_j - (A^T y)_j, and c.x == b.y.
+    every row A_i.x <= b_i, y >= 0, every column c_j <= (A^T y)_j, and
+    c.x == b.y.
     """
     if any(v < zero for v in xs):
         return None
     support = [(j, v) for j, v in zip(basic, xs) if v != zero]
     priced = [(i, v) for i, v in zip(tight, ys) if v != zero]
-    for coeffs, relation, rhs in rows:
-        lhs = sum((coeffs[j] * v for j, v in support), zero)
-        if (lhs > rhs) if relation == "<=" else (lhs < rhs):
+    for coeffs, _, rhs in rows:
+        if sum((coeffs[j] * v for j, v in support), zero) > rhs:
             return None
-    for i, v in priced:
-        # max: y >= 0 on "<=" rows, y <= 0 on ">=" rows; min: the reverse
-        if (v > zero) != ((rows[i][1] == "<=") != minimize):
-            return None
+    if any(v < zero for _, v in priced):
+        return None
     for j, c in enumerate(obj):
-        reduced = c - sum((rows[i][0][j] * v for i, v in priced), zero)
-        if (reduced < zero) if minimize else (reduced > zero):
+        if c > sum((rows[i][0][j] * v for i, v in priced), zero):
             return None
     value = sum((obj[j] * v for j, v in support), zero)
     if value != sum((rows[i][2] * v for i, v in priced), zero):
@@ -435,7 +363,7 @@ def _optimal_value(rows, obj, minimize, basic, tight, xs, ys, zero):
     return value
 
 
-def _certify(rows, obj, minimize, basic, tight, zero, on_step):
+def _certify(rows, obj, basic, tight, zero, on_step):
     """Solve the basis exactly and check it; the LPResult, or None.
 
     x solves the tight rows on the basic columns, y the transposed
@@ -446,10 +374,10 @@ def _certify(rows, obj, minimize, basic, tight, zero, on_step):
     if len(basic) != len(tight):
         return None
     check = _certify_rational if type(zero) is Fraction else _certify_lu
-    return check(rows, obj, minimize, basic, tight, zero, on_step)
+    return check(rows, obj, basic, tight, zero, on_step)
 
 
-def _certify_lu(rows, obj, minimize, basic, tight, zero, on_step):
+def _certify_lu(rows, obj, basic, tight, zero, on_step):
     """``_certify`` in any ordered field, through one LU factorisation."""
     factored = _lu([[rows[i][0][j] for j in basic] for i in tight], zero, on_step)
     if factored is None:
@@ -460,7 +388,7 @@ def _certify_lu(rows, obj, minimize, basic, tight, zero, on_step):
         return None
     ys = _lu_solve_transposed(lu, perm, [obj[j] for j in basic], zero)
     on_step()
-    value = _optimal_value(rows, obj, minimize, basic, tight, xs, ys, zero)
+    value = _optimal_value(rows, obj, basic, tight, xs, ys, zero)
     if value is None:
         return None
     x = [zero] * len(obj)
@@ -541,7 +469,7 @@ def _bareiss_solve(augmented, on_step):
     return numer, det
 
 
-def _certify_rational(rows, obj, minimize, basic, tight, zero, on_step):
+def _certify_rational(rows, obj, basic, tight, zero, on_step):
     """``_certify`` for rational programs, in integer arithmetic.
 
     Row i times s_i and the objective times t have integer entries
@@ -567,10 +495,8 @@ def _certify_rational(rows, obj, minimize, basic, tight, zero, on_step):
     xs, det = primal
     ys, _ = dual  # the same |det|, as det B^T = det B
     on_step()
-    scaled = [(a, relation, b * det) for a, (_, relation, _), b in zip(coeff_rows, rows, rhs)]
-    value = _optimal_value(
-        scaled, [c * det for c in cost], minimize, basic, tight, xs, ys, 0
-    )
+    scaled = [(a, "<=", b * det) for a, b in zip(coeff_rows, rhs)]
+    value = _optimal_value(scaled, [c * det for c in cost], basic, tight, xs, ys, 0)
     if value is None:
         return None
     x = [zero] * len(obj)
@@ -618,16 +544,13 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
     x < 0; in other fields one LU factorisation) and once before the
     checks; raising from it aborts the solve (time budgets use this hook).
     """
-    if lp.sense not in ("min", "max"):
-        raise ValueError(f"unknown sense {lp.sense!r}")
-    minimize = lp.sense == "min"
     on_step = on_step or _no_step
     zero = convert(0)
     lift = _rational if convert is Fraction else convert
     rows, obj = _lifted(lp.rows, lp.objective, lift)
 
-    for proposal in _proposals(rows, obj, minimize, on_step):
-        result = _certify(rows, obj, minimize, *proposal, zero, on_step)
+    for proposal in _proposals(rows, obj, on_step):
+        result = _certify(rows, obj, *proposal, zero, on_step)
         if result is not None:
             return result
     if lift is not convert:
@@ -635,14 +558,12 @@ def solve_lp(lp: LinearProgram, convert=Fraction, on_step=None) -> LPResult:
         rows, obj = _lifted(rows, obj, convert)
     one = convert(1)
     outcome, basic, tight = _simplex(
-        rows, obj, minimize, zero, one,
-        lambda tab, basis, nonbasic, nreal: _bland(tab, basis, nonbasic, nreal, zero, one, on_step),
+        rows, obj, zero,
+        lambda tab, basis, nonbasic: _bland(tab, basis, nonbasic, zero, one, on_step),
     )
-    if outcome == "infeasible":
-        return LPResult(LPStatus.INFEASIBLE)
     if outcome == "unbounded":
         return LPResult(LPStatus.UNBOUNDED)
-    result = _certify(rows, obj, minimize, basic, tight, zero, on_step)
+    result = _certify(rows, obj, basic, tight, zero, on_step)
     if result is None:
         raise ArithmeticError("the exact simplex basis failed its optimality check")
     return result

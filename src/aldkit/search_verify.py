@@ -528,12 +528,12 @@ def exact_max_code(n: int, d: int, lam: int):
     The witness is the lexicographically lowest maximum codebook in
     digit order.  The lexicode of the whole graph over the words in
     digit order (``_lexicode``) comes first, and the search only has to
-    beat it.  When nothing beats it, it is the witness: by the argument
-    of ``_lowest_max_clique``, a greedy clique in digit order that is
-    maximum comes first among the maximum ones.  Otherwise the larger
-    clique the search found starts the greedy extension
+    beat it.  The maximum clique the search returns, the lexicode when
+    nothing beats it, starts the greedy extension
     (``_lowest_max_clique``), whose queries search without orbit
-    pruning: their candidate sets are not unions of orbits.
+    pruning: their candidate sets are not unions of orbits.  When the
+    lexicode is maximum, every step of that extension takes a vertex of
+    the witness without a search, and it ends on the lexicode.
 
     Optimality is proved once per word orbit of the metric's isometry
     group (``core.Automorphism``), whose n + 1 orbits are the words with
@@ -546,13 +546,9 @@ def exact_max_code(n: int, d: int, lam: int):
     adj, words = graph.adjacency, graph.vertices
     order = _search_index(n)
     full = (1 << len(words)) - 1
-    lexicode = _lexicode(adj, order, full)
-    incumbent = sum(1 << v for v in lexicode)
+    incumbent = sum(1 << v for v in _lexicode(adj, order, full))
     size, witness = _max_clique(adj, full, words=words, incumbent=incumbent)
-    if size == len(lexicode):
-        chosen = lexicode
-    else:
-        chosen = _lowest_max_clique(adj, order, witness)
+    chosen = _lowest_max_clique(adj, order, witness)
     book = Codebook(
         n=n,
         lam=lam,

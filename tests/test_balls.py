@@ -1,7 +1,9 @@
+from math import comb
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from aldkit.balls import ball_size, enumerate_ball, sphere_size
+from aldkit.balls import ball_size, class_matrix, enumerate_ball, sphere_size
 from aldkit.core import (
     BudgetExceeded,
     PairedWord,
@@ -140,3 +142,18 @@ def test_argument_validation():
             sphere_size(*args)
     with pytest.raises(ValueError, match="must be"):
         enumerate_ball(PairedWord(2, 0, 0), 1.5, 1)
+
+
+def test_class_matrix_counts_each_pair_from_both_ends():
+    # |class i| M[i][j] and |class j| M[j][i] both count the pairs of a
+    # weight-i and a weight-j word at distance <= r, with |class i| =
+    # 2^n C(n, i); the covering LP's dual is its packing LP only because
+    # of this identity (hyperbound.lp_hypergraph_bound).
+    for lam in (1, 2, 3):
+        for n in range(1, 13):
+            sizes = [comb(n, i) << n for i in range(n + 1)]
+            for r in range(2 * (1 + lam) * n + 1):
+                m = class_matrix(n, r, lam).entries
+                for i in range(n + 1):
+                    for j in range(i):
+                        assert sizes[i] * m[i][j] == sizes[j] * m[j][i], (n, r, lam, i, j)

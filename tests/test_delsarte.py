@@ -225,6 +225,13 @@ def test_q5_floor_anchors():
         assert math.floor(powers[n]) == want
 
 
+def test_q5_floor_past_the_float_range():
+    # float(Q5(10**400, 1)) overflows; the floor never takes a float
+    assert math.floor(Q5(10**400, 1)) == 10**400 + 2
+    assert math.floor(Q5(-10**400, -1)) == -10**400 - 3
+    assert math.floor(Q5(Fraction(1, 10**400), Fraction(-1, 10**400))) == -1
+
+
 @given(small_fractions, small_fractions)
 @settings(max_examples=120)
 def test_q5_floor_brackets_the_value(a, b):
@@ -507,7 +514,7 @@ def oracle_lp(n, d, lam):
     """The oracle's LinearProgram; with no surviving column it has no
     variables and no rows."""
     survivors, rows = oracle_rows(n, d, lam)
-    lp = LinearProgram(objective=[Q5.lift(orbit) for _, orbit in survivors], sense="max")
+    lp = LinearProgram(objective=[Q5.lift(orbit) for _, orbit in survivors])
     for row in rows:
         lp.add(row[:-1], "<=", row[-1])
     return lp

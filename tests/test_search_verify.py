@@ -394,9 +394,10 @@ def test_benchmark_cells_work_is_pinned(monkeypatch):
 
 def test_exact_search_keeps_a_maximum_lexicode(monkeypatch):
     # (4,2,1): the lexicode has all 136 words of the parity code, so the
-    # search colours its root once, cuts it, and the lexicode is the
-    # witness.  (3,3,1): the lexicode has 15 words against 19, so the
-    # search beats it and the greedy extension finds the witness.
+    # search colours its root once, cuts it, and the greedy extension
+    # from the lexicode colours nothing more.  (3,3,1): the lexicode has
+    # 15 words against 19, so the search beats it and the greedy
+    # extension finds the witness.
     calls = _count_colourings(monkeypatch)
     extend = sv._lowest_max_clique
     extensions = []
@@ -407,12 +408,34 @@ def test_exact_search_keeps_a_maximum_lexicode(monkeypatch):
 
     monkeypatch.setattr(sv, "_lowest_max_clique", counting)
     assert exact_max_code(4, 2, 1)[0] == 136
-    assert (calls[0], extensions) == (1, [])
+    assert (calls[0], extensions) == (1, [136])
     graph = distance_graph(3, 3, 1)
     full = (1 << len(graph.vertices)) - 1
     assert len(sv._lexicode(graph.adjacency, sv._search_index(3), full)) == 15
     assert exact_max_code(3, 3, 1)[0] == 19
-    assert extensions == [19]
+    assert extensions == [136, 19]
+
+
+def test_a_maximum_lexicode_is_the_witness_without_a_search(monkeypatch):
+    # (4,5,1): the lexicode's 16 words are maximum.  The search returns
+    # them as its witness, and every step of the greedy extension takes
+    # a witness vertex, so it runs no clique search and ends on the
+    # lexicode.
+    graph = distance_graph(4, 5, 1)
+    order = sv._search_index(4)
+    lexicode = sv._lexicode(graph.adjacency, order, (1 << len(graph.vertices)) - 1)
+    search = sv._max_clique
+    calls = []
+
+    def counting(adj, cand, *args, **kwargs):
+        calls.append(kwargs.get("words") is None)
+        return search(adj, cand, *args, **kwargs)
+
+    monkeypatch.setattr(sv, "_max_clique", counting)
+    size, book = exact_max_code(4, 5, 1)
+    assert size == len(lexicode) == 16
+    assert calls == [False]  # the search's own call; none from the extension
+    assert book.words == tuple(graph.vertices[v] for v in lexicode)
 
 
 def test_exact_search_checks_its_witness_under_optimisation():
