@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import comb
 
-from .core import BudgetExceeded, PairedWord, _check_int, _check_lambda, _position_costs
+from .core import (PairedWord, _check_int, _check_lambda, _position_costs, _refuse_over,
+                   pair_weight)
 
 __all__ = ["ClassMatrix", "class_matrix", "sphere_size", "ball_size", "enumerate_ball"]
-
-_ENUM_MAX_N = 12
 
 
 def _check_args(n: int, w: int, lam: int, r: int) -> None:
@@ -107,28 +106,33 @@ def sphere_size(n: int, w: int, lam: int, r: int) -> int:
 def enumerate_ball(centre: PairedWord, r: int, lam: int) -> set[PairedWord]:
     """All words within distance r of a centre, by pruned enumeration.
 
-    Walks positions left to right, trying each of the four digits and
-    abandoning any prefix whose cost already exceeds the radius, so the
-    work is proportional to the result size rather than 4^n.  The cost
-    of digit t at position i is ``core._position_costs(lam)[s][t]``, s
-    the centre's digit there.
+    Refuses, before the walk, a ball of more than ``core.LIST_LIMIT``
+    words, counted by ``ball_size`` unless the radius alone shows it.
+    Walks positions left to right with an explicit stack, trying each of
+    the four digits and abandoning any prefix whose cost already exceeds
+    the radius, so the work is at most (n + 1) times the result size,
+    not 4^n.  The cost of digit t at position i is
+    ``core._position_costs(lam)[s][t]``, s the centre's digit there.
     """
+    n = centre.n
     _check_int(r, "r", 0)
-    if centre.n > _ENUM_MAX_N:
-        raise BudgetExceeded(
-            f"ball enumeration refused for n={centre.n} (limit {_ENUM_MAX_N})"
-        )
+    what = f"words in the radius-{r} ball at n={n}"
+    # Any change at t <= r / 2(1 + lam) positions stays inside, so the ball
+    # has at least 4^t words; this refuses a large radius before the census,
+    # which costs up to about n^4 / 24 steps, and leaves it radii under
+    # 18(1 + lam), where it is cheap at any n.
+    _refuse_over(what + ", at least", 4, min(n, r // (2 + 2 * _check_lambda(lam))))
+    _refuse_over(what, ball_size(n, pair_weight(centre), lam, r))
     costs = _position_costs(lam)
     rows = [costs[s] for s in centre.digits()]
     out: set[PairedWord] = set()
-
-    def walk(i: int, a: int, b: int, left: int) -> None:
-        if i == centre.n:
-            out.add(PairedWord(centre.n, a, b))
-            return
+    stack = [(0, 0, 0, r)]  # (position, first strand, second strand, radius left)
+    while stack:
+        i, a, b, left = stack.pop()
+        if i == n:
+            out.add(PairedWord(n, a, b))
+            continue
         for t, c in enumerate(rows[i]):
             if c <= left:
-                walk(i + 1, a | ((t >> 1) << i), b | ((t & 1) << i), left - c)
-
-    walk(0, 0, 0, r)
+                stack.append((i + 1, a | ((t >> 1) << i), b | ((t & 1) << i), left - c))
     return out

@@ -30,6 +30,7 @@ from .codes import (
     DecodingError,
     DetectionFlag,
     OddPrimeField,
+    _check_cl_params,
     bch_parity_check,
     best_cn_coset,
     build_cL,
@@ -252,8 +253,8 @@ def cmd_construct(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    expected_n = _check_cl_params(args.v, args.u)  # refuses v past the column cap
     book = read_codebook(args.infile)
-    expected_n = (1 << args.v) - 2
     if book.n != expected_n:
         raise ValueError(
             f"length mismatch: file words have n={book.n}, v={args.v} needs {expected_n}"

@@ -15,8 +15,8 @@ Six families, all at desk scale with exhaustively verifiable distance:
   Manhattan-distance code and whose disagreement subsequence follows a
   binary Hamming-distance code (any integer weighting).
 
-Codebooks are explicit word lists while n <= ENUM_LIMIT_N (4**n stays
-enumerable) and membership predicates above that; _book makes that choice
+Codebooks are explicit word lists while 4^n <= core.LIST_LIMIT (n <= 8)
+and membership predicates above that; _book makes that choice
 for every construction, and lists the words in ``all_words`` order.
 Binary component codewords are int bitmasks (bit j = symbol at kept
 position j); ternary words are tuples.
@@ -38,10 +38,11 @@ from itertools import combinations, islice, product
 from math import comb
 
 from .core import (
-    BudgetExceeded,
     PairedWord,
     _check_int,
     _check_lambda,
+    _over,
+    _refuse_over,
     all_words,
     pair_weight,
 )
@@ -71,16 +72,10 @@ __all__ = [
     "s_subsequence",
 ]
 
-ENUM_LIMIT_N = 8  # explicit enumeration cap: 4**8 words
-# caps refused with BudgetExceeded before the work they bound starts
+# caps that bound time or other tables than core.LIST_LIMIT's lists,
+# checked by core._refuse_over before the work they bound starts
 COLUMN_LIMIT_V = 20  # v of the 2^v - 2 column tables of cl, partition and H01
 LADDER_LIMIT = 1 << 25  # column pairs and triples distance_at_least tries
-FIELD_LIMIT = 1 << 16  # elements of an OddPrimeField, one power-table entry each
-
-
-def _check_enumerable(n: int):
-    if n > ENUM_LIMIT_N:
-        raise BudgetExceeded(f"4^{n} words exceed the enumeration cap")
 
 
 # Primitive polynomials over F2, degree v, as bitmask ints (LSB = x^0).
@@ -224,9 +219,8 @@ class BinaryParityCheck:
         if k == 3:
             return True
         tries = comb(self.ncols, 2) + (comb(self.ncols, 3) if k >= 5 else 0)
-        if tries > LADDER_LIMIT:
-            raise BudgetExceeded(f"the distance-{k} check of {self.ncols} columns would "
-                                 f"try {tries} column sets, over the cap of 2^25")
+        _refuse_over(f"the distance-{k} check of {self.ncols} columns, column sets tried",
+                     tries, cap=LADDER_LIMIT)
         colset = set(self.columns)
         for c1, c2 in combinations(self.columns, 2):
             if c1 ^ c2 in colset:
@@ -246,10 +240,7 @@ class BinaryParityCheck:
         basis = _kernel_basis(self.columns, self.rows)
         if not basis:
             return None
-        if len(basis) > 20:
-            raise BudgetExceeded(
-                f"null space has 2^{len(basis)} words, too many to scan"
-            )
+        _refuse_over("words of the null space", 2, len(basis), 1 << 20)
         return min(w.bit_count() for w in islice(_span(basis), 1, None))
 
     def validate(self):
@@ -320,14 +311,14 @@ class Codebook:
 
 def _book(n, lam, d, construction, params, member, size=None,
           candidates=None) -> Codebook:
-    """The explicit list of words passing member while n <= ENUM_LIMIT_N,
+    """The explicit list of words passing member while 4^n <= core.LIST_LIMIT,
     else the predicate itself.  A given size must match the enumeration.
 
     candidates, words in ``all_words`` order that include every member,
     narrows the enumeration (``all_words(n)`` when None); it is read only
     for an explicit list, so a generator costs nothing above the cap.
     """
-    if n > ENUM_LIMIT_N:
+    if _over(4, n):
         return Codebook(n, lam, d, construction, params, size=size,
                         membership=member)
     if candidates is None:
@@ -385,8 +376,7 @@ def build_H01(v: int) -> BinaryParityCheck:
 def _check_cl_params(v: int, u: int) -> int:
     """Length n = 2^v - 2 of the strand-sum code with coset label u,
     refused above COLUMN_LIMIT_V before any 2^v-sized table is built."""
-    if _check_int(v, "v", 2) > COLUMN_LIMIT_V:
-        raise BudgetExceeded(f"v={v} needs 2^{v} - 2 columns, over the cap v <= {COLUMN_LIMIT_V}")
+    _refuse_over("column-table entries at v={exp}", 2, _check_int(v, "v", 2), 1 << COLUMN_LIMIT_V)
     if not (0 <= _check_int(u, "u") < (1 << v)):
         raise ValueError("coset label out of range")
     return (1 << v) - 2
@@ -519,7 +509,7 @@ def build_cp(n: int) -> Codebook:
     has even parity, plus every word with identical strands.  Exactly
     2^(2n-1) + 2^(n-1) words, minimum distance 2 at unit weighting."""
     _check_int(n, "n", 1)
-    _check_enumerable(n)
+    _refuse_over("words", 4, n)
     # every b for an even-parity a, b = a alone for an odd one
     words = (PairedWord(n, a, b) for a in range(1 << n)
              for b in (range(1 << n) if a.bit_count() % 2 == 0 else (a,)))
@@ -606,8 +596,8 @@ class OddPrimeField:
     def __init__(self, q: int, l: int = 1, alpha: int | None = None,
                  modulus: tuple | None = None):
         _check_int(l, "l", 1)
-        if _check_int(q, "q") >= 3 and (l > 16 or q**l > FIELD_LIMIT):  # 3^17 > 2^16
-            raise BudgetExceeded(f"q={q}, l={l}: q^l exceeds the cap of 2^16 field elements")
+        if _check_int(q, "q") >= 3:
+            _refuse_over("elements of the field q={base}, l={exp}", q, l)
         if not _is_odd_prime(q):
             raise ValueError("q must be an odd prime")
         self.q = q
@@ -755,7 +745,7 @@ def build_cn(field: OddPrimeField, d: int, u: int, z: tuple) -> Codebook:
     unit weighting; the cosets over all (u, z) partition the space."""
     z = _check_cn_coset(field, d, u, z)
     n = field.size - 1
-    _check_enumerable(n)
+    _refuse_over("words", 4, n)
     params = {"q": field.q, "l": field.l, "alpha": field.alpha,
               "u": u, "z": z}
     return _book(n, 1, d, "cn", params,
@@ -769,7 +759,7 @@ def best_cn_coset(field: OddPrimeField, d: int):
     for the winner.  Ties break toward the smallest (u, z)."""
     _check_cn_params(field, d)
     n = field.size - 1
-    _check_enumerable(n)
+    _refuse_over("words", 4, n)
     buckets: dict = {}
     for w in all_words(n):
         sig = _cn_signature(field, d, w.digits())
@@ -884,11 +874,12 @@ def _component_distances(n: int, d: int, lam: int) -> tuple[int, int]:
     """(ceil(d/(1+lam)), ceil(d/lam)): the Manhattan and Hamming
     distances the two components of a distance-d clambda code need.
     The family's only validator, which build_clambda and greedy_clambda
-    call first: it checks n, d and lam and refuses n > ENUM_LIMIT_N."""
+    call first: it checks n, d and lam and refuses more than
+    core.LIST_LIMIT words."""
     _check_int(n, "n", 1)
     _check_int(d, "d", 1)
     _check_lambda(lam)
-    _check_enumerable(n)
+    _refuse_over("words", 4, n)
     return -(-d // (1 + lam)), -(-d // lam)
 
 
@@ -956,8 +947,7 @@ def greedy_manhattan_code(n: int, d: int):
     distance >= d from everything kept, so distance >= d by construction."""
     _check_int(n, "n", 1)
     _check_int(d, "d", 1)
-    if 3**n > 3**10:
-        raise BudgetExceeded(f"3^{n} words exceed the enumeration cap")
+    _refuse_over("ternary words", 3, n)
     if d == 1:
         return tuple(product((0, 1, 2), repeat=n))
     return tuple(_greedy(product((0, 1, 2), repeat=n), _l1, d))

@@ -69,6 +69,31 @@ class Budget:
             raise BudgetExceeded(f"time budget exhausted during {stage}")
 
 
+# Objects one call may list in memory: 4^8 words, 3^10 ternary words, the
+# elements of a field, the words of a ball or of a pair scan.
+LIST_LIMIT = 1 << 16
+
+
+def _over(base: int, exp: int = 1, cap: int = LIST_LIMIT) -> bool:
+    """Whether base**exp > cap, decided without building a huge power:
+    for base >= 2, base**exp >= 2**exp, already over once exp exceeds
+    cap's bit length."""
+    if base >= 2 and exp > cap.bit_length():
+        return True
+    return base**exp > cap
+
+
+def _refuse_over(what: str, base: int, exp: int = 1, cap: int = LIST_LIMIT):
+    """The one size refusal: ``BudgetExceeded`` when base**exp ``what``
+    would be more than cap, raised before the work they bound starts.
+    ``what`` may name ``{base}`` and ``{exp}``; they are filled in only
+    on refusal, so a check on a per-call path builds no string."""
+    if _over(base, exp, cap):
+        count = base if exp == 1 else f"{base}^{exp}"
+        what = what.format(base=base, exp=exp)
+        raise BudgetExceeded(f"{what}: {count}, over the cap of {cap}")
+
+
 # A symbol (a;b) is the digit 2a + b; each alphabet string below, and
 # each row of the tables after it, is indexed by digit.
 _DIGITS = "0123"

@@ -307,11 +307,12 @@ def _slot_layout(n: int) -> tuple:
     ``((v << c * width) & full) | (v >> (10 - c) * width)``, which the
     expansion loops write inline.
     """
+    if n > 20:
+        raise ValueError(f"n={n} is too long: column counts need n <= 20")
     need = math.factorial(n).bit_length()
     for size, code in _SLOT_CODES:
         if 8 * size >= need:
             return size, 8 * size, (1 << 80 * size) - 1, f"<10{code}"
-    raise ValueError(f"n={n} is too long: column counts need n <= 20")
 
 
 def _digit_steps(j: int) -> tuple:

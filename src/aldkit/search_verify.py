@@ -35,10 +35,9 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .codes import (ENUM_LIMIT_N, Codebook, best_cn_coset, build_cl, build_cp,
-                    OddPrimeField)
+from .codes import Codebook, best_cn_coset, build_cl, build_cp, OddPrimeField
 from .core import (_POSITION_MAPS, Budget, BudgetExceeded, PairedWord, _check_int,
-                   _position_costs)
+                   _position_costs, _refuse_over)
 from .delsarte import delsarte_bound
 from .hyperbound import (
     lp_hypergraph_bound,
@@ -59,10 +58,6 @@ __all__ = [
     "symbol_distance_table",
 ]
 
-# min_distance refuses books of more words than this, 4^8 = 65,536: every
-# word of the longest explicit length.  Its walk keeps word sets as bitmasks
-# over the book, so the cap bounds their width, not a count of pairs.
-WORD_BUDGET = 4 ** ENUM_LIMIT_N
 # Exhaustive clique search caps at 4^4 = 256 vertices.
 SEARCH_LIMIT_N = 4
 # Levels of the clique search that drop a whole orbit after each branch.
@@ -168,7 +163,9 @@ def min_distance(c: Codebook, lam: int):
     """Minimum pairwise distance over an explicit codebook.
 
     Returns ``math.inf`` below two words; refuses implicit codebooks
-    and word counts past the pair-scan budget.  One branch and bound
+    and books of more than ``core.LIST_LIMIT`` words, 4^8: the walk
+    keeps word sets as bitmasks over the book, so the cap bounds their
+    width, not a count of pairs.  One branch and bound
     walks pairs of word sets position by position, reading the sets
     from the per-position symbol index.  A same state holds the words
     sharing a prefix; it splits into a same state per symbol s and a
@@ -184,10 +181,7 @@ def min_distance(c: Codebook, lam: int):
     if c.words is None:
         raise BudgetExceeded("codebook is implicit; pair scan needs explicit words")
     words = c.words
-    if len(words) > WORD_BUDGET:
-        raise BudgetExceeded(
-            f"{len(words)} words exceed the {WORD_BUDGET}-word pair-scan budget"
-        )
+    _refuse_over("words in the pair scan", len(words))
     costs = _position_costs(lam)
     if len(words) <= 1:
         return math.inf
@@ -263,10 +257,7 @@ def distance_graph(n: int, d: int, lam: int) -> DistanceGraph:
     """
     _check_int(n, "n", 1)
     _check_int(d, "d", 1)
-    if n > SEARCH_LIMIT_N:
-        raise BudgetExceeded(
-            f"graph on 4^{n} vertices exceeds the 4^{SEARCH_LIMIT_N} search budget"
-        )
+    _refuse_over("graph vertices at n={exp}", 4, n, 4**SEARCH_LIMIT_N)
     costs = _position_costs(lam)
     costs = [[costs[s][t] for t in SEARCH_DIGITS] for s in SEARCH_DIGITS]
     cost_values = {c for row in costs for c in row}

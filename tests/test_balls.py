@@ -1,10 +1,13 @@
+import sys
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from aldkit import balls
 from aldkit.balls import ball_size, class_matrix, enumerate_ball, sphere_size
 from aldkit.core import (
+    LIST_LIMIT,
     BudgetExceeded,
     PairedWord,
     ald_distance,
@@ -106,10 +109,33 @@ def test_enumerate_ball_worked_example():
 def test_enumerate_ball_edge_cases():
     centre = PairedWord.from_digits("0123")
     assert enumerate_ball(centre, 0, 1) == {centre}
-    with pytest.raises(BudgetExceeded):
-        enumerate_ball(PairedWord(13, 0, 0), 1, 1)
+    # the cap is on the ball's size, not on the length
+    for n, r in ((13, 2), (200, 2)):
+        long = PairedWord(n, 0, 0)
+        assert len(enumerate_ball(long, r, 1)) == ball_size(n, 0, 1, r)
+    assert enumerate_ball(PairedWord(13, 0, 0), 1, 1) == {PairedWord(13, 0, 0)}
     with pytest.raises(ValueError):
         enumerate_ball(centre, -1, 1)
+
+
+def test_enumerate_ball_refuses_by_the_ball_size_before_the_walk(monkeypatch):
+    centre = PairedWord(12, 0, 0)
+    assert ball_size(12, 0, 1, 11) == 55455 <= LIST_LIMIT < ball_size(12, 0, 1, 12) == 190051
+    assert len(enumerate_ball(centre, 11, 1)) == 55455
+    # n past the recursion limit: the walk keeps its own stack
+    n = sys.getrecursionlimit() + 1
+    assert len(enumerate_ball(PairedWord(n, 0, 0), 2, 1)) == ball_size(n, 0, 1, 2) == 2 * n + 1
+    monkeypatch.setattr(balls, "_position_costs",
+                        lambda lam: pytest.fail("walked a ball over the cap"))
+    with pytest.raises(BudgetExceeded, match="radius-12 ball at n=12: 190051, over the cap"):
+        enumerate_ball(centre, 12, 1)
+    # a radius that changes t positions freely holds 4^t words or more:
+    # refused before the census, at any length
+    monkeypatch.setattr(balls, "_census_row", lambda *args: pytest.fail("counted the ball"))
+    with pytest.raises(BudgetExceeded, match=r"radius-48 ball at n=12, at least: 4\^12, over"):
+        enumerate_ball(centre, 48, 1)
+    with pytest.raises(BudgetExceeded, match=r"radius-36 ball at n=10000, at least: 4\^9, over"):
+        enumerate_ball(PairedWord(10**4, 0, 0), 36, 1)
 
 
 def test_negative_weight_clamps_to_zero():

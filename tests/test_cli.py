@@ -323,6 +323,15 @@ def test_decode_command(capsys, tmp_path):
     assert "length mismatch: file words have n=4, v=3 needs 6" in err
 
 
+def test_decode_refuses_v_past_the_column_cap_before_reading(capsys, tmp_path):
+    # 2^(10^12) - 2 positions would be a 125 GB int: v is checked first
+    path = tmp_path / "missing.json"
+    rc, out, err = run(capsys, "decode", "cl", "--v", 10**12, "--mode", "correct1",
+                       "--in", path)
+    assert (rc, out) == (3, "")
+    assert "column-table entries at v=1000000000000: 2^1000000000000, over the cap" in err
+
+
 def test_exact_command(capsys):
     rc, out, _ = run(capsys, "exact", "--n", 2, "--d", 3, "--lambda", 1)
     lines = out.strip().splitlines()

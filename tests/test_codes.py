@@ -38,6 +38,7 @@ from aldkit.codes import (
     s_subsequence,
 )
 from aldkit.core import (
+    LIST_LIMIT,
     BudgetExceeded,
     PairedWord,
     ald_distance,
@@ -110,8 +111,17 @@ def test_distance_ladder_is_exact(monkeypatch):
     assert not wide.distance_at_least(7)
     # The d = 5 BCH check at v = 6 passes the rungs, and its null space
     # (62 columns, 12 rows) has 2^50 words: refused, not scanned.
-    with pytest.raises(BudgetExceeded, match=r"2\^50 words"):
+    with pytest.raises(BudgetExceeded,
+                       match=r"words of the null space: 2\^50, over the cap of 1048576"):
         bch_parity_check(6, 5).distance_at_least(6)
+
+
+def test_null_space_scan_refuses_past_two_to_the_twenty_words(monkeypatch):
+    # one row of ones: the null space of k columns has 2^(k-1) words
+    monkeypatch.setattr(codes, "_span", lambda basis: iter((0, 0b11)))
+    assert BinaryParityCheck(rows=1, columns=(1,) * 21, claimed_distance=1).min_distance() == 2
+    with pytest.raises(BudgetExceeded, match=r"2\^21, over the cap"):
+        BinaryParityCheck(rows=1, columns=(1,) * 22, claimed_distance=1).min_distance()
 
 
 def test_validate_rejects_false_claims():
@@ -201,10 +211,14 @@ def test_ladder_refuses_before_trying_column_sets(monkeypatch):
     assert math.comb(510, 2) + math.comb(510, 3) <= codes.LADDER_LIMIT
     assert math.comb(1022, 2) + math.comb(1022, 3) > codes.LADDER_LIMIT
     calls = []
-    monkeypatch.setattr(codes, "combinations", lambda *a: calls.append(a))
-    check = bch_parity_check(11, 5)
-    with pytest.raises(BudgetExceeded, match="2046 columns"):
-        build_cL(check.ncols // 2, check)
+    monkeypatch.setattr(codes, "combinations", lambda *a: calls.append(a) or iter(()))
+    assert bch_parity_check(9, 5).distance_at_least(5)  # the last v under the cap
+    assert len(calls) == 2
+    calls.clear()
+    for v in (10, 11):
+        check = bch_parity_check(v, 5)
+        with pytest.raises(BudgetExceeded, match=f"{check.ncols} columns, column sets tried"):
+            build_cL(check.ncols // 2, check)
     assert calls == []
 
 
@@ -504,7 +518,7 @@ def test_partition_code_validation():
 
 def test_field_refuses_more_than_two_to_the_sixteen_elements(monkeypatch):
     # F_49, the largest stored extension, is under the cap
-    assert OddPrimeField(7, 2).size == 49 <= codes.FIELD_LIMIT
+    assert OddPrimeField(7, 2).size == 49 <= LIST_LIMIT == 1 << 16
     calls = []
     monkeypatch.setattr(OddPrimeField, "mul", lambda self, x, y: calls.append((x, y)))
     for q, l in ((10000019, 1), (65537, 1), (257, 2), (3, 17), (3, 10**12)):

@@ -8,8 +8,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from aldkit import codes
+from aldkit.balls import enumerate_ball
+from aldkit.codes import Codebook, OddPrimeField, build_cl, build_cp, greedy_manhattan_code
 from aldkit.core import (
     _POSITION_MAPS,
+    LIST_LIMIT,
     Automorphism,
     Budget,
     BudgetExceeded,
@@ -23,8 +27,11 @@ from aldkit.core import (
     lee_distance,
     map_symbols,
     pair_weight,
+    _over,
     _position_costs,
+    _refuse_over,
 )
+from aldkit.search_verify import distance_graph, min_distance
 
 from conftest import lambdas, word_tuples, words
 
@@ -396,3 +403,68 @@ def test_budget_rejects_nan_and_non_numbers():
         with pytest.raises(ValueError):
             Budget(raw)
     assert Budget(Fraction(3, 2)).seconds == 1.5 and Budget(2).seconds == 2.0
+
+
+# ------------------------------------------------------------- size refusals
+
+
+def test_over_decides_huge_powers_without_building_them():
+    assert not _over(4, 8) and _over(4, 9)
+    assert not _over(LIST_LIMIT) and _over(LIST_LIMIT + 1)
+    assert not _over(2, 20, 1 << 20) and _over(2, 21, 1 << 20)
+    # 2^(10^18) and 4^(10^12) would not fit in memory; 0 and 1 stay small
+    assert _over(2, 10**18) and _over(4, 10**12, 4**4)
+    assert not _over(1, 10**18) and not _over(0, 10**18)
+
+
+def test_refuse_over_names_what_and_how_many():
+    _refuse_over("words", 4, 8)
+    with pytest.raises(BudgetExceeded, match=r"^words: 4\^9, over the cap of 65536$"):
+        _refuse_over("words", 4, 9)
+    with pytest.raises(BudgetExceeded, match=r"^column sets: 9, over the cap of 8$"):
+        _refuse_over("column sets", 9, cap=8)
+    # {base} and {exp} in what are filled in only on refusal
+    _refuse_over("field q={base}, l={exp}", 7, 2)
+    with pytest.raises(BudgetExceeded, match=r"^field q=257, l=2: 257\^2, over the cap of 65536$"):
+        _refuse_over("field q={base}, l={exp}", 257, 2)
+
+
+def _pair_scan(count):
+    words = tuple(PairedWord(9, k >> 8, k & 255) for k in range(count))
+    book = Codebook(n=9, lam=1, design_distance=1, construction="manual", params={},
+                    words=words)
+    return min_distance(book, 1)
+
+
+# Every size cap, at the last size it accepts and the first it refuses.
+@pytest.mark.parametrize("call,accepted,result,refused", [
+    pytest.param(lambda n: build_cp(n).size, 8, 2**15 + 2**7, 9, id="cp words"),
+    pytest.param(lambda n: codes._component_distances(n, 3, 1), 8, (2, 3), 9,
+                 id="clambda words"),
+    pytest.param(lambda n: len(greedy_manhattan_code(n, 1)), 10, 3**10, 11,
+                 id="ternary words"),
+    pytest.param(lambda ql: OddPrimeField(*ql).size, (7, 2), 49, (65537, 1),
+                 id="field elements"),
+    pytest.param(_pair_scan, LIST_LIMIT, 1, LIST_LIMIT + 1, id="pair-scan words"),
+    pytest.param(lambda r: len(enumerate_ball(PairedWord(12, 0, 0), r, 1)), 11, 55455, 12,
+                 id="ball words"),
+    pytest.param(lambda v: build_cl(v).n, 20, 2**20 - 2, 21, id="column tables"),
+    pytest.param(lambda n: len(distance_graph(n, 3, 1).vertices), 4, 256, 5,
+                 id="graph vertices"),
+])
+def test_size_caps_at_their_boundaries(call, accepted, result, refused):
+    assert call(accepted) == result
+    with pytest.raises(BudgetExceeded, match=r": \d+(\^\d+)?, over the cap of \d+$") as info:
+        call(refused)
+    assert info.traceback[-1].name == "_refuse_over"
+
+
+def test_books_are_explicit_up_to_the_list_limit():
+    def origin(w):
+        return w.a == w.b == 0
+
+    assert codes._book(8, 1, 1, "origin", {}, origin).words == (PairedWord(8, 0, 0),)
+    assert codes._book(9, 1, 1, "origin", {}, origin, size=1).words is None
+    assert build_cl(3).n == 6 and build_cl(3).words is not None
+    assert build_cl(4).n == 14 and build_cl(4).words is None
+    assert build_cl(6).n == 62 and build_cl(6).words is None  # 2^118 words, never listed

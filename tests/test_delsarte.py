@@ -839,3 +839,15 @@ def test_long_words_are_refused_before_any_table():
     with pytest.raises(ValueError, match="n <= 20"):
         delsarte._assemble(21, 3, 1, Budget())
     assert delsarte._profile_layout.cache_info().currsize == before
+
+
+def test_long_words_are_refused_before_any_factorial(monkeypatch):
+    # n! at n = 10^9 would not finish; the length is compared with 20 first
+    calls = []
+    factorial = math.factorial
+    monkeypatch.setattr(math, "factorial", lambda n: calls.append(n) or factorial(n))
+    with pytest.raises(ValueError, match="n <= 20"):
+        delsarte_bound(10**9, 3, 1)
+    assert calls == []
+    delsarte._slot_layout(20)
+    assert calls == [20]
